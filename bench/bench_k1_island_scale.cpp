@@ -1,14 +1,12 @@
 // K1 — island-kernel scaling: one grid campaign (8 sites, one agent, a
-// 1200-job burst) run to completion under the legacy kernel and under the
-// island kernel at CONDORG_PARALLEL ∈ {1, 2, 4, 8}. Reports per-N wall
-// time, speedup vs the 1-thread island run, the kernel trace digest, and
-// per-island execution stats.
+// 1200-job burst) run to completion at CONDORG_PARALLEL ∈ {1, 2, 4, 8}.
+// The one-worker run is the reference. Reports per-N wall time, speedup vs
+// that reference, the kernel trace digest, and per-island execution stats.
 //
 // Two gates ride on BENCH_K1.json (tools/bench_compare.py):
-//   * digest equality — every island-mode run must produce the identical
-//     trace digest whatever N is; a mismatch fails this binary directly
-//     (exit 6) AND the comparator, so it cannot slip through a skipped
-//     bench stage;
+//   * digest equality — every run must produce the identical trace digest
+//     whatever N is; a mismatch fails this binary directly (exit 6) AND
+//     the comparator, so it cannot slip through a skipped bench stage;
 //   * a speedup floor — 8-way must reach >= 3x over 1-way, enforced only
 //     when the machine actually has >= 8 hardware threads (recorded in the
 //     report as speedup_floor_enforced); a 1-core CI box records the
@@ -40,7 +38,7 @@ constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
 constexpr double kSpeedupFloor = 3.0;
 
 struct ScaleRun {
-  int threads = -1;  // -1 = legacy kernel
+  int threads = 1;
   std::uint64_t wall_ns = 0;
   std::uint64_t digest = 0;
   std::uint64_t dispatched = 0;
@@ -87,7 +85,7 @@ ScaleRun run_campaign(int threads) {
   run.digest = s.trace_digest();
   run.dispatched = s.dispatched();
   run.completed = agent.schedd().count(core::JobStatus::kCompleted);
-  if (s.island_mode()) run.stats = s.island_stats();
+  run.stats = s.island_stats();
   return run;
 }
 
@@ -106,15 +104,13 @@ int main() {
               kJobs, kSites, hardware);
 
   std::vector<ScaleRun> runs;
-  runs.push_back(run_campaign(0));  // legacy reference
   for (const unsigned n : kThreadCounts) {
     runs.push_back(run_campaign(static_cast<int>(n)));
   }
 
-  const ScaleRun& legacy = runs[0];
-  const ScaleRun& one = runs[1];
+  const ScaleRun& one = runs[0];  // the reference
   bool digests_identical = true;
-  for (std::size_t i = 2; i < runs.size(); ++i) {
+  for (std::size_t i = 1; i < runs.size(); ++i) {
     if (runs[i].digest != one.digest || runs[i].dispatched != one.dispatched) {
       digests_identical = false;
     }
@@ -124,14 +120,11 @@ int main() {
   cu::JsonValue scale_runs = cu::JsonValue::array();
   double speedup_8way = 0.0;
   for (const ScaleRun& run : runs) {
-    const std::string label =
-        run.threads == 0 ? std::string("legacy")
-                         : "N" + std::to_string(run.threads);
-    const double speedup =
-        run.threads >= 1 && run.wall_ns > 0
-            ? static_cast<double>(one.wall_ns) /
-                  static_cast<double>(run.wall_ns)
-            : 0.0;
+    const std::string label = "N" + std::to_string(run.threads);
+    const double speedup = run.wall_ns > 0
+                               ? static_cast<double>(one.wall_ns) /
+                                     static_cast<double>(run.wall_ns)
+                               : 0.0;
     if (run.threads == 8) speedup_8way = speedup;
     std::printf("  %-7s wall %8.1f ms  speedup %5.2fx  digest %s  "
                 "completed %zu/%d\n",
@@ -152,17 +145,15 @@ int main() {
     entry["digest"] = hex64(run.digest);
     entry["dispatched"] = static_cast<double>(run.dispatched);
     entry["completed"] = static_cast<double>(run.completed);
-    if (!run.stats.empty()) {
-      cu::JsonValue islands = cu::JsonValue::array();
-      for (const sim::Simulation::IslandStat& st : run.stats) {
-        cu::JsonValue is = cu::JsonValue::object();
-        is["events"] = static_cast<double>(st.events);
-        is["inbox_messages"] = static_cast<double>(st.inbox_messages);
-        is["epochs"] = static_cast<double>(st.epochs);
-        islands.push_back(std::move(is));
-      }
-      entry["islands"] = std::move(islands);
+    cu::JsonValue islands = cu::JsonValue::array();
+    for (const sim::Simulation::IslandStat& st : run.stats) {
+      cu::JsonValue is = cu::JsonValue::object();
+      is["events"] = static_cast<double>(st.events);
+      is["inbox_messages"] = static_cast<double>(st.inbox_messages);
+      is["epochs"] = static_cast<double>(st.epochs);
+      islands.push_back(std::move(is));
     }
+    entry["islands"] = std::move(islands);
     scale_runs.push_back(std::move(entry));
   }
 
@@ -170,7 +161,6 @@ int main() {
   cu::JsonValue scale = cu::JsonValue::object();
   scale["hardware_concurrency"] = static_cast<double>(hardware);
   scale["digests_identical"] = digests_identical;
-  scale["legacy_wall_ns"] = static_cast<double>(legacy.wall_ns);
   scale["speedup_8way"] = speedup_8way;
   scale["speedup_floor"] = kSpeedupFloor;
   scale["speedup_floor_enforced"] = floor_enforced;

@@ -21,12 +21,10 @@
 //     than the mean retained full-requery reference cycle (exit 7);
 //   * fairness — Jain's index over per-user matched jobs, snapshotted the
 //     moment half the campaign has matched, must be >= 0.9 (exit 7);
-//   * determinism — a reduced shape runs jitter-free under CONDORG_PARALLEL
-//     in {legacy, 1, 8}; the FNV outcome digest (every job's status and
-//     lifecycle times, every user's matched count) must be byte-identical
-//     across all three, and the kernel's key-stream digest across the two
-//     island runs (the legacy kernel folds a different key universe by
-//     design, so the outcome digest is the cross-kernel witness) (exit 6).
+//   * determinism — a reduced shape runs under CONDORG_PARALLEL in
+//     {1, 2, 4}; the kernel's key-stream digest and the FNV outcome digest
+//     (every job's status and lifecycle times, every user's matched count)
+//     must be byte-identical across all three (exit 6).
 // The anti-entropy sweep runs throughout (full_sweep_every); any recorded
 // delta-vs-reference divergence fails the binary directly (exit 5).
 #include <algorithm>
@@ -136,21 +134,9 @@ double jain_index(const std::vector<double>& xs) {
   return sum * sum / (static_cast<double>(xs.size()) * sum_sq);
 }
 
-StormResult run_storm(int threads, const Shape& shape, bool timed,
-                      bool jitter_free = false) {
+StormResult run_storm(int threads, const Shape& shape, bool timed) {
   sim::World::ScopedParallelOverride force(threads);
   sim::World world(/*seed=*/2001);
-
-  if (jitter_free) {
-    // Digest runs: the legacy kernel draws jitter from the shared network
-    // stream, island mode from per-sender streams — different draws, so a
-    // cross-kernel comparison is only meaningful with the jitter (the sole
-    // RNG consumer on this workload) switched off. Base latency stays, so
-    // the island lookahead is unchanged.
-    sim::LinkConfig link = world.net().default_link();
-    link.jitter = 0.0;
-    world.net().set_default_link(link);
-  }
 
   sim::Host& central = world.add_host("portal.grid");
   cc::Collector collector(central, world.net());
@@ -277,9 +263,8 @@ StormResult run_storm(int threads, const Shape& shape, bool timed,
   result.dispatched = s.dispatched();
 
   // Outcome digest: every job's terminal state and lifecycle times plus the
-  // per-user matched counts, folded in the (deterministic) user/job order.
-  // Unlike the kernel key-stream digest this is kernel-agnostic, so it is
-  // what the {legacy, 1, 8} triple compares.
+  // per-user matched counts, folded in the (deterministic) user/job order —
+  // the domain-level witness next to the kernel's key-stream digest.
   const auto fold_time = [](std::uint64_t h, sim::Time t) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &t, sizeof(bits));
@@ -381,10 +366,10 @@ int main() {
               static_cast<unsigned long long>(kStorm.jobs_per_user),
               kStorm.groups, kStorm.busy_groups, kStorm.slots_per_group);
 
-  // Headline: legacy kernel with the negotiator's wall clock armed; the
-  // delta-vs-reference cycle means come out of the same run (the sweep
+  // Headline: one island worker with the negotiator's wall clock armed;
+  // the delta-vs-reference cycle means come out of the same run (the sweep
   // times the retained reference path on identical state).
-  const StormResult storm = run_storm(/*threads=*/0, kStorm, /*timed=*/true);
+  const StormResult storm = run_storm(/*threads=*/1, kStorm, /*timed=*/true);
   std::printf(
       "  storm   wall %8.1f ms  completed %zu  cycles %llu (skipped %llu)  "
       "matches %llu\n",
@@ -404,16 +389,12 @@ int main() {
 
   // Determinism triple on the reduced shape: the per-user hosts land in
   // distinct islands, so this is the island engine under its intended load.
-  // Jitter-free, so legacy and island runs see identical message timing;
-  // the outcome digest must agree across all three, the kernel key-stream
-  // digest (a per-kernel encoding) across the island pair.
+  // Both digests must agree across all three worker counts.
   std::vector<std::pair<std::string, StormResult>> digest_runs;
-  for (const int threads : {0, 1, 8}) {
-    const std::string label =
-        threads == 0 ? std::string("legacy") : "N" + std::to_string(threads);
+  for (const int threads : {1, 2, 4}) {
+    const std::string label = "N" + std::to_string(threads);
     digest_runs.emplace_back(label, run_storm(threads, kDigestShape,
-                                              /*timed=*/false,
-                                              /*jitter_free=*/true));
+                                              /*timed=*/false));
     const StormResult& run = digest_runs.back().second;
     std::printf(
         "  %-7s wall %8.1f ms  outcome %s  kernel %s  dispatched %llu\n",
@@ -425,13 +406,8 @@ int main() {
   const StormResult& first = digest_runs.front().second;
   for (const auto& [label, run] : digest_runs) {
     if (run.outcome_digest != first.outcome_digest ||
-        run.jobs_completed != first.jobs_completed) {
-      digests_identical = false;
-    }
-    // The island pair must agree on the committed key stream too.
-    if (label != "legacy" &&
-        (run.digest != digest_runs.back().second.digest ||
-         run.dispatched != digest_runs.back().second.dispatched)) {
+        run.jobs_completed != first.jobs_completed ||
+        run.digest != first.digest || run.dispatched != first.dispatched) {
       digests_identical = false;
     }
   }
@@ -439,7 +415,7 @@ int main() {
   cu::JsonValue benchmarks = cu::JsonValue::array();
   {
     cu::JsonValue row = cu::JsonValue::object();
-    row["name"] = "BM_MultiUserStorm/legacy";
+    row["name"] = "BM_MultiUserStorm/N1";
     row["iterations"] = 1.0;
     row["real_time_ns"] = static_cast<double>(storm.wall_ns);
     row["cpu_time_ns"] = static_cast<double>(storm.wall_ns);
@@ -516,7 +492,7 @@ int main() {
   if (!digests_identical) {
     std::fprintf(stderr,
                  "U1: digests diverged across CONDORG_PARALLEL "
-                 "{legacy, 1, 8}\n");
+                 "{1, 2, 4}\n");
     return 6;
   }
   if (storm.speedup < kSpeedupFloor) {

@@ -10,9 +10,9 @@
 
 namespace condorg::sim {
 namespace {
-/// post_coalesced grid (island mode only): status polls, lease renewals and
-/// credential refreshes land on 25 ms edges so herd timers share calendar
-/// buckets and windows stay fat. Two orders of magnitude below every
+/// post_coalesced grid: status polls, lease renewals and credential
+/// refreshes land on 25 ms edges so herd timers share calendar buckets and
+/// windows stay fat. Two orders of magnitude below every
 /// protocol interval in the system, so rounding is observable only as a
 /// (deterministic) sub-grid phase shift.
 constexpr Time kCoalesceGrid = 0.025;
@@ -38,11 +38,9 @@ EventId Host::post(Time delay, std::function<void()> fn) {
 }
 
 EventId Host::post_coalesced(Time delay, std::function<void()> fn) {
-  Time when = sim_.now() + delay;
-  if (sim_.island_mode()) {
-    when = std::ceil(when / kCoalesceGrid) * kCoalesceGrid;
-  }
-  return post_at(when, std::move(fn));
+  const Time when = sim_.now() + delay;
+  return post_at(std::ceil(when / kCoalesceGrid) * kCoalesceGrid,
+                 std::move(fn));
 }
 
 EventId Host::post_any_epoch(Time delay, std::function<void()> fn) {
@@ -108,7 +106,7 @@ void Host::restart() {
 void Host::crash_for(Time downtime) {
   crash();
   // The restart runs on this host's own queue whatever context crashed it
-  // (fault injection is control-queue code in island mode).
+  // (fault injection is control-queue code).
   sim_.schedule_on_queue(queue_, sim_.now() + downtime, [this] { restart(); });
 }
 

@@ -22,7 +22,7 @@ namespace condorg::sim {
 class Host {
  public:
   /// `queue` is this host's kernel event queue (sim::World passes
-  /// Simulation::register_queue(); 0 — the global queue — in legacy mode).
+  /// Simulation::register_queue(); the default 0 is the control queue).
   Host(Simulation& sim, std::string name, std::uint32_t queue = 0);
 
   Host(const Host&) = delete;
@@ -54,13 +54,12 @@ class Host {
 
   /// post() for periodic herd timers (status polls, lease renewals,
   /// credential refreshes) whose exact phase carries no protocol meaning.
-  /// In island mode the fire time is rounded up to a coarse grid (25 ms) so
-  /// herd members share calendar buckets — fewer distinct timestamps means
-  /// denser buckets and fewer, fatter synchronization windows, which is
-  /// where the profiler showed the parallel kernel's overhead to live. In
-  /// legacy mode this is exactly post(): the pinned sequential digest does
-  /// not move. The rounding is a pure function of the due time, so it is
-  /// identical for every CONDORG_PARALLEL worker count.
+  /// The fire time is rounded up to a coarse grid (25 ms) so herd members
+  /// share calendar buckets — fewer distinct timestamps means denser
+  /// buckets and fewer, fatter synchronization windows, which is where the
+  /// profiler showed the parallel kernel's overhead to live. The rounding
+  /// is a pure function of the due time, so it is identical for every
+  /// CONDORG_PARALLEL worker count.
   EventId post_coalesced(Time delay, std::function<void()> fn);
 
   /// Crash the host: epoch bumps, pending post() callbacks are fenced,

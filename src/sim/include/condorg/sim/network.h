@@ -108,12 +108,11 @@ class Network {
   static std::pair<std::string, std::string> ordered(const std::string& a,
                                                      const std::string& b);
 
-  /// Island mode: the loss/jitter stream for messages sent *by* `host`.
-  /// The legacy kernel draws every message from one shared stream — fine
-  /// when dispatch order is globally serial, a data race (and a thread-count
-  /// dependence) once islands send concurrently. Per-sender streams are
-  /// seeded by name ("network/send/<host>"), so each draw depends only on
-  /// that host's own deterministic send sequence.
+  /// The loss/jitter stream for messages sent *by* `host`. One shared
+  /// stream would be a data race (and a thread-count dependence) once
+  /// islands send concurrently; per-sender streams are seeded by name
+  /// ("network/send/<host>"), so each draw depends only on that host's own
+  /// deterministic send sequence.
   util::Rng& send_rng(const std::string& host);
 
   Simulation& sim_;
@@ -122,7 +121,6 @@ class Network {
   std::map<std::pair<std::string, std::string>, LinkConfig> links_;
   std::set<std::pair<std::string, std::string>> partitions_;
   std::set<std::string> isolated_;
-  util::Rng rng_;
   std::function<void(const Message&)> tap_;
   std::function<void()> topology_listener_;
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "condorg/sim/host.h"
+#include "condorg/sim/lifetime.h"
 #include "condorg/sim/message.h"
 #include "condorg/sim/network.h"
 
@@ -63,6 +64,7 @@ class RpcClient {
   std::map<std::uint64_t, Pending> pending_;
   int crash_listener_ = 0;
   int boot_id_ = 0;
+  Lifetime life_;  // guards timeout events that outlive the client
 };
 
 /// Server-side helper: build and send the reply for `request`, echoing the

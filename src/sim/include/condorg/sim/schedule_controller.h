@@ -1,13 +1,14 @@
 // Schedule-space control hook for the deterministic kernel.
 //
 // Normally the kernel's tie-break contract is fixed: events sharing a
-// timestamp dispatch in FIFO (scheduling) order, and message latency is
-// base + jitter. A ScheduleController overrides exactly those two degrees
-// of freedom — which live event in a same-timestamp bucket dispatches next,
-// and whether a daemon crashes at a named protocol step — without touching
-// the rest of the kernel. sim::Explorer drives this hook to enumerate
-// schedules; when no controller is attached every code path is bit-for-bit
-// the FIFO one, so production runs keep their byte-identical trace digests.
+// timestamp dispatch in key (per-context FIFO) order, and message latency
+// is base + jitter. A ScheduleController overrides exactly those degrees of
+// freedom — which live event at the earliest pending time, on any queue,
+// dispatches next, and whether a daemon crashes at a named protocol step —
+// without touching the rest of the kernel. sim::Explorer drives this hook
+// to enumerate schedules; when no controller is attached every code path
+// is bit-for-bit the uncontrolled one, so production runs keep their
+// byte-identical trace digests.
 #pragma once
 
 #include <cstddef>
@@ -22,8 +23,9 @@ class ScheduleController {
   virtual ~ScheduleController() = default;
 
   /// Choose among `count` (>= 2) live events sharing timestamp `when`.
-  /// The kernel dispatches the chosen candidate (in FIFO position order);
-  /// returns are taken modulo `count`, so any value is safe.
+  /// The kernel dispatches the chosen candidate (in key order, so 0 is the
+  /// uncontrolled choice); returns are taken modulo `count`, so any value
+  /// is safe.
   virtual std::size_t pick_event(Time when, std::size_t count) = 0;
 
   /// Consulted by Host::crash_point at each named protocol step. Return

@@ -1,31 +1,24 @@
 // Discrete-event simulation kernel.
 //
-// A Simulation owns a priority queue of timestamped callbacks and a
-// monotonically advancing clock. Everything in the reproduction — protocol
-// timeouts, job runtimes, crashes, probes — is an event in this queue, which
-// is what makes week-long grid campaigns runnable in milliseconds and every
-// run exactly reproducible from its seed.
+// A Simulation owns timestamped callbacks and a monotonically advancing
+// clock. Everything in the reproduction — protocol timeouts, job runtimes,
+// crashes, probes — is an event in this kernel, which is what makes
+// week-long grid campaigns runnable in milliseconds and every run exactly
+// reproducible from its seed.
 //
-// The kernel runs in one of two universes:
-//
-//  * Legacy (default): one global calendar, events totally ordered by
-//    (when, seq) with a process-wide seq counter. Byte-identical to the
-//    pre-island kernel; this is what every existing test, bench baseline,
-//    and the Explorer's recorded schedules pin.
-//
-//  * Island mode (CONDORG_PARALLEL=N, wired by sim::World): every Host owns
-//    its own calendar queue, events are totally ordered by the key
-//    (when, origin queue, origin counter), and islands — groups of queues
-//    connected only by latency-bearing links (see island.h) — advance in
-//    parallel under conservative lookahead. The dispatch stream, and hence
-//    the FNV trace digest, is the merge of the per-island streams in key
-//    order, which is a deterministic function of the scenario alone: the
-//    digest is byte-identical for every worker count N, and N=1 runs the
-//    very same windowed algorithm on the calling thread. When a global
-//    observer is armed (Tracer, InvariantAuditor), the kernel transparently
-//    serializes execution in exact key order so observer output stays
-//    byte-identical too; attaching a ScheduleController (the Explorer)
-//    requires the legacy universe.
+// Every Host owns its own calendar queue (queue 0 is the control queue for
+// harness code outside any host), and events are totally ordered by the key
+// (when, origin queue, origin counter). Islands — groups of queues connected
+// only by latency-bearing links (see island.h) — advance under conservative
+// lookahead windows, on up to CONDORG_PARALLEL worker threads (sim::World
+// wires the budget; unset or 0 means one). The dispatch stream, and hence
+// the FNV trace digest, is the merge of the per-island streams in key order,
+// a deterministic function of the scenario alone: the digest is
+// byte-identical for every worker count, and one worker runs the very same
+// windowed algorithm on the calling thread. When a global observer is armed
+// (Tracer, InvariantAuditor, ScheduleController) the kernel serializes
+// execution in exact key order, so observer output stays byte-identical
+// and the Explorer model-checks the same kernel campaigns run.
 #pragma once
 
 #include <atomic>
@@ -58,21 +51,21 @@ class Simulation {
   Simulation& operator=(const Simulation&) = delete;
 
   /// Simulated time as seen from the calling context. Inside an event this
-  /// is the dispatching queue's clock (in island mode, islands at different
-  /// points of the current window legitimately disagree); outside any event
-  /// it is the committed global clock.
+  /// is the dispatching queue's clock (islands at different points of the
+  /// current window legitimately disagree); outside any event it is the
+  /// committed global clock — the time of the last committed event, or the
+  /// run_until() horizon.
   Time now() const {
     const TlsContext& tls = tls_context();
     return queues_[tls.sim == this ? tls.queue : 0].local_now;
   }
 
   /// Schedule a callback at an absolute time (>= now). Events with equal
-  /// timestamps dispatch in FIFO (scheduling) order — this tie-break is part
-  /// of the kernel's contract and is pinned by tests: protocol layers rely
-  /// on "schedule A then B at time t => A runs before B". In island mode
-  /// the target queue is the scheduling context's queue (daemons schedule
-  /// onto their own island; harness code onto the control queue), and the
-  /// FIFO guarantee holds per scheduling context.
+  /// timestamps dispatch in FIFO (scheduling) order per scheduling context —
+  /// this tie-break is part of the kernel's contract and is pinned by tests:
+  /// protocol layers rely on "schedule A then B at time t => A runs before
+  /// B". The target queue is the scheduling context's queue (daemons
+  /// schedule onto their own island; harness code onto the control queue).
   EventId schedule_at(Time when, std::function<void()> fn);
 
   /// Schedule a callback after a delay (>= 0).
@@ -85,23 +78,24 @@ class Simulation {
   }
 
   /// Cancel a pending event. Returns true if the event was still pending.
-  /// Island mode: only the event's own queue context (or the control
-  /// context at a barrier) may cancel — cancelling another island's event
-  /// mid-window would race with its dispatch.
+  /// Only the event's own queue context (or the control context at a
+  /// barrier) may cancel — cancelling another island's event mid-window
+  /// would race with its dispatch.
   bool cancel(EventId id);
+  /// Whether cancel(id) may be called from the calling context.
+  bool may_cancel(EventId id) const;
 
   /// Run until the event queue is empty or stop() is called.
   void run();
 
-  /// Run events with timestamp <= until; afterwards now() == until unless the
-  /// queue emptied earlier or stop() was called. Returns true if events
-  /// remain pending.
+  /// Run events with timestamp <= until; afterwards now() == until unless
+  /// stop() was called. Returns true if events remain pending.
   bool run_until(Time until);
 
-  /// Request the active run()/run_until() loop to return. In island mode a
-  /// stop from inside an event halts the calling island immediately; every
-  /// other island still finishes the current window (the committed window
-  /// content is what keeps the digest independent of worker count).
+  /// Request the active run()/run_until() loop to return. A stop from
+  /// inside an event halts the calling island immediately; every other
+  /// island still finishes the current window (the committed window content
+  /// is what keeps the digest independent of worker count).
   void stop();
 
   /// Number of events dispatched so far (for micro-benchmarks / debugging).
@@ -115,33 +109,33 @@ class Simulation {
   util::Rng make_rng(std::string_view label) const { return rng_.split(label); }
 
   /// Rolling FNV-1a hash over the committed dispatch stream — a digest of
-  /// the run's event order. Legacy mode mixes every dispatched (time, seq)
-  /// pair in dispatch order; island mode mixes every (time, origin queue,
-  /// origin counter) key in global key order (the deterministic merge of
-  /// the per-island streams). Two runs of the same scenario from the same
-  /// seed — and, in island mode, under any CONDORG_PARALLEL worker count —
-  /// must produce identical digests; a mismatch is the determinism
-  /// self-check's proof that hidden state (wall clock, unordered iteration,
-  /// ambient RNG, or an island executing past its lookahead) leaked into
-  /// scheduling.
+  /// the run's event order: every (time, origin queue, origin counter) key
+  /// in global key order (the deterministic merge of the per-island
+  /// streams). Two runs of the same scenario from the same seed, under any
+  /// CONDORG_PARALLEL worker count, must produce identical digests; a
+  /// mismatch is the determinism self-check's proof that hidden state (wall
+  /// clock, unordered iteration, ambient RNG, or an island executing past
+  /// its lookahead) leaked into scheduling.
   std::uint64_t trace_digest() const { return trace_digest_; }
 
   /// Attach an invariant auditor: dispatch runs its checks between events,
   /// every `period` dispatches (the world is quiescent there — no callback
   /// is mid-flight). Pass nullptr to detach. The auditor must outlive the
-  /// attachment. Island mode serializes execution while an auditor is
-  /// attached (the auditor reads cross-island state).
+  /// attachment. Execution is serialized while an auditor is attached (the
+  /// auditor reads cross-island state).
   void attach_auditor(InvariantAuditor* auditor, std::uint64_t period = 1024);
   InvariantAuditor* auditor() const { return auditor_; }
 
-  /// Attach a schedule controller (see schedule_controller.h): it then picks
-  /// which live event dispatches whenever a timestamp bucket holds more than
-  /// one, and Host::crash_point / Network delivery quantization consult it.
-  /// Pass nullptr to detach; with none attached, dispatch is plain FIFO and
-  /// the trace digest is byte-identical to an uncontrolled run. The
-  /// controller must outlive the attachment. Incompatible with island mode
-  /// (the Explorer runs the legacy universe; see World::set_parallel_override).
-  void set_controller(ScheduleController* controller);
+  /// Attach a schedule controller (see schedule_controller.h): whenever more
+  /// than one live event sits at the earliest pending time — across every
+  /// queue — it picks which one dispatches; Host::crash_point and Network
+  /// delivery quantization consult it too. Execution is serialized while a
+  /// controller is attached. Pass nullptr to detach; a controller that
+  /// always picks 0 commits exactly the uncontrolled key order. The
+  /// controller must outlive the attachment.
+  void set_controller(ScheduleController* controller) {
+    controller_ = controller;
+  }
   ScheduleController* controller() const { return controller_; }
 
   /// Metric registry shared by every daemon in this world. Per-Simulation
@@ -158,21 +152,22 @@ class Simulation {
   Profiler& profiler() { return profiler_; }
   const Profiler& profiler() const { return profiler_; }
 
-  // --- island-parallel kernel ---
+  // --- island-parallel execution ---
 
-  /// Switch this Simulation into island mode with a budget of `threads`
-  /// window workers (>= 1). Must be called before any event is scheduled;
-  /// the universes differ in event-id packing and tie-break order, so they
-  /// cannot be mixed within one run. Normally called by sim::World from
-  /// CONDORG_PARALLEL.
-  void configure_islands(unsigned threads);
-  bool island_mode() const { return island_mode_; }
+  /// Budget of window worker threads (0 is taken as 1). Changes only how
+  /// many threads execute a window, never what is committed. Normally set
+  /// by sim::World from CONDORG_PARALLEL.
+  void configure_islands(unsigned threads) {
+    island_threads_ = threads == 0 ? 1 : threads;
+  }
+  /// Always true: the island kernel is the only kernel (the campaign
+  /// benchmark harness still asks).
+  bool island_mode() const { return true; }
   unsigned island_threads() const { return island_threads_; }
 
-  /// Register a new per-host event queue (island mode; World::add_host).
-  /// Returns the queue id. In legacy mode returns 0 (the global queue).
+  /// Register a new per-host event queue (World::add_host). Returns the
+  /// queue id.
   std::uint32_t register_queue();
-  std::size_t queue_count() const { return queues_.size(); }
 
   /// Install the hook that (re)builds the island plan. Invoked at run entry
   /// and at window barriers after the topology changed (see
@@ -230,37 +225,33 @@ class Simulation {
 
  private:
   friend struct IslandEngine;
-  friend class Tracer;
 
-  // Event storage is a slab of reusable records addressed by a 32-bit slot
-  // index; an EventId packs (slot + 1) in the high 32 bits and the slot's
-  // generation in the low 32 (so 0 stays kInvalidEvent) — island mode packs
-  // (queue:14 | slot+1:22 | gen:28) instead, so cancel() can route to the
-  // owning queue. Cancellation just bumps the slot's generation — O(1), no
-  // queue surgery — and the pending entry left behind is lazily discarded
-  // when its bucket drains (its generation no longer matches); the queue's
-  // tombstone counter tracks how many such entries are still buried.
+  // Event storage is a per-queue slab of reusable records addressed by a
+  // slot index; an EventId packs (queue:14 | slot+1:22 | gen:28), so 0 stays
+  // kInvalidEvent and cancel() can route to the owning queue. Cancellation
+  // just bumps the slot's generation — O(1), no queue surgery — and the
+  // pending entry left behind is lazily discarded when its bucket drains
+  // (its generation no longer matches); the queue's tombstone counter
+  // tracks how many such entries are still buried.
   //
-  // The pending set is a calendar of per-timestamp FIFO buckets with a
-  // min-heap over the *distinct* timestamps only. Simulated time is heavily
-  // tied (timeout grids, periodic cycles, same-tick protocol rounds), so the
-  // heap stays tiny and a dispatch is usually "advance the front bucket's
+  // The pending set is a calendar of per-timestamp buckets with a min-heap
+  // over the *distinct* timestamps only. Simulated time is heavily tied
+  // (timeout grids, periodic cycles, same-tick protocol rounds), so the heap
+  // stays tiny and a dispatch is usually "advance the front bucket's
   // cursor" rather than an O(log n_events) sift over megabytes of nodes.
-  // Dispatch order within a queue is exactly (when, origin, ctr): bucket
-  // entries are kept in (origin, ctr) order — plain appends in legacy mode,
-  // where origin is constant and ctr is the global seq, which keeps FIFO
-  // tie-breaks AND the (when, seq) trace digest byte-identical to the
-  // pre-island kernel — and the heap orders distinct times.
+  // Dispatch order within a queue is exactly (when, origin, ctr): the
+  // unexecuted tail of each bucket is kept ascending in the packed order
+  // word, and the heap orders distinct times.
   struct PendingEvent {
-    Time when;           // verbatim as scheduled (digest input)
-    std::uint64_t seq;   // origin counter: FIFO tiebreaker + digest input
-    std::uint32_t slot;  // slab index
-    std::uint32_t gen;   // generation at scheduling time
+    Time when;            // verbatim as scheduled (digest input)
+    std::uint64_t order;  // order_key(origin, ctr): tie-break + digest input
+    std::uint32_t slot;   // slab index
+    std::uint32_t gen;    // generation at scheduling time
   };
   struct Bucket {
     std::uint64_t key = 0;             // normalized bit pattern of `when`
     std::size_t next = 0;              // drain cursor into items
-    std::vector<PendingEvent> items;   // (origin, ctr)-ascending (live ones)
+    std::vector<PendingEvent> items;   // unexecuted tail order-ascending
   };
   struct BucketRef {
     Time when;
@@ -271,9 +262,6 @@ class Simulation {
   struct EventRecord {
     std::function<void()> fn;  // non-null iff live
     std::uint32_t gen = 1;
-    // Origin queue of the scheduling context (island-mode tie-break; always
-    // 0 in legacy mode). Packed next to gen so the record stays 48 bytes.
-    std::uint32_t origin = 0;
     // Tracer causal cursor snapshotted at scheduling time (0 when tracing
     // is off). dispatch() re-installs it around fn() so records emitted by
     // the callback point at the record that caused the event — across
@@ -283,18 +271,34 @@ class Simulation {
     RecordId cause = 0;
   };
 
-  /// One calendar: the global one in legacy mode, per-host in island mode.
-  /// The scratch pick vector and the lazy-deletion (tombstone) accounting
-  /// are deliberately per-queue: a controller pick or a cancel storm on one
+  /// The tie-break (origin queue, origin counter) packed into one word that
+  /// orders exactly like the pair: origin < 2^14 (the queue limit), and a
+  /// counter below 2^50 per origin.
+  static constexpr int kOrderBits = 50;
+  static constexpr std::uint64_t kCtrMask =
+      (std::uint64_t{1} << kOrderBits) - 1;
+  static std::uint64_t order_key(std::uint32_t origin, std::uint64_t ctr) {
+    return std::uint64_t{origin} << kOrderBits | ctr;
+  }
+
+  /// One host's calendar (queue 0: the control queue). The lazy-deletion
+  /// (tombstone) accounting is deliberately per-queue: a cancel storm on one
   /// island must not bleed state into another island's calendar.
   struct QueueState {
+    // The live event at the calendar front, as the executors peek it —
+    // cached because the window scan peeks every queue at every barrier.
+    // schedule_keyed keeps it current; take_event and cancel clear
+    // `front_known`, and the next peek recomputes it.
+    bool front_known = false;
+    bool front_empty = false;          // known, and nothing is pending
+    Time front_when = 0.0;
+    std::uint64_t front_order = 0;
     std::vector<BucketRef> heap;        // min-heap over distinct timestamps
     std::vector<Bucket> buckets;        // bucket slab; index = BucketRef::bucket
-    std::vector<std::uint32_t> free_buckets;  // recycled buckets (keep caps)
+    std::vector<std::uint32_t> free_buckets;  // recycled buckets
     std::unordered_map<std::uint64_t, std::uint32_t> bucket_of;  // key → index
     std::vector<EventRecord> slots;     // slab; index = PendingEvent::slot
     std::vector<std::uint32_t> free_slots;    // recycled slab slots (LIFO)
-    std::vector<std::size_t> pick_candidates;  // scratch for take_front_event
     std::size_t live = 0;               // live (non-cancelled) pending events
     std::uint64_t tombstones = 0;       // cancelled entries awaiting drain
     std::uint64_t ctr = 0;              // origin counter for this context
@@ -324,33 +328,26 @@ class Simulation {
     TlsContext previous_;
   };
 
-  EventId make_id(std::uint32_t queue, std::uint32_t slot,
-                  std::uint32_t gen) const;
-  /// The slab record for a live event id; nullptr for stale/foreign ids.
-  /// Island mode writes the owning queue to *queue_out.
-  EventRecord* record_for(EventId id, std::uint32_t* queue_out);
-
-  /// Schedule with an explicit origin key (cross-island integration).
-  EventId schedule_keyed(std::uint32_t queue, Time when, std::uint32_t origin,
-                         std::uint64_t ctr, std::function<void()> fn,
-                         RecordId cause);
+  /// Schedule under an explicit order key (cross-island integration).
+  EventId schedule_keyed(std::uint32_t queue, Time when, std::uint64_t order,
+                         std::function<void()> fn, RecordId cause);
 
   void dispatch(std::uint32_t queue, const PendingEvent& ev);
-  /// Remove the next event from the front bucket. FIFO (cursor) order
-  /// normally; with a controller attached, the controller picks among the
-  /// bucket's live entries. Requires drop_stale_front() to have run.
-  PendingEvent take_front_event(QueueState& q);
+  /// Remove an event from the front bucket: the entry at position `index`
+  /// (a controller's pick), or the one at the drain cursor for kFront.
+  /// Requires drop_stale_front() to have run.
+  PendingEvent take_event(QueueState& q, std::size_t index);
   /// Advance front buckets past cancelled entries; release drained buckets.
   /// Afterwards the heap front (if any) has a live event at its cursor.
   void drop_stale_front(QueueState& q);
   static void heap_push(QueueState& q, BucketRef node);
   static void heap_pop_front(QueueState& q);
 
-  /// Fold one committed dispatch into the digest (legacy: when+seq; island
-  /// mode: when+origin+ctr).
-  void fold_digest(Time when, std::uint32_t origin, std::uint64_t ctr);
+  /// Fold one committed dispatch key into the digest.
+  void fold_digest(Time when, std::uint64_t order);
 
-  void run_legacy(Time until, bool bounded);
+  /// The one run loop: run_strict under a global observer, run_windows
+  /// otherwise (see IslandEngine).
   void run_islands(Time until, bool bounded);
   /// Lazily (re)build the island plan via the hook.
   void refresh_plan();
@@ -358,10 +355,9 @@ class Simulation {
   // Atomic because stop() may be called from an island worker thread while
   // the coordinator (and other islands) are mid-window.
   std::atomic<bool> stopped_{false};
-  bool island_mode_ = false;
   unsigned island_threads_ = 1;
   std::uint64_t dispatched_ = 0;
-  std::vector<QueueState> queues_;  // [0] = control/legacy global queue
+  std::vector<QueueState> queues_;  // [0] = control queue
   util::Rng rng_;
   std::uint64_t trace_digest_ = 14695981039346656037ull;  // FNV-1a basis
   ScheduleController* controller_ = nullptr;

@@ -21,11 +21,10 @@ class World {
   World& operator=(const World&) = delete;
 
   /// Forces the island worker count for Worlds constructed while the guard
-  /// lives, overriding CONDORG_PARALLEL (0 = legacy sequential kernel).
-  /// The Explorer holds a force-legacy guard around its scenario worlds:
-  /// controller-driven exploration requires the sequential universe, and
-  /// counterexample replay must be byte-stable whatever the environment.
-  /// Guards nest (inner wins; destruction restores the outer value).
+  /// lives, overriding CONDORG_PARALLEL (0 means one worker, like unset).
+  /// Benches and tests use it to compare worker counts in one process;
+  /// the count never changes the committed stream. Guards nest (inner
+  /// wins; destruction restores the outer value).
   class ScopedParallelOverride {
    public:
     explicit ScopedParallelOverride(int threads);

@@ -88,9 +88,7 @@ std::string Payload::debug_string() const {
 
 Network::Network(Simulation& sim,
                  std::function<Host*(const std::string&)> resolver)
-    : sim_(sim),
-      resolver_(std::move(resolver)),
-      rng_(sim.make_rng("network")) {}
+    : sim_(sim), resolver_(std::move(resolver)) {}
 
 std::pair<std::string, std::string> Network::ordered(const std::string& a,
                                                      const std::string& b) {
@@ -149,11 +147,7 @@ bool Network::isolated(const std::string& host) const {
 
 void Network::send(Message message) {
   sent_.fetch_add(1, std::memory_order_relaxed);
-  // Island mode draws loss/jitter from the sender's own stream (the shared
-  // stream's draw order would depend on the worker interleaving); the
-  // legacy kernel keeps the shared stream so its pinned digests hold.
-  util::Rng& rng =
-      sim_.island_mode() ? send_rng(message.from.host) : rng_;
+  util::Rng& rng = send_rng(message.from.host);
   // Local delivery (same host) bypasses the WAN: no loss, tiny latency.
   const bool local = message.from.host == message.to.host;
   if (!local) {
@@ -184,13 +178,11 @@ void Network::send(Message message) {
     latency = cfg.latency +
               (cfg.jitter > 0.0 ? rng.uniform(0.0, cfg.jitter) : 0.0);
   }
-  // Deliveries target the destination host's kernel queue; when that queue
-  // lives on another island the kernel routes through the island inbox. In
-  // legacy mode every host is queue 0 and this is exactly schedule_in.
+  // Deliveries target the destination host's kernel queue (the control
+  // queue for an unknown host); when that queue lives on another island the
+  // kernel routes through the island inbox.
   std::uint32_t dest_queue = 0;
-  if (sim_.island_mode()) {
-    if (Host* d = resolver_(message.to.host)) dest_queue = d->queue();
-  }
+  if (Host* d = resolver_(message.to.host)) dest_queue = d->queue();
   sim_.schedule_cross(
       dest_queue, sim_.now() + latency, [this, message = std::move(message)] {
     // Partition may have appeared while in flight.

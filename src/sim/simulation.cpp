@@ -1,6 +1,8 @@
 #include "condorg/sim/simulation.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -27,26 +29,16 @@ constexpr Time kInfTime = std::numeric_limits<Time>::infinity();
   return logger;
 }
 
-std::uint64_t fnv1a_mix(std::uint64_t digest, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    digest ^= (value >> (byte * 8)) & 0xff;
-    digest *= kFnvPrime;
+// kFnvPrime^k mod 2^64 for k = 0..24 (every zero-byte run fold_digest can
+// defer across one key's three words).
+constexpr std::array<std::uint64_t, 25> kFnvPrimePow = [] {
+  std::array<std::uint64_t, 25> pow{};
+  pow[0] = 1;
+  for (std::size_t k = 1; k < pow.size(); ++k) {
+    pow[k] = pow[k - 1] * kFnvPrime;
   }
-  return digest;
-}
-
-// Calendar key for a timestamp: its bit pattern, with -0.0 folded into +0.0
-// so numerically-equal times land in the same bucket (otherwise two heap
-// entries could tie on `when` and the FIFO order across them would be
-// unspecified). The PendingEvent still carries `when` verbatim — the digest
-// sees exactly the bits that were scheduled.
-std::uint64_t bucket_key(Time when) {
-  if (when == 0.0) when = 0.0;  // normalize -0.0
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(when));
-  std::memcpy(&bits, &when, sizeof(bits));
-  return bits;
-}
+  return pow;
+}();
 
 std::uint64_t time_bits(Time when) {
   std::uint64_t bits = 0;
@@ -55,27 +47,45 @@ std::uint64_t time_bits(Time when) {
   return bits;
 }
 
-// The island universe's total order over events: (when, origin queue,
-// origin counter). Computable by the scheduling context alone — no global
-// counter — which is what lets islands execute concurrently and still agree
-// on one global dispatch order. Keys of distinct events are distinct
-// because an origin never reuses a counter value.
+// Calendar key for a timestamp: its bit pattern, with -0.0 folded into +0.0
+// so numerically-equal times land in the same bucket (otherwise two heap
+// entries could tie on `when` and the FIFO order across them would be
+// unspecified). The PendingEvent still carries `when` verbatim — the digest
+// sees exactly the bits that were scheduled.
+std::uint64_t bucket_key(Time when) {
+  return time_bits(when == 0.0 ? 0.0 : when);
+}
+
+// The kernel's total order over events: (when, origin queue, origin
+// counter), with (origin, counter) packed into one word (see
+// Simulation::order_key). Computable by the scheduling context alone — no
+// global counter — which is what lets islands execute concurrently and
+// still agree on one global dispatch order. Keys of distinct events are
+// distinct because an origin never reuses a counter value.
 struct DigestKey {
   Time when = 0.0;
-  std::uint32_t origin = 0;
-  std::uint64_t ctr = 0;
+  std::uint64_t order = 0;
 
   bool operator<(const DigestKey& other) const {
     if (when != other.when) return when < other.when;
-    if (origin != other.origin) return origin < other.origin;
-    return ctr < other.ctr;
+    return order < other.order;
   }
 };
 
-// Island-mode EventId packing: queue:14 | slot+1:22 | gen:28.
+// EventId packing: queue:14 | slot+1:22 | gen:28.
 constexpr std::uint32_t kMaxQueues = 1u << 14;
 constexpr std::uint32_t kMaxSlots = (1u << 22) - 2;
 constexpr std::uint32_t kGenMask = (1u << 28) - 1;
+
+// Capacity (in entries) a drained calendar bucket or cross-island inbox may
+// keep for reuse. Recycled buffers above it are released: buckets and
+// inboxes rotate through every timestamp and barrier, so keeping each
+// one's high-water capacity lets a few herd-timer peaks pin memory in
+// every recycled bucket of every queue.
+constexpr std::size_t kRecycledCapacity = 32;
+
+// take_event position meaning "the front bucket's drain cursor".
+constexpr std::size_t kFront = std::numeric_limits<std::size_t>::max();
 
 std::uint64_t clock_ns() {
   // Island busy/blocked profiling measures real executor cost; it feeds the
@@ -98,7 +108,7 @@ thread_local std::vector<DigestKey>* t_window_log = nullptr;
 // ---------------------------------------------------------------------------
 // IslandEngine: the conservative parallel executor.
 //
-// One instance per island-mode Simulation, created lazily at the first run.
+// One instance per Simulation, created lazily at the first run.
 // It owns the worker pool, the per-queue cross-island inboxes, and the
 // window/barrier loop. Queue state is only ever touched by (a) the
 // coordinator between barriers or (b) the single worker executing that
@@ -109,7 +119,7 @@ thread_local std::vector<DigestKey>* t_window_log = nullptr;
 // windows): let T be the minimum pending key time over all islands and L the
 // plan lookahead (minimum cross-island link latency). Every cross-island
 // message sent by an event at time t arrives at t + latency >= T + L, so all
-// events with key < (T + L, 0, 0) are safe to execute without hearing from
+// events with key < (T + L, 0) are safe to execute without hearing from
 // any other island — that window is executed in parallel, then a barrier
 // exchanges the buffered cross messages (the role null messages play in
 // distributed conservative schemes). Control-queue events cap the window
@@ -127,8 +137,7 @@ struct IslandEngine {
   // --- cross-island inboxes -----------------------------------------------
   struct CrossEntry {
     Time when = 0.0;
-    std::uint32_t origin = 0;
-    std::uint64_t ctr = 0;
+    std::uint64_t order = 0;
     std::function<void()> fn;
   };
   struct Inbox {
@@ -144,8 +153,9 @@ struct IslandEngine {
   // directly into the target calendar.
   std::atomic<bool> use_inbox{false};
   // Recycled integration batch — the arena for cross-island handoff:
-  // capacity survives across windows, so steady-state integration allocates
-  // nothing beyond what the message closures themselves pin.
+  // capacity (up to kRecycledCapacity) survives across windows, so
+  // steady-state integration allocates nothing beyond what the message
+  // closures themselves pin.
   std::vector<CrossEntry> batch_arena;
 
   // --- plan-derived layout ------------------------------------------------
@@ -154,9 +164,25 @@ struct IslandEngine {
   std::vector<std::uint32_t> work_islands;          // non-control, non-empty
   Time lookahead = kInfTime;
 
+  // Merge cursors into the window logs (coordinator only).
+  struct LogHead {
+    DigestKey key;
+    std::uint32_t island;
+    std::size_t pos;  // position of `key` in that island's log
+  };
+  std::vector<LogHead> heads;  // min-heap on key
+
   std::vector<Simulation::IslandStat> stats;
   std::vector<std::vector<DigestKey>> logs;       // per-island window logs
   std::vector<std::uint64_t> window_busy;         // per-island, this window
+
+  // Scratch for the controller's choice point (run_strict only).
+  struct Candidate {
+    DigestKey key;
+    std::uint32_t queue;
+    std::size_t index;  // position in the queue's front bucket
+  };
+  std::vector<Candidate> candidates;
 
   // --- worker pool / barrier ----------------------------------------------
   std::vector<std::thread> workers;
@@ -177,7 +203,7 @@ struct IslandEngine {
   std::atomic<std::uint64_t> claim_state{0};
 
   DigestKey bound{};     // current window bound (exclusive)
-  DigestKey last_key{};  // last committed key (merge monotonicity check)
+  DigestKey last_key{};  // last committed key of the current run
   bool profiling = false;
 
   // -------------------------------------------------------------------------
@@ -230,45 +256,73 @@ struct IslandEngine {
 
   // Peek the next key of one queue; false if the queue is empty.
   bool peek_key(Simulation::QueueState& q, DigestKey* out) {
-    sim.drop_stale_front(q);
-    if (q.heap.empty()) return false;
-    const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
-    const Simulation::PendingEvent& e = b.items[b.next];
-    *out = DigestKey{e.when, q.slots[e.slot].origin, e.seq};
+    if (!q.front_known) {
+      sim.drop_stale_front(q);
+      q.front_known = true;
+      q.front_empty = q.heap.empty();
+      if (!q.front_empty) {
+        const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
+        const Simulation::PendingEvent& e = b.items[b.next];
+        q.front_when = e.when;
+        q.front_order = e.order;
+      }
+    }
+    if (q.front_empty) return false;
+    *out = DigestKey{q.front_when, q.front_order};
     return true;
+  }
+
+  // Whether a running island still holds an event below the window bound.
+  bool pending_below_bound() {
+    for (const std::uint32_t island : work_islands) {
+      if (halted(island)) continue;
+      for (const std::uint32_t qid : members[island]) {
+        DigestKey k;
+        if (peek_key(sim.queues_[qid], &k) && k < bound) return true;
+      }
+    }
+    return false;
+  }
+
+  bool halted(std::uint32_t island) const {
+    for (const std::uint32_t qid : members[island]) {
+      if (sim.queues_[qid].halted) return true;
+    }
+    return false;
   }
 
   // Coordinator-only: drain every inbox into its target calendar. Serial on
   // purpose — cross traffic is the rare path by design (that is what makes
   // islands worth having), and serial integration keeps determinism
-  // trivial. Runs only at barriers, so no worker touches a calendar
-  // concurrently.
+  // trivial. Runs only at barriers: every sender finished before the
+  // barrier handshake on `mu`, so neither the inboxes nor any calendar can
+  // be touched concurrently and the inbox locks are not needed here.
   void integrate_all() {
     for (std::size_t qid = 1; qid < inboxes.size(); ++qid) {
       Inbox& ib = *inboxes[qid];
-      {
-        std::lock_guard<std::mutex> lk(ib.mu);
-        if (ib.entries.empty()) continue;
-        batch_arena.clear();
-        std::swap(batch_arena, ib.entries);
-        // The (cleared) previous arena becomes the inbox buffer, so both
-        // sides keep their capacity.
-      }
+      if (ib.entries.empty()) continue;
+      // Swap the batch out; the arena the previous integration left behind
+      // (empty, capacity bounded below) becomes this inbox's buffer.
+      std::swap(batch_arena, ib.entries);
       // Arrival order from racing senders is nondeterministic; the sorted
       // bucket insert in schedule_keyed makes the calendar order depend on
       // the key alone, but sort anyway so even transient structures (bucket
       // creation order, slot assignment) are run-to-run stable.
       std::sort(batch_arena.begin(), batch_arena.end(),
                 [](const CrossEntry& a, const CrossEntry& b) {
-                  return DigestKey{a.when, a.origin, a.ctr} <
-                         DigestKey{b.when, b.origin, b.ctr};
+                  return DigestKey{a.when, a.order} < DigestKey{b.when, b.order};
                 });
       for (CrossEntry& e : batch_arena) {
-        sim.schedule_keyed(static_cast<std::uint32_t>(qid), e.when, e.origin,
-                           e.ctr, std::move(e.fn), 0);
+        sim.schedule_keyed(static_cast<std::uint32_t>(qid), e.when, e.order,
+                           std::move(e.fn), 0);
       }
       stats[island_of[qid]].inbox_messages += batch_arena.size();
       batch_arena.clear();
+      // The arena becomes the next drained inbox's buffer: bound what it
+      // hands on, or every inbox ends up pinning the largest batch.
+      if (batch_arena.capacity() > kRecycledCapacity) {
+        std::vector<CrossEntry>().swap(batch_arena);
+      }
     }
   }
 
@@ -338,28 +392,22 @@ struct IslandEngine {
   void execute_island(std::uint32_t island) {
     t_window_log = &logs[island];
     bool any = false;
-    for (;;) {
+    while (!halted(island)) {
       std::uint32_t best_q = 0;
       DigestKey best{};
       bool found = false;
-      bool halted = false;
       for (const std::uint32_t qid : members[island]) {
-        Simulation::QueueState& q = sim.queues_[qid];
-        if (q.halted) {
-          halted = true;
-          break;
-        }
         DigestKey k;
-        if (!peek_key(q, &k)) continue;
+        if (!peek_key(sim.queues_[qid], &k)) continue;
         if (!found || k < best) {
           found = true;
           best = k;
           best_q = qid;
         }
       }
-      if (halted || !found || !(best < bound)) break;
-      Simulation::QueueState& q = sim.queues_[best_q];
-      const Simulation::PendingEvent ev = sim.take_front_event(q);
+      if (!found || !(best < bound)) break;
+      const Simulation::PendingEvent ev =
+          sim.take_event(sim.queues_[best_q], kFront);
       sim.dispatch(best_q, ev);
       any = true;
     }
@@ -435,41 +483,41 @@ struct IslandEngine {
           "(an island executed past its lookahead)");
     }
     last_key = key;
-    sim.fold_digest(key.when, key.origin, key.ctr);
+    sim.fold_digest(key.when, key.order);
   }
 
-  // Merge the per-island window logs in key order into the digest. Each log
-  // is already key-ascending (islands execute in key order), so this is a
-  // K-way merge over at most |work_islands| heads.
+  // Merge the per-island window logs into the digest: repeatedly commit the
+  // smallest head key (keys are globally unique), advancing only that log —
+  // the greedy min-front merge the strict executor commits, so an island's
+  // own order (including equal-time inversions) is kept. A heap over the
+  // heads: herd-timer windows put events on hundreds of islands at once.
   void merge_logs() {
-    std::size_t total = 0;
+    const auto later = [](const LogHead& a, const LogHead& b) {
+      return b.key < a.key;
+    };
+    heads.clear();
     for (const std::uint32_t island : work_islands) {
-      total += logs[island].size();
+      const std::vector<DigestKey>& log = logs[island];
+      sim.dispatched_ += log.size();
+      if (!log.empty()) heads.push_back(LogHead{log.front(), island, 0});
     }
-    if (total == 0) return;
-    std::vector<std::size_t> head(logs.size(), 0);
-    for (std::size_t done = 0; done < total; ++done) {
-      std::uint32_t pick = 0;
-      const DigestKey* pick_key = nullptr;
-      for (const std::uint32_t island : work_islands) {
-        const std::vector<DigestKey>& log = logs[island];
-        if (head[island] >= log.size()) continue;
-        const DigestKey& k = log[head[island]];
-        if (pick_key == nullptr || k < *pick_key) {
-          pick_key = &k;
-          pick = island;
-        }
+    std::make_heap(heads.begin(), heads.end(), later);
+    while (!heads.empty()) {
+      std::pop_heap(heads.begin(), heads.end(), later);
+      LogHead& head = heads.back();
+      commit_key(head.key);
+      std::vector<DigestKey>& log = logs[head.island];
+      if (++head.pos < log.size()) {
+        head.key = log[head.pos];
+        std::push_heap(heads.begin(), heads.end(), later);
+      } else {
+        log.clear();
+        heads.pop_back();
       }
-      commit_key(*pick_key);
-      ++head[pick];
-    }
-    sim.dispatched_ += total;
-    for (const std::uint32_t island : work_islands) {
-      logs[island].clear();
     }
   }
 
-  // --- the two island executors -------------------------------------------
+  // --- the two executors ----------------------------------------------------
 
   // Parallel windowed executor (no global observer armed). The calling
   // thread is the coordinator: it integrates inboxes, dispatches control
@@ -478,7 +526,6 @@ struct IslandEngine {
   void run_windows(Time until, bool bounded) {
     Simulation& s = sim;
     profiling = s.profiler().enabled();
-    last_key = DigestKey{-kInfTime, 0, 0};
     const Time until_edge =
         bounded ? std::nextafter(until, kInfTime) : kInfTime;
     use_inbox.store(true, std::memory_order_release);
@@ -508,7 +555,7 @@ struct IslandEngine {
       if (have_ctl && (!have_isl || ctl < isl)) {
         // Control turn: the world is at a barrier and the control event may
         // touch anything — it is its own one-event window.
-        const Simulation::PendingEvent ev = s.take_front_event(s.queues_[0]);
+        const Simulation::PendingEvent ev = s.take_event(s.queues_[0], kFront);
         commit_key(ctl);
         ++s.dispatched_;
         s.dispatch(0, ev);
@@ -518,12 +565,18 @@ struct IslandEngine {
       // Island window [isl.when, bound): safe because every cross-island
       // message sent inside it arrives no earlier than isl.when + lookahead,
       // and pending control events cap the bound.
-      DigestKey b{isl.when + lookahead, 0, 0};
+      DigestKey b{isl.when + lookahead, 0};
       if (have_ctl && ctl < b) b = ctl;
-      if (DigestKey{until_edge, 0, 0} < b) b = DigestKey{until_edge, 0, 0};
+      if (DigestKey{until_edge, 0} < b) b = DigestKey{until_edge, 0};
       bound = b;
       ++stats[0].epochs;  // the control row doubles as the window count
       run_execute_phase();
+      // A host that drives a daemon object living on another host (the
+      // GlideIn manager does) posts straight into that island's calendar;
+      // when the island already ran this window, the event sits below the
+      // bound. Run the window again so it still commits inside it —
+      // partition-clean workloads never need a second pass.
+      while (pending_below_bound()) run_execute_phase();
       merge_logs();
       if (s.stopped_.load(std::memory_order_relaxed)) break;
     }
@@ -532,19 +585,19 @@ struct IslandEngine {
   }
 
   // Strict serialized executor: exact global key order on the calling
-  // thread. Used whenever a global observer (Tracer, InvariantAuditor) is
-  // armed — the observer then sees the one true stream, byte-identical for
-  // every worker count by construction. Window bookkeeping is kept only so
-  // stop() semantics match the parallel executor (a stopped island skips
-  // ahead; everyone ends at the window edge).
+  // thread. Used whenever a global observer (Tracer, InvariantAuditor,
+  // ScheduleController) is armed — the observer then sees the one true
+  // stream, byte-identical for every worker count by construction. Window
+  // bookkeeping is kept only so stop() semantics match the parallel
+  // executor (a stopped island skips ahead; everyone ends at the window
+  // edge).
   void run_strict(Time until, bool bounded) {
     Simulation& s = sim;
     profiling = false;
-    last_key = DigestKey{-kInfTime, 0, 0};
     const Time until_edge =
         bounded ? std::nextafter(until, kInfTime) : kInfTime;
     use_inbox.store(false, std::memory_order_release);
-    DigestKey wbound{-kInfTime, 0, 0};
+    DigestKey wbound{-kInfTime, 0};
     for (;;) {
       if (s.planned_version_ != s.topology_version_) {
         s.refresh_plan();
@@ -556,11 +609,7 @@ struct IslandEngine {
       std::uint32_t best_q = 0;
       if (have_ctl) best = ctl;
       for (const std::uint32_t island : work_islands) {
-        bool halted = false;
-        for (const std::uint32_t qid : members[island]) {
-          if (s.queues_[qid].halted) halted = true;
-        }
-        if (halted) continue;  // stopped island: idle until the window edge
+        if (halted(island)) continue;  // stopped: idle until the window edge
         for (const std::uint32_t qid : members[island]) {
           DigestKey k;
           if (!peek_key(s.queues_[qid], &k)) continue;
@@ -573,31 +622,69 @@ struct IslandEngine {
       }
       if (!found) break;
       if (bounded && best.when > until) break;
+      std::size_t index = kFront;
+      if (s.controller_ != nullptr) choose(&best, &best_q, &index);
       if (!(best < wbound)) {
         // Window edge: a stop anywhere ends the run here, exactly like the
         // parallel executor ending after the current window.
         if (s.stopped_.load(std::memory_order_relaxed)) break;
         if (best_q == 0) {
           const Simulation::PendingEvent ev =
-              s.take_front_event(s.queues_[0]);
+              s.take_event(s.queues_[0], index);
           commit_key(best);
           ++s.dispatched_;
           s.dispatch(0, ev);
-          wbound = DigestKey{-kInfTime, 0, 0};  // barrier: re-open windows
+          wbound = DigestKey{-kInfTime, 0};  // barrier: re-open windows
           continue;
         }
-        wbound = DigestKey{best.when + lookahead, 0, 0};
+        wbound = DigestKey{best.when + lookahead, 0};
         if (have_ctl && ctl < wbound) wbound = ctl;
-        if (DigestKey{until_edge, 0, 0} < wbound) {
-          wbound = DigestKey{until_edge, 0, 0};
+        if (DigestKey{until_edge, 0} < wbound) {
+          wbound = DigestKey{until_edge, 0};
         }
       }
-      Simulation::QueueState& q = s.queues_[best_q];
-      const Simulation::PendingEvent ev = s.take_front_event(q);
+      const Simulation::PendingEvent ev = s.take_event(s.queues_[best_q], index);
       commit_key(best);
       ++s.dispatched_;
       s.dispatch(best_q, ev);
     }
+  }
+
+  // The controller's choice point: every live event at the earliest pending
+  // time, across the control queue and every running island, offered in key
+  // order — the candidate set one global calendar would hold at that
+  // instant, so a pick of 0 is exactly the uncontrolled (minimum-key) event.
+  // Requires peek_key to have run on each of those queues. Overwrites the
+  // key, queue and bucket position of the event to dispatch.
+  void choose(DigestKey* key, std::uint32_t* queue, std::size_t* index) {
+    candidates.clear();
+    const auto collect = [&](std::uint32_t qid) {
+      const Simulation::QueueState& q = sim.queues_[qid];
+      if (q.heap.empty() || q.heap.front().when != key->when) return;
+      const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
+      for (std::size_t i = b.next; i < b.items.size(); ++i) {
+        const Simulation::PendingEvent& e = b.items[i];
+        if (q.slots[e.slot].gen == e.gen) {
+          candidates.push_back(Candidate{DigestKey{e.when, e.order}, qid, i});
+        }
+      }
+    };
+    collect(0);
+    for (const std::uint32_t island : work_islands) {
+      if (halted(island)) continue;
+      for (const std::uint32_t qid : members[island]) collect(qid);
+    }
+    if (candidates.size() < 2) return;
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.key < b.key;
+              });
+    const Candidate& pick =
+        candidates[sim.controller_->pick_event(key->when, candidates.size()) %
+                   candidates.size()];
+    *key = pick.key;
+    *queue = pick.queue;
+    *index = pick.index;
   }
 
   void shutdown() {
@@ -616,7 +703,7 @@ struct IslandEngine {
 // ---------------------------------------------------------------------------
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
-  queues_.resize(1);  // queue 0: the legacy global / island control queue
+  queues_.resize(1);  // queue 0: the control queue
 }
 
 Simulation::~Simulation() = default;
@@ -634,35 +721,7 @@ void Simulation::attach_auditor(InvariantAuditor* auditor,
   audit_period_ = period > 0 ? period : 1;
 }
 
-void Simulation::set_controller(ScheduleController* controller) {
-  if (controller != nullptr && island_mode_) {
-    throw std::logic_error(
-        "set_controller: a schedule controller requires the legacy kernel "
-        "(disable CONDORG_PARALLEL / use World::set_parallel_override)");
-  }
-  controller_ = controller;
-}
-
-void Simulation::configure_islands(unsigned threads) {
-  if (island_mode_) {  // re-configuration only adjusts the thread budget
-    island_threads_ = threads == 0 ? 1 : threads;
-    return;
-  }
-  if (dispatched_ != 0 || pending() != 0 || queues_[0].ctr != 0) {
-    throw std::logic_error(
-        "configure_islands: the kernel has already scheduled events in the "
-        "legacy universe; island mode must be selected up front");
-  }
-  if (controller_ != nullptr) {
-    throw std::logic_error(
-        "configure_islands: incompatible with a schedule controller");
-  }
-  island_mode_ = true;
-  island_threads_ = threads == 0 ? 1 : threads;
-}
-
 std::uint32_t Simulation::register_queue() {
-  if (!island_mode_) return 0;
   if (queues_.size() >= kMaxQueues) {
     throw std::length_error("register_queue: too many island queues");
   }
@@ -705,7 +764,7 @@ std::size_t Simulation::pending() const {
 }
 
 std::vector<Simulation::IslandStat> Simulation::island_stats() const {
-  if (!island_mode_ || engine_ == nullptr) return {};
+  if (engine_ == nullptr) return {};
   std::vector<IslandStat> out = engine_->stats;
   for (std::size_t qid = 0;
        qid < queues_.size() && qid < engine_->island_of.size(); ++qid) {
@@ -766,46 +825,17 @@ void Simulation::drop_stale_front(QueueState& q) {
     q.tombstones -= next - b.next;
     b.next = next;
     if (next < size) return;  // front bucket has a live event at its cursor
-    // Fully drained: retire the bucket (keeping its capacity for reuse).
+    // Fully drained: retire the bucket. Small capacities are kept for reuse;
+    // a herd-sized one is released rather than parked in the free list.
     q.bucket_of.erase(b.key);
     b.items.clear();
+    if (b.items.capacity() > kRecycledCapacity) {
+      std::vector<PendingEvent>().swap(b.items);
+    }
     b.next = 0;
     q.free_buckets.push_back(q.heap.front().bucket);
     heap_pop_front(q);
   }
-}
-
-EventId Simulation::make_id(std::uint32_t queue, std::uint32_t slot,
-                            std::uint32_t gen) const {
-  if (!island_mode_) {
-    return (static_cast<EventId>(slot) + 1) << 32 | gen;
-  }
-  return (static_cast<EventId>(queue) << 50) |
-         ((static_cast<EventId>(slot) + 1) << 28) |
-         static_cast<EventId>(gen & kGenMask);
-}
-
-Simulation::EventRecord* Simulation::record_for(EventId id,
-                                                std::uint32_t* queue_out) {
-  if (!island_mode_) {
-    const std::uint64_t hi = id >> 32;
-    QueueState& q = queues_[0];
-    if (hi == 0 || hi > q.slots.size()) return nullptr;
-    EventRecord& rec = q.slots[static_cast<std::size_t>(hi - 1)];
-    if (rec.gen != static_cast<std::uint32_t>(id) || !rec.fn) return nullptr;
-    *queue_out = 0;
-    return &rec;
-  }
-  const std::uint32_t queue = static_cast<std::uint32_t>(id >> 50);
-  const std::uint64_t slot_p1 = (id >> 28) & ((1ull << 22) - 1);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id & kGenMask);
-  if (queue >= queues_.size()) return nullptr;
-  QueueState& q = queues_[queue];
-  if (slot_p1 == 0 || slot_p1 > q.slots.size()) return nullptr;
-  EventRecord& rec = q.slots[static_cast<std::size_t>(slot_p1 - 1)];
-  if ((rec.gen & kGenMask) != gen || !rec.fn) return nullptr;
-  *queue_out = queue;
-  return &rec;
 }
 
 EventId Simulation::schedule_at(Time when, std::function<void()> fn) {
@@ -818,7 +848,8 @@ EventId Simulation::schedule_on_queue(std::uint32_t queue, Time when,
   const std::uint32_t origin = context_queue();
   QueueState& oq = queues_[origin];
   if (when < oq.local_now) when = oq.local_now;  // no scheduling into the past
-  return schedule_keyed(queue, when, origin, ++oq.ctr, std::move(fn),
+  return schedule_keyed(queue, when, order_key(origin, ++oq.ctr),
+                        std::move(fn),
                         tracer_.enabled() ? tracer_.context() : 0);
 }
 
@@ -828,14 +859,16 @@ void Simulation::schedule_cross(std::uint32_t queue, Time when,
   const std::uint32_t origin = context_queue();
   QueueState& oq = queues_[origin];
   if (when < oq.local_now) when = oq.local_now;
-  const std::uint64_t ctr = ++oq.ctr;
-  if (island_mode_ && engine_ != nullptr &&
-      engine_->use_inbox.load(std::memory_order_acquire) &&
-      // Queues younger than the engine's plan (host added at this barrier)
-      // are not executed by any worker until the plan resyncs, so the
-      // direct insert below is race-free for them.
-      queue < engine_->island_of.size() && origin < engine_->island_of.size() &&
-      engine_->island_of[queue] != engine_->island_of[origin]) {
+  const std::uint64_t order = order_key(origin, ++oq.ctr);
+  const bool cross = engine_ != nullptr &&
+                     // Queues younger than the engine's plan (host added at
+                     // this barrier) are not executed by any worker until
+                     // the plan resyncs, so the direct insert is race-free
+                     // for them.
+                     queue < engine_->island_of.size() &&
+                     origin < engine_->island_of.size() &&
+                     engine_->island_of[queue] != engine_->island_of[origin];
+  if (cross && engine_->use_inbox.load(std::memory_order_acquire)) {
     // Mid-window, genuinely cross-island: hand the delivery to the target
     // island's inbox; it is integrated at a barrier. The key travels with
     // it, so calendar order is independent of which barrier integrates it.
@@ -845,31 +878,25 @@ void Simulation::schedule_cross(std::uint32_t queue, Time when,
     // stream key-ascending.)
     IslandEngine::Inbox& ib = *engine_->inboxes[queue];
     std::lock_guard<std::mutex> lk(ib.mu);
-    ib.entries.push_back(
-        IslandEngine::CrossEntry{when, origin, ctr, std::move(fn)});
+    ib.entries.push_back(IslandEngine::CrossEntry{when, order, std::move(fn)});
     return;
   }
   // Quiescent (setup code, control context, strict executor) or
   // same-island: schedule straight into the target calendar under the key.
-  schedule_keyed(queue, when, origin, ctr, std::move(fn),
+  schedule_keyed(queue, when, order, std::move(fn),
                  tracer_.enabled() ? tracer_.context() : 0);
-  if (island_mode_ && engine_ != nullptr &&
-      queue < engine_->island_of.size() &&
-      origin < engine_->island_of.size() &&
-      engine_->island_of[queue] != engine_->island_of[origin]) {
-    engine_->count_cross(queue);  // stats parity with the inbox path
-  }
+  if (cross) engine_->count_cross(queue);  // stats parity with the inbox path
 }
 
 EventId Simulation::schedule_keyed(std::uint32_t queue, Time when,
-                                   std::uint32_t origin, std::uint64_t ctr,
+                                   std::uint64_t order,
                                    std::function<void()> fn, RecordId cause) {
   QueueState& q = queues_[queue];
   if (when < q.local_now) when = q.local_now;
   std::uint32_t slot;
   if (q.free_slots.empty()) {
     slot = static_cast<std::uint32_t>(q.slots.size());
-    if (island_mode_ && slot >= kMaxSlots) {
+    if (slot >= kMaxSlots) {
       throw std::length_error("schedule: too many live events on one queue");
     }
     q.slots.emplace_back();
@@ -880,7 +907,6 @@ EventId Simulation::schedule_keyed(std::uint32_t queue, Time when,
   EventRecord& rec = q.slots[slot];
   rec.fn = std::move(fn);
   rec.cause = cause;
-  rec.origin = origin;
   const std::uint32_t gen = rec.gen;
 
   const std::uint64_t key = bucket_key(when);
@@ -900,37 +926,33 @@ EventId Simulation::schedule_keyed(std::uint32_t queue, Time when,
   } else {
     bi = it->second;
   }
+  // Keep the bucket's unexecuted tail order-ascending. Appends dominate (one
+  // comparison); an insert before the tail happens when a barrier-integrated
+  // delivery from a higher-origin queue already sits at this timestamp.
+  // Cancelled entries keep their place in the order, so the comparison
+  // never needs the slab. Positions before the drain cursor are untouchable
+  // — stopping the slide there also places a same-time self-post (a handler
+  // posting follow-up work at `now`) after the already-executed event that
+  // caused it, which is the causal order both executors commit.
   Bucket& b = q.buckets[bi];
-  const PendingEvent entry{when, ctr, slot, gen};
-  if (!island_mode_) {
-    // Legacy: origin is constant and ctr is the global seq, so appends are
-    // already in key order — exactly the pre-island kernel's behavior.
-    b.items.push_back(entry);
-  } else {
-    // Island mode: keep the *unexecuted* tail of the bucket (origin, ctr)-
-    // ascending. Appends still dominate (one live comparison); an insert
-    // before the tail happens when a barrier-integrated delivery from a
-    // higher-origin queue already sits at this timestamp. Positions before
-    // the drain cursor are untouchable — stopping the slide there also
-    // places a same-time self-post (a handler posting follow-up work at
-    // `now`) after the already-executed event that caused it, which is the
-    // causal order both executors commit.
-    std::size_t pos = b.items.size();
-    while (pos > b.next) {
-      const PendingEvent& prev = b.items[pos - 1];
-      if (q.slots[prev.slot].gen == prev.gen) {  // live entry: compare keys
-        const std::uint32_t prev_origin = q.slots[prev.slot].origin;
-        if (prev_origin < origin ||
-            (prev_origin == origin && prev.seq < ctr)) {
-          break;
-        }
-      }
-      --pos;  // stale entries are order-neutral: slide past them
-    }
-    b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos), entry);
-  }
+  std::size_t pos = b.items.size();
+  while (pos > b.next && b.items[pos - 1].order > order) --pos;
+  b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos),
+                 PendingEvent{when, order, slot, gen});
   ++q.live;
-  return make_id(queue, slot, gen);
+  // A key below the cached front becomes the front: it opened an earlier
+  // bucket or slid to the cursor of the front one.
+  if (q.front_known &&
+      (q.front_empty ||
+       DigestKey{when, order} < DigestKey{q.front_when, q.front_order})) {
+    q.front_empty = false;
+    q.front_when = when;
+    q.front_order = order;
+  }
+  // EventId: queue:14 | slot+1:22 | gen:28, so 0 stays kInvalidEvent.
+  return (static_cast<EventId>(queue) << 50) |
+         ((static_cast<EventId>(slot) + 1) << 28) |
+         static_cast<EventId>(gen & kGenMask);
 }
 
 bool Simulation::cancel(EventId id) {
@@ -939,40 +961,60 @@ bool Simulation::cancel(EventId id) {
   // cancel never-armed timer handles (e.g. a Startd whose io_interval is
   // disabled).
   if (id == kInvalidEvent) return false;
-  if (island_mode_) {
-    // Police before record_for: the owning queue is encoded in the id, and
-    // even *reading* another island's slot array mid-window is a race. A
-    // cancel reaching across islands would race with the target's dispatch
-    // — it is exactly the cross-host state access the partition contract
-    // forbids, so fail loudly.
-    const std::uint32_t owner = static_cast<std::uint32_t>(id >> 50);
-    const std::uint32_t context = context_queue();
-    if (context != owner && context != 0) {
-      throw std::logic_error(
-          "cancel: event belongs to another island's queue");
-    }
+  // Police before decoding: the owning queue is encoded in the id, and even
+  // *reading* another island's slot array mid-window is a race. A cancel
+  // reaching across islands would race with the target's dispatch — it is
+  // exactly the cross-host state access the partition contract forbids, so
+  // fail loudly.
+  if (!may_cancel(id)) {
+    throw std::logic_error("cancel: event belongs to another island's queue");
   }
-  std::uint32_t queue = 0;
-  EventRecord* rec = record_for(id, &queue);
-  if (rec == nullptr) return false;
+  const std::uint32_t queue = static_cast<std::uint32_t>(id >> 50);
+  const std::uint64_t slot_p1 = (id >> 28) & ((1ull << 22) - 1);
+  if (queue >= queues_.size()) return false;
   QueueState& q = queues_[queue];
-  rec->fn = nullptr;
-  ++rec->gen;  // invalidates the pending entry and any outstanding id copy
-  q.free_slots.push_back(static_cast<std::uint32_t>(rec - q.slots.data()));
+  if (slot_p1 == 0 || slot_p1 > q.slots.size()) return false;
+  EventRecord& rec = q.slots[static_cast<std::size_t>(slot_p1 - 1)];
+  if ((rec.gen & kGenMask) != (id & kGenMask) || !rec.fn) return false;
+  rec.fn = nullptr;
+  ++rec.gen;  // invalidates the pending entry and any outstanding id copy
+  q.front_known = false;
+  q.free_slots.push_back(static_cast<std::uint32_t>(slot_p1 - 1));
   --q.live;
   ++q.tombstones;  // buried entry; settled when the lazy deletion drains it
   return true;
 }
 
-void Simulation::fold_digest(Time when, std::uint32_t origin,
-                             std::uint64_t ctr) {
-  const std::uint64_t bits = time_bits(when);
-  if (island_mode_) {
-    trace_digest_ = fnv1a_mix(
-        fnv1a_mix(fnv1a_mix(trace_digest_, bits), origin), ctr);
-  } else {
-    trace_digest_ = fnv1a_mix(fnv1a_mix(trace_digest_, bits), ctr);
+bool Simulation::may_cancel(EventId id) const {
+  const std::uint32_t context = context_queue();
+  return context == 0 || context == static_cast<std::uint32_t>(id >> 50);
+}
+
+// FNV-1a over the 24 little-endian bytes of (time bits, origin, counter).
+// A zero byte only multiplies by the prime (xor with 0 is the identity), so
+// each run of zero bytes — the high bytes of small origins and counters, the
+// low mantissa bytes of round timestamps — folds into one multiply by a
+// power of the prime: the same digest for a far shorter serial multiply
+// chain on the dispatch hot path.
+void Simulation::fold_digest(Time when, std::uint64_t order) {
+  const std::uint64_t words[] = {time_bits(when), order >> kOrderBits,
+                                 order & kCtrMask};
+  std::uint64_t digest = trace_digest_;
+  int zeros = 0;  // zero bytes passed but not yet multiplied in
+  for (const std::uint64_t word : words) {
+    if (word == 0) {
+      zeros += 8;
+      continue;
+    }
+    const int low = std::countr_zero(word) / 8;
+    const int high = 8 - std::countl_zero(word) / 8;
+    digest *= kFnvPrimePow[static_cast<std::size_t>(zeros + low)];
+    for (int byte = low; byte < high; ++byte) {
+      digest = (digest ^ ((word >> (8 * byte)) & 0xff)) * kFnvPrime;
+    }
+    zeros = 8 - high;
   }
+  trace_digest_ = digest * kFnvPrimePow[static_cast<std::size_t>(zeros)];
 }
 
 void Simulation::dispatch(std::uint32_t queue, const PendingEvent& ev) {
@@ -983,26 +1025,21 @@ void Simulation::dispatch(std::uint32_t queue, const PendingEvent& ev) {
   // other events.
   std::function<void()> fn = std::move(rec.fn);
   const RecordId cause = rec.cause;
-  const std::uint32_t origin = rec.origin;
   rec.fn = nullptr;
   rec.cause = 0;
-  rec.origin = 0;
   ++rec.gen;
   q.free_slots.push_back(ev.slot);
   --q.live;
   q.local_now = ev.when;
   ++q.events;
-  CONDORG_LOG_TRACE(kernel_logger(), "dispatch t=", ev.when, " seq=", ev.seq);
-  if (t_window_log != nullptr) {
-    // Parallel window: the coordinator folds the merged stream in key order
-    // at the barrier.
-    t_window_log->push_back(DigestKey{ev.when, origin, ev.seq});
-  } else if (!island_mode_) {
-    ++dispatched_;
-    fold_digest(ev.when, origin, ev.seq);
-  }
-  // else: island strict/control dispatch — the engine committed the key
+  CONDORG_LOG_TRACE(kernel_logger(), "dispatch t=", ev.when,
+                    " order=", ev.order);
+  // In a parallel window the coordinator commits the merged stream in key
+  // order at the barrier; otherwise the executor committed this key
   // (monotonicity-checked) before calling us.
+  if (t_window_log != nullptr) {
+    t_window_log->push_back(DigestKey{ev.when, ev.order});
+  }
   ScopedQueue context(this, queue);
   if (tracer_.enabled()) {
     // Re-install the causal cursor captured when this event was scheduled:
@@ -1019,73 +1056,39 @@ void Simulation::dispatch(std::uint32_t queue, const PendingEvent& ev) {
   }
 }
 
-Simulation::PendingEvent Simulation::take_front_event(QueueState& q) {
+Simulation::PendingEvent Simulation::take_event(QueueState& q,
+                                                std::size_t index) {
+  q.front_known = false;
   Bucket& b = q.buckets[q.heap.front().bucket];
-  if (controller_ == nullptr) return b.items[b.next++];
-  // Exploration mode: let the controller pick among the bucket's live
-  // entries. drop_stale_front() guarantees the cursor entry is live, so
-  // there is always at least one candidate.
-  q.pick_candidates.clear();
-  const std::size_t size = b.items.size();
-  for (std::size_t i = b.next; i < size; ++i) {
-    const PendingEvent& e = b.items[i];
-    if (q.slots[e.slot].gen == e.gen) q.pick_candidates.push_back(i);
-  }
-  std::size_t pick = 0;
-  if (q.pick_candidates.size() > 1) {
-    pick = controller_->pick_event(q.heap.front().when,
-                                   q.pick_candidates.size()) %
-           q.pick_candidates.size();
-  }
-  const std::size_t index = q.pick_candidates[pick];
+  if (index == kFront || index == b.next) return b.items[b.next++];
+  // A controller picked past the cursor: remove from the middle so no entry
+  // dispatches twice. O(bucket) — exploration runs only.
   const PendingEvent ev = b.items[index];
-  if (index == b.next) {
-    ++b.next;
-  } else {
-    // Out-of-FIFO pick: remove from the middle so no entry dispatches
-    // twice. O(bucket) — acceptable for exploration runs only.
-    b.items.erase(b.items.begin() + static_cast<std::ptrdiff_t>(index));
-  }
+  b.items.erase(b.items.begin() + static_cast<std::ptrdiff_t>(index));
   return ev;
 }
 
-void Simulation::run_legacy(Time until, bool bounded) {
-  stopped_.store(false, std::memory_order_relaxed);
-  QueueState& q = queues_[0];
-  while (!stopped_.load(std::memory_order_relaxed)) {
-    drop_stale_front(q);
-    if (q.heap.empty()) break;
-    if (bounded && q.heap.front().when > until) break;
-    // Copy the entry out before dispatch: the callback may append to this
-    // bucket (vector reallocation) or grow the bucket slab.
-    const PendingEvent ev = take_front_event(q);
-    dispatch(0, ev);
-  }
-  if (bounded) {
-    if (!stopped_.load(std::memory_order_relaxed) && q.local_now < until) {
-      q.local_now = until;
-    }
-    // Drop cancelled stragglers at the front so pending() stays meaningful.
-    drop_stale_front(q);
-  }
-}
-
 void Simulation::run_islands(Time until, bool bounded) {
-  if (controller_ != nullptr) {
-    throw std::logic_error("island mode cannot run under a controller");
-  }
   if (engine_ == nullptr) engine_ = std::make_unique<IslandEngine>(*this);
   refresh_plan();
   engine_->sync_plan();
   for (QueueState& q : queues_) q.halted = false;
   stopped_.store(false, std::memory_order_relaxed);
-  // A global observer (Tracer / auditor) must see the one true stream from
-  // one thread; otherwise run the parallel windowed executor — including
-  // for N=1, so every thread count runs the same algorithm.
-  if (tracer_.enabled() || auditor_ != nullptr) {
+  engine_->last_key = DigestKey{-kInfTime, 0};
+  // A global observer (Tracer, auditor, controller) must see the one true
+  // stream from one thread; otherwise run the parallel windowed executor —
+  // including for one worker, so every thread count runs the same
+  // algorithm.
+  if (tracer_.enabled() || auditor_ != nullptr || controller_ != nullptr) {
     engine_->run_strict(until, bounded);
   } else {
     engine_->run_windows(until, bounded);
+  }
+  // The control clock is the committed global clock: the last committed
+  // event's time, or the horizon of a bounded run that was not stopped.
+  QueueState& control = queues_[0];
+  if (control.local_now < engine_->last_key.when) {
+    control.local_now = engine_->last_key.when;
   }
   if (bounded) {
     if (!stopped_.load(std::memory_order_relaxed)) {
@@ -1113,33 +1116,21 @@ void Simulation::run_islands(Time until, bool bounded) {
   }
 }
 
-void Simulation::run() {
-  if (island_mode_) {
-    run_islands(kInfTime, false);
-  } else {
-    run_legacy(kInfTime, false);
-  }
-}
+void Simulation::run() { run_islands(kInfTime, false); }
 
 bool Simulation::run_until(Time until) {
-  if (island_mode_) {
-    run_islands(until, true);
-  } else {
-    run_legacy(until, true);
-  }
+  run_islands(until, true);
   return pending() != 0;
 }
 
 void Simulation::stop() {
   stopped_.store(true, std::memory_order_relaxed);
-  if (island_mode_) {
-    const TlsContext& tls = tls_context();
-    if (tls.sim == this && tls.queue != 0) {
-      // Halt the calling island immediately; the other islands finish the
-      // window (the committed window content is what keeps the digest
-      // independent of the worker count).
-      queues_[tls.queue].halted = true;
-    }
+  const TlsContext& tls = tls_context();
+  if (tls.sim == this && tls.queue != 0) {
+    // Halt the calling island immediately; the other islands finish the
+    // window (the committed window content is what keeps the digest
+    // independent of the worker count).
+    queues_[tls.queue].halted = true;
   }
 }
 

@@ -45,31 +45,29 @@ World::World(std::uint64_t seed)
       std::string_view(profile) != "0") {
     sim_.profiler().set_enabled(true);
   }
-  // CONDORG_PARALLEL=N selects the island kernel with an N-thread budget
-  // (N=1 runs the same windowed executor inline — the digest is identical
-  // for every N, so 1 is the cheap way to cross-check a parallel run).
-  // ScopedParallelOverride wins over the environment; 0 keeps legacy.
-  const unsigned parallel = g_parallel_override >= 0
-                                ? static_cast<unsigned>(g_parallel_override)
-                                : parallel_from_env();
-  if (parallel >= 1) {
-    sim_.configure_islands(parallel);
-    // Rebuilt (at a synchronization point) whenever hosts or links change:
-    // group hosts connected by zero-lookahead links, bound the lookahead by
-    // the fastest cross-island link.
-    sim_.set_island_plan_hook([this] {
-      std::vector<std::string> names;
-      std::vector<std::uint32_t> queues;
-      names.reserve(hosts_.size());
-      queues.reserve(hosts_.size());
-      for (const auto& [name, host] : hosts_) {
-        names.push_back(name);
-        queues.push_back(host->queue());
-      }
-      return IslandPlanner::build(net_, queues, names);
-    });
-    net_.set_topology_listener([this] { sim_.notify_topology_changed(); });
-  }
+  // CONDORG_PARALLEL=N gives the island kernel an N-thread window budget;
+  // unset or 0 means one thread, which runs the same windowed executor
+  // inline — the digest is identical for every N, so 1 is the cheap way to
+  // cross-check a parallel run. ScopedParallelOverride wins over the
+  // environment.
+  sim_.configure_islands(g_parallel_override >= 0
+                             ? static_cast<unsigned>(g_parallel_override)
+                             : parallel_from_env());
+  // Rebuilt (at a synchronization point) whenever hosts or links change:
+  // group hosts connected by zero-lookahead links, bound the lookahead by
+  // the fastest cross-island link.
+  sim_.set_island_plan_hook([this] {
+    std::vector<std::string> names;
+    std::vector<std::uint32_t> queues;
+    names.reserve(hosts_.size());
+    queues.reserve(hosts_.size());
+    for (const auto& [name, host] : hosts_) {
+      names.push_back(name);
+      queues.push_back(host->queue());
+    }
+    return IslandPlanner::build(net_, queues, names);
+  });
+  net_.set_topology_listener([this] { sim_.notify_topology_changed(); });
 }
 
 Host& World::add_host(const std::string& name) {

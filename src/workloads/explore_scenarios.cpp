@@ -28,12 +28,6 @@ namespace {
 // harvesting) is identical, and identical matters — replay equality is
 // byte-for-byte over the formatted violations.
 struct ExploreWorld {
-  // Declared before the testbed: exploration is controller-driven and
-  // must run the legacy sequential kernel whatever CONDORG_PARALLEL says
-  // (set_controller rejects island mode), so the Worlds built below are
-  // forced to legacy while this guard lives. Replay shares the scenario,
-  // hence counterexamples stay byte-stable across environments.
-  sim::World::ScopedParallelOverride force_legacy{0};
   GridTestbed testbed{/*seed=*/2001};
   std::unique_ptr<core::CondorGAgent> agent;
   std::unique_ptr<core::StandardAuditor> auditor;
@@ -247,9 +241,6 @@ sim::RunOutcome run_submit_storm(sim::ScheduleOracle& oracle) {
 // persisted, redelivery expected); exactly-once admission means no user's
 // Schedd ever holds more queue entries than that user submitted.
 struct PortalWorld {
-  // Same forced-legacy rule as ExploreWorld: controller-driven exploration
-  // requires the sequential kernel, and must be declared first.
-  sim::World::ScopedParallelOverride force_legacy{0};
   sim::World world{/*seed=*/2001};
 
   struct User {

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "condorg/sim/explorer.h"
 #include "condorg/sim/host.h"
 #include "condorg/sim/schedule_controller.h"
 #include "condorg/sim/simulation.h"
+#include "condorg/sim/world.h"
 #include "condorg/workloads/explore_scenarios.h"
 
 namespace cs = condorg::sim;
@@ -35,6 +38,15 @@ class PickLast : public cs::ScheduleController {
   std::size_t pick_event(cs::Time, std::size_t count) override {
     return count - 1;
   }
+  bool inject_crash(const std::string&, const char*, double*) override {
+    return false;
+  }
+};
+
+/// Controller that always picks the first candidate: the kernel's default.
+class PickFirst : public cs::ScheduleController {
+ public:
+  std::size_t pick_event(cs::Time, std::size_t) override { return 0; }
   bool inject_crash(const std::string&, const char*, double*) override {
     return false;
   }
@@ -87,13 +99,6 @@ TEST(ScheduleController, DefaultPickMatchesFifoDigest) {
     return sim.trace_digest();
   };
   // A controller that always answers 0 reproduces FIFO byte-for-byte.
-  class PickFirst : public cs::ScheduleController {
-   public:
-    std::size_t pick_event(cs::Time, std::size_t) override { return 0; }
-    bool inject_crash(const std::string&, const char*, double*) override {
-      return false;
-    }
-  };
   cs::Simulation plain;
   cs::Simulation controlled;
   PickFirst first;
@@ -151,6 +156,134 @@ TEST(CrashPoint, DeadHostDoesNotReCrash) {
   host.crash();
   EXPECT_FALSE(host.crash_point("daemon.step"));
   EXPECT_EQ(controller.fired(), 0);
+}
+
+// ---------- ScheduleController on a two-island World ----------
+
+namespace {
+
+/// Two hosts on separate islands (the default link carries latency). At
+/// t=0.5 each host posts two follow-ups to itself at t=1.0, and the control
+/// queue schedules one more at t=1.0 — so the earliest pending instant holds
+/// live events on three queues under three different origins.
+struct TwoIslandWorld {
+  cs::World world{/*seed=*/11};
+  cs::Host& a = world.add_host("a.example");
+  cs::Host& b = world.add_host("b.example");
+  // Dispatch order as observed; only meaningful under a controller (the
+  // serialized executor) — parallel islands append concurrently.
+  std::mutex mu;
+  std::vector<std::string> order;
+
+  explicit TwoIslandWorld(cs::ScheduleController* controller) {
+    world.sim().set_controller(controller);
+    for (cs::Host* host : {&a, &b}) {
+      host->post(0.5, [this, host] {
+        for (const char* tag : {"1", "2"}) {
+          host->post(0.5, [this, host, tag] {
+            record(host->name().substr(0, 1) + tag);
+          });
+        }
+      });
+    }
+    world.sim().schedule_at(1.0, [this] { record("ctl"); });
+  }
+
+  void record(std::string tag) {
+    const std::lock_guard<std::mutex> lock(mu);
+    order.push_back(std::move(tag));
+  }
+
+  std::uint64_t run() {
+    world.sim().run();
+    return world.sim().trace_digest();
+  }
+};
+
+/// PickLast that also records every choice point it is offered.
+class RecordingPickLast : public PickLast {
+ public:
+  std::size_t pick_event(cs::Time when, std::size_t count) override {
+    offers.emplace_back(when, count);
+    return PickLast::pick_event(when, count);
+  }
+  std::vector<std::pair<cs::Time, std::size_t>> offers;
+};
+
+}  // namespace
+
+TEST(IslandExplorer, SameTimeCandidatesSpanIslandQueues) {
+  RecordingPickLast controller;
+  TwoIslandWorld w(&controller);
+  w.run();
+  const cs::IslandPlan& plan = w.world.sim().island_plan();
+  EXPECT_NE(plan.island_of_queue[w.a.queue()],
+            plan.island_of_queue[w.b.queue()]);
+  // One choice point per dispatch while more than one candidate is live:
+  // both hosts' t=0.5 events, then all five t=1.0 events across the
+  // control queue and both islands.
+  const std::vector<std::pair<cs::Time, std::size_t>> expected = {
+      {0.5, 2}, {1.0, 5}, {1.0, 4}, {1.0, 3}, {1.0, 2}};
+  EXPECT_EQ(controller.offers, expected);
+  // Candidates are offered in key order (control, then a's origin, then
+  // b's), so always picking the last one reverses it across queues.
+  EXPECT_EQ(w.order,
+            (std::vector<std::string>{"b2", "b1", "a2", "a1", "ctl"}));
+}
+
+TEST(IslandExplorer, DefaultPickReproducesUncontrolledDigest) {
+  PickFirst first;
+  TwoIslandWorld controlled(&first);
+  const std::uint64_t controlled_digest = controlled.run();
+  EXPECT_EQ(controlled.order,
+            (std::vector<std::string>{"ctl", "a1", "a2", "b1", "b2"}));
+  // The uncontrolled runs take the windowed executor, inline and on a
+  // two-worker pool; both commit the controlled run's stream.
+  for (const int workers : {1, 2}) {
+    cs::World::ScopedParallelOverride force(workers);
+    TwoIslandWorld plain(nullptr);
+    EXPECT_EQ(plain.run(), controlled_digest) << "workers=" << workers;
+    EXPECT_EQ(plain.world.sim().dispatched(),
+              controlled.world.sim().dispatched());
+  }
+}
+
+TEST(IslandExplorer, RecordedCounterexampleReplaysByteForByte) {
+  // Invariant: a's follow-ups run before b's. Only a cross-island pick at
+  // t=1.0 can break it, so finding the violation proves the Explorer
+  // branches over the island kernel's cross-queue choice point.
+  const cs::Explorer::Scenario scenario = [](cs::ScheduleOracle& oracle) {
+    TwoIslandWorld w(&oracle);
+    cs::RunOutcome outcome;
+    outcome.trace_digest = w.run();
+    outcome.dispatched = w.world.sim().dispatched();
+    std::string seen;
+    for (const std::string& tag : w.order) {
+      if (tag != "ctl") seen += tag.substr(0, 1);
+    }
+    if (seen.find("ba") != std::string::npos) {
+      outcome.violations.push_back("b ran before a: " + seen);
+    }
+    return outcome;
+  };
+  cs::Explorer::Config config;
+  config.oracle.max_branch = 5;
+  cs::Explorer explorer("two_islands", scenario, config);
+  const cs::Explorer::Result result = explorer.explore();
+  ASSERT_TRUE(result.violation_found);
+  ASSERT_EQ(result.violations.size(), 1u);
+
+  const std::string text = result.counterexample.serialize();
+  cs::ScheduleTrace parsed;
+  ASSERT_TRUE(cs::ScheduleTrace::parse(text, &parsed));
+  const cs::RunOutcome replayed = explorer.replay(parsed);
+  const cs::RunOutcome again = explorer.replay(parsed);
+  EXPECT_EQ(replayed.violations, result.violations);
+  EXPECT_EQ(again.violations, replayed.violations);
+  EXPECT_EQ(again.trace_digest, replayed.trace_digest);
+  EXPECT_EQ(again.dispatched, replayed.dispatched);
+  // The replayed schedule really is a different interleaving.
+  EXPECT_NE(replayed.trace_digest, explorer.replay({}).trace_digest);
 }
 
 // ---------- ScheduleTrace ----------

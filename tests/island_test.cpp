@@ -17,8 +17,8 @@ namespace {
 
 namespace sim = condorg::sim;
 
-/// A two-host island-mode world; the guard keeps the mode independent of
-/// the ambient CONDORG_PARALLEL.
+/// A two-host, two-island world; the guard pins a real two-worker pool
+/// whatever the ambient CONDORG_PARALLEL says.
 struct IslandFixture {
   sim::World::ScopedParallelOverride force{2};
   sim::World world{/*seed=*/7};
@@ -151,19 +151,40 @@ TEST(IslandKernel, CrossIslandCancelFromHostContextThrows) {
   EXPECT_TRUE(s.cancel(victim));  // control context may cancel anywhere
 }
 
-TEST(IslandKernel, LegacyWorldKeepsSingleQueue) {
+TEST(IslandKernel, ZeroWorkerBudgetRunsOneWorkerIslands) {
   sim::World::ScopedParallelOverride force(0);
   sim::World world(7);
   sim::Host& a = world.add_host("a.example");
   sim::Host& b = world.add_host("b.example");
-  EXPECT_FALSE(world.sim().island_mode());
-  EXPECT_EQ(a.queue(), 0u);
-  EXPECT_EQ(b.queue(), 0u);
+  EXPECT_TRUE(world.sim().island_mode());
+  EXPECT_EQ(world.sim().island_threads(), 1u);
+  EXPECT_NE(a.queue(), 0u);
+  EXPECT_NE(b.queue(), a.queue());
   int fired = 0;
   a.post(1.0, [&] { ++fired; });
   b.post(1.0, [&] { ++fired; });
   world.sim().run_until(2.0);
   EXPECT_EQ(fired, 2);
+  EXPECT_EQ(world.sim().island_plan().island_count, 3u);
+}
+
+TEST(IslandKernel, CrossHostDirectPostCommitsInsideItsWindow) {
+  // A host that drives a daemon object living on another host posts
+  // straight into that host's calendar. Here b (whose island runs after
+  // a's) posts to a at `now`, after a already ran this window past that
+  // instant; the event must still commit inside the window instead of
+  // surfacing below an already-committed time.
+  sim::World::ScopedParallelOverride force(1);
+  sim::World world(7);
+  sim::Host& a = world.add_host("a.example");
+  sim::Host& b = world.add_host("b.example");
+  std::vector<double> fired;
+  a.post(1.01, [&] { fired.push_back(world.sim().now()); });
+  b.post(1.0, [&] { a.post(0.0, [&] { fired.push_back(world.sim().now()); }); });
+  b.post(1.04, [] {});
+  world.sim().run();
+  EXPECT_EQ(fired, (std::vector<double>{1.01, 1.01}));
+  EXPECT_EQ(world.sim().dispatched(), 4u);
 }
 
 TEST(IslandKernel, IslandStatsCountPerIslandEvents) {

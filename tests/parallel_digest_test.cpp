@@ -217,8 +217,8 @@ struct ExploreArtifacts {
 
 /// Explore the mutated quickstart scenario (broken gatekeeper dedup) under
 /// an ambient CONDORG_PARALLEL override, then replay the counterexample.
-/// The scenario itself pins legacy mode (exploration is controller-driven),
-/// so nothing here may vary with `threads`.
+/// A controller serializes execution whatever the worker budget, so
+/// nothing here may vary with `threads`.
 ExploreArtifacts explore_mutated_quickstart(unsigned threads) {
   sim::World::ScopedParallelOverride ambient(static_cast<int>(threads));
   ::setenv("CONDORG_MUTATE_DEDUP", "1", 1);

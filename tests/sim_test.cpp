@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "condorg/sim/failure.h"
@@ -203,6 +206,59 @@ TEST(Simulation, TraceDigestDistinguishesSchedules) {
   b.schedule_at(1.0, [] {});  // same dispatch times, different event ids
   b.run();
   EXPECT_NE(a.trace_digest(), b.trace_digest());
+}
+
+TEST(Simulation, TraceDigestIsFnv1aOverCommittedKeys) {
+  // The digest is byte-wise FNV-1a over each committed key's 24 bytes —
+  // time bits, origin queue, origin counter — in dispatch order. Pinned
+  // against a naive fold: the dispatch path skips zero-byte runs, and this
+  // is what proves the shortcut never changes a digest.
+  const auto fold = [](std::uint64_t h, std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+    return h;
+  };
+  const auto bits = [](double t) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &t, sizeof(b));
+    return b;
+  };
+  cs::Simulation sim;
+  const std::uint32_t host = sim.register_queue();
+  struct Key {
+    double when;
+    std::uint64_t origin;
+    std::uint64_t ctr;
+  };
+  std::vector<Key> keys;
+  std::uint64_t ctr = 0;
+  // Zero, round, and full-mantissa times; counters past one byte; and one
+  // event scheduled from a host queue (a nonzero origin).
+  for (const double t : {0.0, 1.0, 0.1, 1234.5678, 3.0}) {
+    sim.schedule_at(t, [] {});
+    keys.push_back({t, 0, ++ctr});
+  }
+  for (int i = 0; i < 300; ++i) {
+    sim.schedule_at(5.0, [] {});
+    keys.push_back({5.0, 0, ++ctr});
+  }
+  sim.schedule_on_queue(host, 6.0, [&sim] { sim.schedule_at(7.25, [] {}); });
+  keys.push_back({6.0, 0, ++ctr});
+  keys.push_back({7.25, host, 1});
+  sim.run();
+
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.when, a.origin, a.ctr) <
+           std::tie(b.when, b.origin, b.ctr);
+  });
+  std::uint64_t expected = 14695981039346656037ull;  // FNV-1a basis
+  for (const Key& k : keys) {
+    expected = fold(fold(fold(expected, bits(k.when)), k.origin), k.ctr);
+  }
+  EXPECT_EQ(sim.dispatched(), keys.size());
+  EXPECT_EQ(sim.trace_digest(), expected);
 }
 
 TEST(Simulation, CancelledEventsLeaveNoDigestMark) {

@@ -138,11 +138,12 @@ def check_island_scale(root: pathlib.Path,
     """Gate the island-kernel scaling report (BENCH_K1.json) in `root`.
 
     Unlike the diff gates this checks absolute properties of the current
-    tree: every island-mode run must carry the identical trace digest
-    (determinism is never hardware-dependent), and when the producing
-    machine had >= 8 hardware threads (speedup_floor_enforced) the 8-way
-    run must have reached the speedup floor. Returns the failure count; a
-    tree without an island_scale section passes vacuously.
+    tree: the one-worker reference run must be present, every run must
+    carry the identical trace digest (determinism is never
+    hardware-dependent), and when the producing machine had >= 8 hardware
+    threads (speedup_floor_enforced) the 8-way run must have reached the
+    speedup floor. Returns the failure count; a tree without an
+    island_scale section passes vacuously.
     """
     failures = 0
     for path in sorted(root.glob("BENCH_*.json")):
@@ -153,8 +154,12 @@ def check_island_scale(root: pathlib.Path,
         scale = doc.get("island_scale")
         if not isinstance(scale, dict):
             continue
-        digests = {run.get("digest") for run in scale.get("runs", [])
-                   if isinstance(run, dict) and run.get("threads", -1) >= 1}
+        runs = [run for run in scale.get("runs", []) if isinstance(run, dict)]
+        if not any(run.get("threads") == 1 for run in runs):
+            print(f"  FAILED    {path.name}:island_scale has no one-worker "
+                  f"reference run")
+            failures += 1
+        digests = {run.get("digest") for run in runs}
         identical = scale.get("digests_identical")
         if identical is not True or len(digests) > 1:
             print(f"  FAILED    {path.name}:island_scale digests diverge "
@@ -188,10 +193,10 @@ def check_multiuser(root: pathlib.Path) -> int:
     delta negotiator must stay >= speedup_floor times faster per cycle
     than the retained full-requery reference, fairness (Jain's index over
     per-user matched jobs) must hold the floor, the campaign must drain,
-    the anti-entropy sweep must record zero divergences, and the
-    jitter-free outcome digest must be identical across the legacy and
-    island kernels. Returns the failure count; a tree without a multiuser
-    section passes vacuously.
+    the anti-entropy sweep must record zero divergences, and both the
+    kernel digest and the outcome digest must be identical across the
+    worker counts of the digest runs. Returns the failure count; a tree
+    without a multiuser section passes vacuously.
     """
     failures = 0
     for path in sorted(root.glob("BENCH_*.json")):
@@ -229,16 +234,17 @@ def check_multiuser(root: pathlib.Path) -> int:
             print(f"  FAILED    {path.name}:multiuser anti-entropy sweep "
                   f"recorded {divergences} divergence(s)")
             failures += 1
-        outcomes = {run.get("outcome_digest")
-                    for run in storm.get("digest_runs", [])
-                    if isinstance(run, dict)}
-        if storm.get("digests_identical") is not True or len(outcomes) > 1:
-            print(f"  FAILED    {path.name}:multiuser outcome digests "
-                  f"diverge across kernels: {sorted(map(str, outcomes))}")
+        runs = [run for run in storm.get("digest_runs", [])
+                if isinstance(run, dict)]
+        pairs = {(run.get("kernel_digest"), run.get("outcome_digest"))
+                 for run in runs}
+        if storm.get("digests_identical") is not True or len(pairs) > 1:
+            print(f"  FAILED    {path.name}:multiuser digests diverge "
+                  f"across worker counts: {sorted(map(str, pairs))}")
             failures += 1
         else:
-            print(f"  ok        {path.name}:multiuser outcome digest stable "
-                  f"across {len(storm.get('digest_runs', []))} kernel runs")
+            print(f"  ok        {path.name}:multiuser digests stable "
+                  f"across {len(runs)} worker counts")
     return failures
 
 
@@ -297,7 +303,8 @@ def self_test() -> int:
         (root / "BENCH_A.json").write_text(json.dumps(doc))
 
     def make_scale_tree(root: pathlib.Path, digests: list[str],
-                        enforced: bool, speedup: float) -> None:
+                        enforced: bool, speedup: float,
+                        threads: tuple[int, ...] = (1, 2, 4, 8)) -> None:
         doc = {"bench": "K", "benchmarks": [
             {"name": "BM_IslandScale/N1", "real_time_ns": 100.0,
              "cpu_time_ns": 100.0, "iterations": 1}],
@@ -308,24 +315,26 @@ def self_test() -> int:
                 "speedup_floor": 3.0,
                 "speedup_floor_enforced": enforced,
                 "runs": [{"threads": n, "digest": d, "wall_ns": 100.0}
-                         for n, d in zip((1, 2, 4, 8), digests)]}}
+                         for n, d in zip(threads, digests)]}}
         (root / "BENCH_K.json").write_text(json.dumps(doc))
 
     def make_multiuser_tree(root: pathlib.Path, speedup: float, jain: float,
                             drained: bool = True, divergences: int = 0,
-                            outcomes: tuple[str, ...] = ("0x1",) * 3) -> None:
+                            outcomes: tuple[str, ...] = ("0x1",) * 3,
+                            kernels: tuple[str, ...] = ("0x9",) * 3) -> None:
         doc = {"bench": "U", "benchmarks": [
-            {"name": "BM_MultiUserStorm/legacy", "real_time_ns": 100.0,
+            {"name": "BM_MultiUserStorm/N1", "real_time_ns": 100.0,
              "cpu_time_ns": 100.0, "iterations": 1}],
             "multiuser": {
                 "delta_speedup": speedup, "speedup_floor": 5.0,
                 "jain": jain, "jain_floor": 0.9,
                 "drained": drained, "jobs_completed": 10,
                 "divergences": divergences,
-                "digests_identical": len(set(outcomes)) == 1,
+                "digests_identical": len(set(zip(kernels, outcomes))) == 1,
                 "digest_runs": [
-                    {"mode": m, "outcome_digest": d, "kernel_digest": d}
-                    for m, d in zip(("legacy", "N1", "N8"), outcomes)]}}
+                    {"mode": m, "outcome_digest": d, "kernel_digest": k}
+                    for m, d, k in zip(("N1", "N2", "N4"), outcomes,
+                                       kernels)]}}
         (root / "BENCH_U.json").write_text(json.dumps(doc))
 
     failures = []
@@ -355,11 +364,16 @@ def self_test() -> int:
         make_scale_tree(scale_dir, same, enforced=False, speedup=0.8)
         if check_island_scale(scale_dir) != 0:
             failures.append("unenforced floor must not fail on speedup")
+        make_scale_tree(scale_dir, same, enforced=False, speedup=0.8,
+                        threads=(2, 4, 8))
+        if check_island_scale(scale_dir) != 1:
+            failures.append("a report without the N1 reference must fail")
         (scale_dir / "BENCH_K.json").unlink()
 
         # Multi-user gate: a healthy report passes; a sub-floor speedup, a
         # sub-floor Jain index, an undrained campaign, a sweep divergence,
-        # and a cross-kernel outcome mismatch each fail exactly once.
+        # and an outcome or kernel digest mismatch across worker counts
+        # each fail exactly once.
         storm_dir = pathlib.Path(tmp) / "storm"
         storm_dir.mkdir()
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95)
@@ -380,7 +394,11 @@ def self_test() -> int:
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95,
                             outcomes=("0x1", "0x1", "0x2"))
         if check_multiuser(storm_dir) != 1:
-            failures.append("cross-kernel outcome divergence must fail")
+            failures.append("outcome digest divergence must fail")
+        make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95,
+                            kernels=("0x9", "0x8", "0x9"))
+        if check_multiuser(storm_dir) != 1:
+            failures.append("kernel digest divergence must fail")
         (storm_dir / "BENCH_U.json").unlink()
         make_tree(base_dir, {"steady": 100.0, "faster": 100.0,
                              "slower": 100.0, "gone": 100.0})

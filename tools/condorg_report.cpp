@@ -462,7 +462,7 @@ int print_critical_path(const std::string& path, bool flame) {
   return rc;
 }
 
-/// Per-island execution summary of a parallel (CONDORG_PARALLEL) run:
+/// Per-island execution summary of a run (any CONDORG_PARALLEL budget):
 /// events dispatched, inbox (cross-island) messages integrated, window
 /// epochs, and — when the profile was exported with wall columns — the
 /// nanoseconds each worker spent busy vs blocked at the window barrier.
@@ -471,7 +471,7 @@ void print_island_summary(const JsonValue& profile) {
   const JsonValue* islands = profile.find("islands");
   if (islands == nullptr || !islands->is_array() ||
       islands->items().empty()) {
-    return;  // legacy-kernel profile: nothing to summarize
+    return;  // no island rows (the kernel never ran): nothing to summarize
   }
   const bool has_wall =
       islands->items().front().find("blocked_ns") != nullptr;
