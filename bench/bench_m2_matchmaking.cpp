@@ -1,8 +1,8 @@
 // M2 — matchmaking throughput (google-benchmark): the Negotiator's
 // match_jobs_to_slots over synthetic pools of 100 / 1k / 10k slot ads and
 // 100 / 1k job ads, reported as candidate pairs per second plus a
-// matches-made rate. The reference (pre-optimization) matcher runs the same
-// grids so tools/bench_compare.py can show the prefilter speedup.
+// matches-made rate. The naive reference matcher (the oracle library) runs
+// the same grids so tools/bench_compare.py can show the prefilter speedup.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -12,11 +12,13 @@
 #include "bench_report.h"
 #include "condorg/classad/parser.h"
 #include "condorg/condor/negotiator.h"
+#include "condorg/oracles/match_oracle.h"
 #include "condorg/util/rng.h"
 
 namespace ca = condorg::classad;
 namespace cc = condorg::condor;
 namespace cu = condorg::util;
+namespace oracles = condorg::oracles;
 
 namespace {
 
@@ -68,7 +70,7 @@ void run_matcher(benchmark::State& state, bool reference) {
   std::size_t matches = 0;
   for (auto _ : state) {
     const std::vector<cc::Match> result =
-        reference ? cc::match_jobs_to_slots_reference(jobs, slots)
+        reference ? oracles::match_jobs_to_slots_reference(jobs, slots)
                   : cc::match_jobs_to_slots(jobs, slots);
     matches = result.size();
     benchmark::DoNotOptimize(matches);

@@ -16,6 +16,7 @@
 #include "condorg/condor/collector.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
+#include "condorg/sim/lifetime.h"
 #include "condorg/util/metrics.h"
 
 namespace condorg::condor {
@@ -31,34 +32,45 @@ struct Match {
   classad::ClassAd slot_ad;  // includes Name and MyAddress
 };
 
-/// Pure matchmaking: greedily assign each job (in order) its highest-Rank
-/// matching slot; each slot is used at most once. Exposed separately from
-/// the daemon for direct use by brokers and benchmarks.
+/// One job or slot as the matcher sees it, borrowed from the caller: the
+/// matcher copies no input ad. `changed` is the delta-restriction input and
+/// is read only by a restricted call.
+struct MatchInput {
+  const std::string* id = nullptr;  // jobs: the job_id a Match carries
+  const classad::ClassAd* ad = nullptr;
+  bool changed = false;
+};
+
+/// The greedy matcher, the one pairing loop of both negotiators: each job
+/// (in order) takes its highest-Rank matching unused slot; each slot is
+/// used at most once.
 ///
-/// This is the optimized path: before running full bilateral matching, each
-/// job's Requirements is analyzed once into a list of `TARGET.Attr <op>
-/// literal` conjuncts, and each slot's referenced attributes are resolved to
-/// literal values once per call. A slot whose literals falsify any conjunct
-/// can never satisfy the conjunction, so it is rejected without touching the
-/// evaluator; anything not provably rejectable falls through to full
-/// symmetric_match. Results are byte-identical to
-/// match_jobs_to_slots_reference (pinned by tests).
+/// Unrestricted, every job is tried against every slot. `restricted` applies
+/// the delta restriction (DESIGN.md §17): a job with `changed == false`
+/// already failed against every unchanged slot, so it is tried only against
+/// slots with `changed == true`.
+///
+/// Each job that may scan the whole pool has its Requirements analyzed once
+/// into `TARGET.Attr <op> literal` conjuncts (plus a compiled Rank), and
+/// every slot's Requirements likewise; each counterparty's referenced
+/// attributes are resolved to literals once per call. A falsified conjunct
+/// rejects a pair without the evaluator; only what no plan decides falls
+/// through to classad::half_match. A restricted clean job gets no plan: the
+/// evaluator decides its few pairs, and slot-side plans still apply. Results
+/// are byte-identical to the naive oracle in oracles/ (pinned by
+/// matcher_equivalence_test).
+std::vector<Match> match_jobs_to_slots(const std::vector<MatchInput>& jobs,
+                                       const std::vector<MatchInput>& slots,
+                                       bool restricted = false);
+
+/// Unrestricted convenience overloads for callers that own their jobs as
+/// IdleJobs: over Collector views, and over plain ads.
 std::vector<Match> match_jobs_to_slots(
     const std::vector<IdleJob>& jobs,
     const std::vector<Collector::AdPtr>& slots);
-
-/// Convenience overload over plain ads (wraps each slot in a non-owning
-/// pointer); kept for callers and tests that own their slot vectors.
 std::vector<Match> match_jobs_to_slots(
     const std::vector<IdleJob>& jobs,
     const std::vector<classad::ClassAd>& slots);
-
-/// The original straight-line matcher: full symmetric_match against every
-/// slot, no prefilter, no caching. Retained as the behavioral oracle for
-/// equivalence tests and as the baseline side of the matchmaking benchmark.
-std::vector<Match> match_jobs_to_slots_reference(
-    const std::vector<IdleJob>& jobs,
-    const std::vector<Collector::AdPtr>& slots);
 
 struct NegotiatorOptions {
   double cycle_period = 60.0;
@@ -78,6 +90,10 @@ class Negotiator {
 
   Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
              MatchSink sink, Options options = {});
+  ~Negotiator();
+
+  Negotiator(const Negotiator&) = delete;
+  Negotiator& operator=(const Negotiator&) = delete;
 
   /// Begin periodic negotiation cycles.
   void start();
@@ -105,6 +121,7 @@ class Negotiator {
   int boot_id_ = 0;
   det::HostLocal<std::uint64_t> cycles_;
   det::HostLocal<std::uint64_t> matches_;
+  sim::Lifetime life_;  // fences the cycle timer against destruction
 };
 
 }  // namespace condorg::condor

@@ -12,11 +12,13 @@
 // Soundness of the restriction: a pending job that failed against every
 // then-eligible slot can, while both sides stay unchanged, never start
 // matching — so a *clean* job need only be retried against slots that
-// changed, while a *dirty* job (its ad changed) retries everything. A
-// periodic anti-entropy sweep proves it: the mirror is checksum-compared
-// against a full Collector read and the delta-restricted matcher's output
-// is compared against the retained full-scan reference matcher on the same
-// state. Divergence surfaces through audit() as an invariant violation.
+// changed, while a *dirty* job (its ad changed) retries everything. Both
+// negotiators share one matcher (match_jobs_to_slots); this one passes the
+// restriction in. A periodic anti-entropy sweep proves it: the mirror is
+// checksum-compared against a full Collector read, and the restricted pass
+// is compared against an unrestricted pass of the same matcher over the
+// same candidates. Divergence surfaces through audit() as an invariant
+// violation.
 //
 // Cross-user fairness is enforced here, at negotiation time: candidate
 // jobs are ordered by batch::FairShareTable (decayed effective usage,
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,6 +38,7 @@
 #include "condorg/condor/negotiator.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
+#include "condorg/sim/lifetime.h"
 #include "condorg/sim/rpc.h"
 #include "condorg/util/metrics.h"
 
@@ -44,9 +48,9 @@ struct PoolNegotiatorOptions {
   double cycle_period = 60.0;
   /// Selects negotiable machine ads out of the mirror.
   std::string slot_constraint = "State == \"Unclaimed\"";
-  /// Anti-entropy: every Nth cycle re-reads the full pool, checksum-audits
-  /// the mirror, and cross-checks the delta matcher against the full-scan
-  /// reference. 0 disables (tests only).
+  /// Anti-entropy: every Nth cycle checksum-audits the mirror against the
+  /// Collector and cross-checks the restricted match pass against an
+  /// unrestricted one. 0 disables (tests only).
   int full_sweep_every = 16;
   /// A match puts a local hold on both sides until the claim shows up as an
   /// ad change; a lost claim lapses after this long and both sides re-enter
@@ -80,13 +84,6 @@ class PoolNegotiator {
   /// Run one cycle immediately; returns matches made.
   std::size_t negotiate_once();
 
-  /// Run the retained full-requery reference path once, with no
-  /// side-effects on the pool: full Collector query plus full-scan
-  /// reference matcher over every pending job. Returns the matches it
-  /// would have made. This is the baseline the delta path is benchmarked
-  /// (and audited) against.
-  std::vector<Match> reference_matches();
-
   // --- statistics ---
   std::uint64_t cycles() const { return *cycles_; }
   std::uint64_t matches_made() const { return *matches_; }
@@ -98,13 +95,14 @@ class PoolNegotiator {
     return *matched_by_user_;
   }
   std::size_t mirror_size() const { return mirror_->size(); }
-  batch::FairShareTable& fair_share() { return *fair_share_; }
 
   /// Invariant-audit hook: appends one line per recorded anti-entropy
-  /// divergence or delta-vs-reference matcher disagreement.
+  /// divergence or restricted-vs-full match disagreement.
   void audit(std::vector<std::string>& out) const;
 
   // --- benchmark timing (inert unless a clock is injected) ---
+  // delta_cycle_ns: each cycle's ingest + restricted pass; reference_cycle_ns:
+  // each sweep's unrestricted pass.
   void set_clock(Clock clock) { clock_ = std::move(clock); }
   const std::vector<std::uint64_t>& delta_cycle_ns() const {
     return delta_cycle_ns_;
@@ -121,12 +119,6 @@ class PoolNegotiator {
     std::string user;         // job ads only
     double hold_until = -1.0;  // >= now: matched, claim in flight
   };
-  /// A job or slot eligible for this cycle's matcher.
-  struct Candidate {
-    const std::string* name = nullptr;
-    const MirrorEntry* entry = nullptr;
-    bool changed = false;
-  };
 
   void cycle();
   /// Throw away the mirror and rebuild it from a full Collector read.
@@ -138,22 +130,18 @@ class PoolNegotiator {
   static bool classify_job(const classad::ClassAd& ad, std::string& user);
   bool slot_eligible(const MirrorEntry& entry, double now) const;
   bool job_pending(const MirrorEntry& entry, double now) const;
-  /// Greedy fair-share matcher: `jobs` in priority order, each tried
-  /// against every unheld slot (dirty jobs) or only changed slots (clean
-  /// jobs). Byte-equivalent to the reference matcher under the delta
-  /// invariant (the sweep enforces this).
-  std::vector<Match> match_candidates(const std::vector<Candidate>& jobs,
-                                      const std::vector<Candidate>& slots,
-                                      bool everything_changed) const;
-  /// Order pending jobs: FairShareTable user order, then ad name.
-  std::vector<Candidate> ordered_pending_jobs(
-      const std::vector<std::string>& changed, bool all_changed, double now);
-  std::vector<Candidate> eligible_slots(const std::vector<std::string>& changed,
-                                        bool all_changed, double now) const;
+  /// Pending jobs in FairShareTable user order, then ad name, each flagged
+  /// changed or clean; `users` collects every user with a pending job.
+  std::vector<MatchInput> ordered_pending_jobs(
+      const std::vector<std::string>& changed, bool all_changed, double now,
+      std::set<std::string>& users);
+  std::vector<MatchInput> eligible_slots(
+      const std::vector<std::string>& changed, bool all_changed,
+      double now) const;
   void record_violation(const std::string& text);
   void run_sweep(const std::vector<Match>& delta_matches,
-                 const std::vector<Candidate>& jobs,
-                 const std::vector<Candidate>& slots);
+                 const std::vector<MatchInput>& jobs,
+                 const std::vector<MatchInput>& slots);
 
   sim::Host& host_;
   Collector& collector_;
@@ -193,6 +181,7 @@ class PoolNegotiator {
   bool started_ = false;
   int boot_id_ = 0;
   int crash_listener_ = 0;
+  sim::Lifetime life_;  // fences the cycle timer against destruction
 };
 
 }  // namespace condorg::condor

@@ -38,10 +38,10 @@ namespace {
 // referenced attribute resolved to a literal, all-conjuncts-hold is likewise
 // an exact TRUE certificate for that side (AND of TRUEs is TRUE), so the
 // full evaluator can be skipped; otherwise the undecided side falls back to
-// half_match. The net result is byte-identical to
-// match_jobs_to_slots_reference.
+// half_match. The net result is byte-identical to the naive matcher
+// (symmetric evaluation of every candidate pair).
 
-/// Case-insensitive attr-name interning shared by job plans and slot tables.
+/// Case-insensitive attr-name interning: one table per side.
 using NameTable =
     std::unordered_map<std::string, std::size_t, classad::AttrNameHash,
                        classad::AttrNameEq>;
@@ -283,14 +283,13 @@ RankPlan analyze_rank(const classad::ExprPtr& rank, NameTable& table,
 /// Resolve every interned attribute of every ad once, into a flat
 /// row-per-ad table the per-pair loop can index directly. The `literal`
 /// pointers alias expressions owned by the ads, which outlive the call.
-template <typename LookupAd>
-std::vector<ResolvedAttr> resolve_attrs(const std::vector<LookupAd>& ads,
+std::vector<ResolvedAttr> resolve_attrs(const std::vector<MatchInput>& ads,
                                         const std::vector<std::string>& names) {
   std::vector<ResolvedAttr> rows(ads.size() * names.size());
   for (std::size_t a = 0; a < ads.size(); ++a) {
     ResolvedAttr* row = &rows[a * names.size()];
     for (std::size_t n = 0; n < names.size(); ++n) {
-      const classad::ExprPtr expr = ads[a]->lookup(names[n]);
+      const classad::ExprPtr expr = ads[a].ad->lookup(names[n]);
       if (!expr) continue;  // stays kAbsent
       ResolvedAttr& ra = row[n];
       ra.literal = expr->literal();
@@ -329,41 +328,60 @@ bool plan_passes(const Plan& plan, const ResolvedAttr* row, bool& decided) {
   return true;
 }
 
+std::vector<MatchInput> job_inputs(const std::vector<IdleJob>& jobs) {
+  std::vector<MatchInput> out;
+  out.reserve(jobs.size());
+  for (const IdleJob& job : jobs) out.push_back({&job.job_id, &job.ad});
+  return out;
+}
+
 }  // namespace
 
-std::vector<Match> match_jobs_to_slots(
-    const std::vector<IdleJob>& jobs,
-    const std::vector<Collector::AdPtr>& slots) {
+std::vector<Match> match_jobs_to_slots(const std::vector<MatchInput>& jobs,
+                                       const std::vector<MatchInput>& slots,
+                                       bool restricted) {
   // Compile both directions once: job Requirements + Rank, slot
-  // Requirements. All attribute names share one interning table, so the
-  // resolved rows below serve every plan.
-  NameTable table;
-  std::vector<std::string> names;
-  std::vector<Plan> job_plans;
-  std::vector<RankPlan> rank_plans;
-  job_plans.reserve(jobs.size());
-  rank_plans.reserve(jobs.size());
-  for (const IdleJob& job : jobs) {
-    job_plans.push_back(
-        analyze_requirements(job.ad.requirements(), job.ad, table, names));
-    rank_plans.push_back(analyze_rank(job.ad.rank(), table, names));
+  // Requirements. Job plans intern the slot attributes they read and slot
+  // plans the job attributes they read, so each side resolves only what the
+  // other side's plans reference. A restricted clean job keeps the default
+  // plans — an empty incomplete Plan defers the job side to half_match, and
+  // a kFull RankPlan to eval_rank — because compiling a plan to decide a
+  // handful of pairs costs more than it saves.
+  NameTable slot_table;
+  NameTable job_table;
+  std::vector<std::string> slot_names;
+  std::vector<std::string> job_names;
+  std::vector<Plan> job_plans(jobs.size());
+  std::vector<RankPlan> rank_plans(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const classad::ClassAd& ad = *jobs[j].ad;
+    if (restricted && !jobs[j].changed) {
+      rank_plans[j].kind = RankPlan::Kind::kFull;
+      continue;
+    }
+    job_plans[j] =
+        analyze_requirements(ad.requirements(), ad, slot_table, slot_names);
+    rank_plans[j] = analyze_rank(ad.rank(), slot_table, slot_names);
   }
   std::vector<Plan> slot_plans;
   slot_plans.reserve(slots.size());
-  for (const Collector::AdPtr& slot : slots) {
-    slot_plans.push_back(
-        analyze_requirements(slot->requirements(), *slot, table, names));
+  for (const MatchInput& slot : slots) {
+    slot_plans.push_back(analyze_requirements(slot.ad->requirements(),
+                                              *slot.ad, job_table, job_names));
   }
 
   // Resolve every referenced attribute on both sides, once per call.
   std::vector<ResolvedAttr> slot_attrs;
   std::vector<ResolvedAttr> job_attrs;
-  if (!names.empty()) {
-    slot_attrs = resolve_attrs(slots, names);
-    std::vector<const classad::ClassAd*> job_ads;
-    job_ads.reserve(jobs.size());
-    for (const IdleJob& job : jobs) job_ads.push_back(&job.ad);
-    job_attrs = resolve_attrs(job_ads, names);
+  if (!slot_names.empty()) slot_attrs = resolve_attrs(slots, slot_names);
+  if (!job_names.empty()) job_attrs = resolve_attrs(jobs, job_names);
+
+  // A clean job under the restriction scans only this (usually tiny) list.
+  std::vector<std::size_t> changed_slots;
+  if (restricted) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (slots[i].changed) changed_slots.push_back(i);
+    }
   }
 
   std::vector<Match> matches;
@@ -371,29 +389,26 @@ std::vector<Match> match_jobs_to_slots(
   std::size_t slots_left = slots.size();
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     if (slots_left == 0) break;  // pool exhausted this cycle
-    const IdleJob& job = jobs[j];
+    const classad::ClassAd& job = *jobs[j].ad;
     const Plan& job_plan = job_plans[j];
     const RankPlan& rank_plan = rank_plans[j];
     const ResolvedAttr* job_row =
-        names.empty() ? nullptr : &job_attrs[j * names.size()];
+        job_names.empty() ? nullptr : &job_attrs[j * job_names.size()];
     std::size_t best = slots.size();
     double best_rank = 0;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (used[i]) continue;
+    const auto consider = [&](std::size_t i) {
+      if (used[i]) return;
+      const classad::ClassAd& slot = *slots[i].ad;
       const ResolvedAttr* slot_row =
-          names.empty() ? nullptr : &slot_attrs[i * names.size()];
+          slot_names.empty() ? nullptr : &slot_attrs[i * slot_names.size()];
       // Job side: plan first, evaluator only if the plan couldn't certify.
       bool job_side_decided = false;
-      if (!plan_passes(job_plan, slot_row, job_side_decided)) continue;
-      if (!job_side_decided && !classad::half_match(job.ad, *slots[i])) {
-        continue;
-      }
+      if (!plan_passes(job_plan, slot_row, job_side_decided)) return;
+      if (!job_side_decided && !classad::half_match(job, slot)) return;
       // Slot side, symmetrically.
       bool slot_side_decided = false;
-      if (!plan_passes(slot_plans[i], job_row, slot_side_decided)) continue;
-      if (!slot_side_decided && !classad::half_match(*slots[i], job.ad)) {
-        continue;
-      }
+      if (!plan_passes(slot_plans[i], job_row, slot_side_decided)) return;
+      if (!slot_side_decided && !classad::half_match(slot, job)) return;
       double rank = 0.0;
       switch (rank_plan.kind) {
         case RankPlan::Kind::kZero:
@@ -406,24 +421,29 @@ std::vector<Match> match_jobs_to_slots(
           if (sa.kind == ResolvedAttr::Kind::kNumber) {
             rank = sa.num;
           } else if (sa.kind == ResolvedAttr::Kind::kOpaque) {
-            rank = classad::eval_rank(job.ad, *slots[i]);
+            rank = classad::eval_rank(job, slot);
           }
           // kAbsent/kString/kReject: to_number fails → 0.0, like eval_rank
           break;
         }
         case RankPlan::Kind::kFull:
-          rank = classad::eval_rank(job.ad, *slots[i]);
+          rank = classad::eval_rank(job, slot);
           break;
       }
       if (best == slots.size() || rank > best_rank) {
         best = i;
         best_rank = rank;
       }
+    };
+    if (restricted && !jobs[j].changed) {
+      for (const std::size_t i : changed_slots) consider(i);
+    } else {
+      for (std::size_t i = 0; i < slots.size(); ++i) consider(i);
     }
     if (best < slots.size()) {
       used[best] = true;
       --slots_left;
-      matches.push_back(Match{job.job_id, *slots[best]});
+      matches.push_back(Match{*jobs[j].id, *slots[best].ad});
     }
   }
   return matches;
@@ -431,42 +451,24 @@ std::vector<Match> match_jobs_to_slots(
 
 std::vector<Match> match_jobs_to_slots(
     const std::vector<IdleJob>& jobs,
-    const std::vector<classad::ClassAd>& slots) {
-  std::vector<Collector::AdPtr> views;
-  views.reserve(slots.size());
-  for (const classad::ClassAd& slot : slots) {
-    // Non-owning alias: the caller's vector outlives this call.
-    views.emplace_back(Collector::AdPtr{}, &slot);
+    const std::vector<Collector::AdPtr>& slots) {
+  std::vector<MatchInput> slot_inputs;
+  slot_inputs.reserve(slots.size());
+  for (const Collector::AdPtr& slot : slots) {
+    slot_inputs.push_back({nullptr, slot.get()});
   }
-  return match_jobs_to_slots(jobs, views);
+  return match_jobs_to_slots(job_inputs(jobs), slot_inputs);
 }
 
-std::vector<Match> match_jobs_to_slots_reference(
+std::vector<Match> match_jobs_to_slots(
     const std::vector<IdleJob>& jobs,
-    const std::vector<Collector::AdPtr>& slots) {
-  std::vector<Match> matches;
-  std::vector<bool> used(slots.size(), false);
-  std::size_t slots_left = slots.size();
-  for (const IdleJob& job : jobs) {
-    if (slots_left == 0) break;  // pool exhausted this cycle
-    std::size_t best = slots.size();
-    double best_rank = 0;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (used[i]) continue;
-      if (!classad::symmetric_match(job.ad, *slots[i])) continue;
-      const double rank = classad::eval_rank(job.ad, *slots[i]);
-      if (best == slots.size() || rank > best_rank) {
-        best = i;
-        best_rank = rank;
-      }
-    }
-    if (best < slots.size()) {
-      used[best] = true;
-      --slots_left;
-      matches.push_back(Match{job.job_id, *slots[best]});
-    }
+    const std::vector<classad::ClassAd>& slots) {
+  std::vector<MatchInput> slot_inputs;
+  slot_inputs.reserve(slots.size());
+  for (const classad::ClassAd& slot : slots) {
+    slot_inputs.push_back({nullptr, &slot});
   }
-  return matches;
+  return match_jobs_to_slots(job_inputs(jobs), slot_inputs);
 }
 
 Negotiator::Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
@@ -489,6 +491,8 @@ Negotiator::Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
     if (started_) cycle();
   });
 }
+
+Negotiator::~Negotiator() { host_.remove_boot(boot_id_); }
 
 void Negotiator::start() {
   if (started_) return;
@@ -513,7 +517,7 @@ std::size_t Negotiator::negotiate_once() {
 
 void Negotiator::cycle() {
   negotiate_once();
-  host_.post(options_.cycle_period, [this] { cycle(); });
+  host_.post(options_.cycle_period, life_.wrap([this] { cycle(); }));
 }
 
 }  // namespace condorg::condor

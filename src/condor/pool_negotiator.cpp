@@ -62,7 +62,7 @@ void PoolNegotiator::start() {
 
 void PoolNegotiator::cycle() {
   negotiate_once();
-  host_.post(options_.cycle_period, [this] { cycle(); });
+  host_.post(options_.cycle_period, life_.wrap([this] { cycle(); }));
 }
 
 bool PoolNegotiator::classify_job(const classad::ClassAd& ad,
@@ -142,94 +142,41 @@ std::vector<std::string> PoolNegotiator::ingest_deltas(bool& resynced) {
   return changed;
 }
 
-std::vector<PoolNegotiator::Candidate> PoolNegotiator::eligible_slots(
+std::vector<MatchInput> PoolNegotiator::eligible_slots(
     const std::vector<std::string>& changed, bool all_changed,
     double now) const {
-  std::vector<Candidate> out;
+  std::vector<MatchInput> out;
   for (const auto& [name, entry] : *mirror_) {
     if (entry.is_job || !slot_eligible(entry, now)) continue;
-    Candidate candidate;
-    candidate.name = &name;
-    candidate.entry = &entry;
-    candidate.changed =
-        all_changed ||
-        std::binary_search(changed.begin(), changed.end(), name);
-    out.push_back(candidate);
+    out.push_back({&name, entry.ad.get(),
+                   all_changed || std::binary_search(changed.begin(),
+                                                     changed.end(), name)});
   }
   return out;
 }
 
-std::vector<PoolNegotiator::Candidate> PoolNegotiator::ordered_pending_jobs(
-    const std::vector<std::string>& changed, bool all_changed, double now) {
+std::vector<MatchInput> PoolNegotiator::ordered_pending_jobs(
+    const std::vector<std::string>& changed, bool all_changed, double now,
+    std::set<std::string>& users) {
   // Mirror order gives name order within each user; the fair-share table
   // decides the cross-user order.
-  std::map<std::string, std::vector<Candidate>> by_user;
+  std::map<std::string, std::vector<MatchInput>> by_user;
   for (const auto& [name, entry] : *mirror_) {
     if (!job_pending(entry, now)) continue;
     fair_share_->note_user(entry.user);
-    Candidate candidate;
-    candidate.name = &name;
-    candidate.entry = &entry;
-    candidate.changed =
-        all_changed ||
-        std::binary_search(changed.begin(), changed.end(), name);
-    by_user[entry.user].push_back(candidate);
+    by_user[entry.user].push_back(
+        {&name, entry.ad.get(),
+         all_changed ||
+             std::binary_search(changed.begin(), changed.end(), name)});
   }
-  std::vector<Candidate> out;
+  std::vector<MatchInput> out;
   for (const std::string& user : fair_share_->priority_order(now)) {
     const auto it = by_user.find(user);
     if (it == by_user.end()) continue;
+    users.insert(user);
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
   return out;
-}
-
-std::vector<Match> PoolNegotiator::match_candidates(
-    const std::vector<Candidate>& jobs, const std::vector<Candidate>& slots,
-    bool everything_changed) const {
-  std::vector<Match> matches;
-  std::vector<bool> used(slots.size(), false);
-  std::size_t slots_left = slots.size();
-  // Clean jobs only ever consider slots that changed this cycle, and at
-  // steady state that set is tiny while the pending-job list is not —
-  // precompute the changed-slot index list once instead of skip-scanning
-  // the full slot vector per clean job.
-  std::vector<std::size_t> changed_slots;
-  if (!everything_changed) {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].changed) changed_slots.push_back(i);
-    }
-  }
-  for (const Candidate& job : jobs) {
-    if (slots_left == 0) break;
-    // A dirty job retries the whole pool; a clean one only what changed —
-    // it already failed against everything else while both sides were
-    // unchanged (the invariant the anti-entropy sweep enforces).
-    const bool dirty = everything_changed || job.changed;
-    std::size_t best = slots.size();
-    double best_rank = 0;
-    const auto consider = [&](std::size_t i) {
-      if (used[i]) return;
-      const classad::ClassAd& slot_ad = *slots[i].entry->ad;
-      if (!classad::symmetric_match(*job.entry->ad, slot_ad)) return;
-      const double rank = classad::eval_rank(*job.entry->ad, slot_ad);
-      if (best == slots.size() || rank > best_rank) {
-        best = i;
-        best_rank = rank;
-      }
-    };
-    if (dirty) {
-      for (std::size_t i = 0; i < slots.size(); ++i) consider(i);
-    } else {
-      for (const std::size_t i : changed_slots) consider(i);
-    }
-    if (best < slots.size()) {
-      used[best] = true;
-      --slots_left;
-      matches.push_back(Match{*job.name, *slots[best].entry->ad});
-    }
-  }
-  return matches;
 }
 
 void PoolNegotiator::record_violation(const std::string& text) {
@@ -239,49 +186,32 @@ void PoolNegotiator::record_violation(const std::string& text) {
 }
 
 void PoolNegotiator::run_sweep(const std::vector<Match>& delta_matches,
-                               const std::vector<Candidate>& jobs,
-                               const std::vector<Candidate>& slots) {
+                               const std::vector<MatchInput>& jobs,
+                               const std::vector<MatchInput>& slots) {
   ++*sweeps_;
 
-  // The retained full-requery reference path, timed as one unit: re-read
-  // the pool the way the pre-delta negotiator did, deep-build the job
-  // list, run the full-scan matcher.
+  // The delta invariant, checked directly: the restricted pass must make
+  // exactly the matches an unrestricted pass of the same matcher makes on
+  // the same candidates. The full pass is the timed sweep cost.
   const std::uint64_t t0 = clock_ ? clock_() : 0;
-  const std::vector<Collector::AdPtr> requeried =
-      collector_.query(slot_constraint_);
-  (void)requeried;
-  std::vector<IdleJob> reference_jobs;
-  reference_jobs.reserve(jobs.size());
-  for (const Candidate& job : jobs) {
-    reference_jobs.push_back(IdleJob{*job.name, *job.entry->ad});
-  }
-  std::vector<Collector::AdPtr> reference_slots;
-  reference_slots.reserve(slots.size());
-  for (const Candidate& slot : slots) {
-    reference_slots.push_back(slot.entry->ad);
-  }
-  const std::vector<Match> reference =
-      match_jobs_to_slots_reference(reference_jobs, reference_slots);
+  const std::vector<Match> full = match_jobs_to_slots(jobs, slots);
   if (clock_) reference_cycle_ns_.push_back(clock_() - t0);
-
-  // Matcher equivalence: the delta-restricted greedy pass must produce
-  // exactly what the full scan produces on the same state.
-  if (reference.size() != delta_matches.size()) {
+  if (full.size() != delta_matches.size()) {
     record_violation("pool_negotiator/match-equivalence: delta made " +
                      std::to_string(delta_matches.size()) +
-                     " matches, reference made " +
-                     std::to_string(reference.size()));
+                     " matches, full scan made " +
+                     std::to_string(full.size()));
   } else {
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      const auto ref_slot = reference[i].slot_ad.eval_string("Name");
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      const auto full_slot = full[i].slot_ad.eval_string("Name");
       const auto delta_slot = delta_matches[i].slot_ad.eval_string("Name");
-      if (reference[i].job_id != delta_matches[i].job_id ||
-          ref_slot != delta_slot) {
+      if (full[i].job_id != delta_matches[i].job_id ||
+          full_slot != delta_slot) {
         record_violation(
             "pool_negotiator/match-equivalence: pair " + std::to_string(i) +
             " differs: delta=(" + delta_matches[i].job_id + "," +
-            delta_slot.value_or("?") + ") reference=(" +
-            reference[i].job_id + "," + ref_slot.value_or("?") + ")");
+            delta_slot.value_or("?") + ") full=(" + full[i].job_id + "," +
+            full_slot.value_or("?") + ")");
         break;
       }
     }
@@ -373,10 +303,13 @@ std::size_t PoolNegotiator::negotiate_once() {
     return 0;
   }
 
-  const std::vector<Candidate> slots = eligible_slots(changed, resynced, now);
-  const std::vector<Candidate> jobs =
-      ordered_pending_jobs(changed, resynced, now);
-  const std::vector<Match> matched = match_candidates(jobs, slots, resynced);
+  std::set<std::string> pending_users;
+  const std::vector<MatchInput> slots =
+      eligible_slots(changed, resynced, now);
+  const std::vector<MatchInput> jobs =
+      ordered_pending_jobs(changed, resynced, now, pending_users);
+  const std::vector<Match> matched =
+      match_jobs_to_slots(jobs, slots, /*restricted=*/true);
   if (clock_) delta_cycle_ns_.push_back(clock_() - t0);
 
   if (sweep) run_sweep(matched, jobs, slots);
@@ -417,8 +350,6 @@ std::size_t PoolNegotiator::negotiate_once() {
 
   // Starvation bookkeeping: a user whose pending jobs were candidates and
   // won nothing lost a real negotiation round.
-  std::set<std::string> pending_users;
-  for (const Candidate& job : jobs) pending_users.insert(job.entry->user);
   for (const std::string& user : pending_users) {
     if (matched_users.count(user)) {
       fair_share_->note_served(user);
@@ -427,29 +358,6 @@ std::size_t PoolNegotiator::negotiate_once() {
     }
   }
   return matched.size();
-}
-
-std::vector<Match> PoolNegotiator::reference_matches() {
-  const double now = host_.now();
-  // The reference path re-reads the pool the way the pre-delta negotiator
-  // did every cycle; that cost is part of what the delta path is measured
-  // against.
-  const std::vector<Collector::AdPtr> requeried =
-      collector_.query(slot_constraint_);
-  (void)requeried;
-  const std::vector<Candidate> slots = eligible_slots({}, true, now);
-  const std::vector<Candidate> jobs = ordered_pending_jobs({}, true, now);
-  std::vector<IdleJob> reference_jobs;
-  reference_jobs.reserve(jobs.size());
-  for (const Candidate& job : jobs) {
-    reference_jobs.push_back(IdleJob{*job.name, *job.entry->ad});
-  }
-  std::vector<Collector::AdPtr> reference_slots;
-  reference_slots.reserve(slots.size());
-  for (const Candidate& slot : slots) {
-    reference_slots.push_back(slot.entry->ad);
-  }
-  return match_jobs_to_slots_reference(reference_jobs, reference_slots);
 }
 
 void PoolNegotiator::audit(std::vector<std::string>& out) const {

@@ -65,12 +65,9 @@ class PoolRunner {
   void start();
 
   // --- statistics ---
-  std::uint64_t deliveries_accepted() const { return deliveries_accepted_; }
   std::uint64_t duplicate_deliveries() const { return duplicate_deliveries_; }
   std::uint64_t busy_rejections() const { return busy_rejections_; }
-  std::uint64_t matches_received() const { return matches_received_; }
   std::uint64_t stale_matches() const { return stale_matches_; }
-  std::uint64_t shadows_spawned() const { return shadows_spawned_; }
 
  private:
   void install();
@@ -99,12 +96,9 @@ class PoolRunner {
   std::uint64_t published_id_ = 0;
   std::uint64_t claim_counter_ = 0;
 
-  std::uint64_t deliveries_accepted_ = 0;
   std::uint64_t duplicate_deliveries_ = 0;
   std::uint64_t busy_rejections_ = 0;
-  std::uint64_t matches_received_ = 0;
   std::uint64_t stale_matches_ = 0;
-  std::uint64_t shadows_spawned_ = 0;
 
   bool started_ = false;
   int boot_id_ = 0;

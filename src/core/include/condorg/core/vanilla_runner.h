@@ -40,9 +40,6 @@ class VanillaRunner {
 
   condor::Negotiator& negotiator() { return *negotiator_; }
 
-  std::uint64_t shadows_spawned() const { return shadows_spawned_; }
-  std::size_t active_shadows() const { return shadows_.size(); }
-
  private:
   std::vector<condor::IdleJob> idle_jobs() const;
   void on_match(const condor::Match& match);
@@ -54,7 +51,6 @@ class VanillaRunner {
   std::unique_ptr<condor::Negotiator> negotiator_;
   std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;
   std::uint64_t claim_counter_ = 0;
-  std::uint64_t shadows_spawned_ = 0;
   int crash_listener_ = 0;
 };
 

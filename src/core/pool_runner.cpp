@@ -115,7 +115,6 @@ void PoolRunner::on_deliver(const sim::Message& message) {
     schedd_.submit(std::move(desc));
   }
   host_.disk().put(marker, "1");
-  ++deliveries_accepted_;
   reply.set("status", "ok");
   sim::rpc_reply(network_, message, address(), std::move(reply));
   publish();
@@ -166,7 +165,6 @@ void PoolRunner::advertise_loop() {
 }
 
 void PoolRunner::on_match(const sim::Payload& body) {
-  ++matches_received_;
   const std::string name = body.get("job");
   const std::string slot_address = body.get("slot_address");
   if (published_id_ == 0 || name != ad_name(published_id_) ||
@@ -187,7 +185,6 @@ void PoolRunner::on_match(const sim::Payload& body) {
   shadow_job.checkpointed_work = job->checkpointed_work;
 
   const std::string claim_id = name + "." + std::to_string(++claim_counter_);
-  ++shadows_spawned_;
   auto shadow = std::make_unique<condor::Shadow>(
       host_, network_, shadow_job, sim::Address::parse(slot_address), claim_id,
       options_.shadow,

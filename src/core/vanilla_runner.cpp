@@ -61,7 +61,6 @@ void VanillaRunner::on_match(const condor::Match& match) {
 
   const std::string claim_id =
       match.job_id + "." + std::to_string(++claim_counter_);
-  ++shadows_spawned_;
   auto shadow = std::make_unique<condor::Shadow>(
       host_, network_, shadow_job, sim::Address::parse(*slot_addr), claim_id,
       options_.shadow,

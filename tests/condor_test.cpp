@@ -416,6 +416,30 @@ TEST_F(PoolFixture, NegotiatorSlotConstraintIsConfigurable) {
   EXPECT_EQ(matched[0].slot_ad.eval_string("State"), "Running");
 }
 
+// A negotiator destroyed while its host lives must leave neither its cycle
+// timer nor its boot hook behind: either would run a cycle on a dead object.
+TEST_F(PoolFixture, DestroyedNegotiatorLeavesNoTimerOrBootHook) {
+  int job_source_calls = 0;
+  {
+    cc::Negotiator negotiator(
+        submit, collector,
+        [&] {
+          ++job_source_calls;
+          return std::vector<cc::IdleJob>{};
+        },
+        [](const cc::Match&) {});
+    negotiator.start();  // first cycle now, the next at t = 60
+  }
+  world.sim().run_until(200.0);
+  submit.crash_for(10.0);  // the restart runs the host's boot hooks
+  world.sim().run_until(300.0);
+  EXPECT_EQ(job_source_calls, 1);
+  EXPECT_EQ(submit.metrics()
+                .counter("negotiator.cycles", {{"host", submit.name()}})
+                .value(),
+            1u);
+}
+
 // ---------- explicit shutdown request ----------
 
 TEST_F(PoolFixture, ShutdownMessageEvictsAndExits) {

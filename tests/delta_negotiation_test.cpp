@@ -4,8 +4,8 @@
 // change appends to the bounded log under a monotone sequence, identical
 // re-publishes are checksum no-ops, truncation and restarts force a resync.
 // The PoolNegotiator half pins delta-negotiation *soundness*: with the
-// anti-entropy sweep running every cycle, the delta-restricted matcher must
-// stay byte-equivalent to the retained full-requery reference across
+// anti-entropy sweep running every cycle, the restricted match pass must
+// stay byte-equivalent to an unrestricted pass of the same matcher across
 // randomized churn — zero recorded divergences.
 #include <gtest/gtest.h>
 
@@ -242,6 +242,22 @@ TEST_F(CentralFixture, QuiescentCyclesAreSkipped) {
   EXPECT_EQ(quiet.skipped_cycles(), 2u);
 }
 
+// A pool negotiator destroyed while the central host lives must leave no
+// cycle timer behind, across a host crash and restart too.
+TEST_F(CentralFixture, DestroyedPoolNegotiatorLeavesNoCycleTimer) {
+  {
+    cc::PoolNegotiator gone(central, world.net(), collector);
+    gone.start();  // first cycle now, the next at t = 60
+  }
+  world.sim().run_until(200.0);
+  central.crash_for(10.0);
+  world.sim().run_until(300.0);
+  EXPECT_EQ(central.metrics()
+                .counter("pool_negotiator.cycles", {{"host", central.name()}})
+                .value(),
+            1u);
+}
+
 TEST_F(NegotiatorFixture, LapsedHoldReentersNegotiation) {
   advertise("m1", machine_ad("m1", 512));
   advertise("ada#job1", job_ad("ada#job1", "ada"));
@@ -294,9 +310,9 @@ TEST_F(NegotiatorFixture, TruncationTriggersFullResync) {
 
 // The soundness gate: randomized churn (ads appearing, mutating, dying;
 // jobs and machines mixed; holds lapsing mid-stream) with the anti-entropy
-// sweep auditing *every* cycle. Any divergence between the delta-restricted
-// matcher and the full-scan reference — or between the mirror and a full
-// collector read — fails the test.
+// sweep auditing *every* cycle. Any divergence between the restricted and
+// the unrestricted match pass — or between the mirror and a full collector
+// read — fails the test.
 TEST_F(NegotiatorFixture, RandomizedChurnNeverDiverges) {
   std::mt19937 rng(2001);
   const char* users[] = {"ada", "bob", "eve"};

@@ -7,22 +7,26 @@
 // deliberately covering analyzable conjuncts, unscoped references, absent
 // attributes, non-literal slot attributes, undefined/error literals, and
 // OR/ternary shapes the analyzer must refuse to touch — through both the
-// optimized matcher and the retained reference implementation, and require
-// byte-identical results. symmetric_match / eval_rank (cached attribute
-// resolution) are pinned against lookup-based evaluation the same way.
+// optimized matcher and the naive oracle (oracles/), and require
+// byte-identical results, with and without the delta restriction.
+// symmetric_match / eval_rank (cached attribute resolution) are pinned
+// against lookup-based evaluation the same way.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "condorg/classad/parser.h"
 #include "condorg/condor/negotiator.h"
+#include "condorg/oracles/match_oracle.h"
 #include "condorg/util/rng.h"
 
 namespace ca = condorg::classad;
 namespace cc = condorg::condor;
 namespace cu = condorg::util;
+namespace oracles = condorg::oracles;
 
 namespace {
 
@@ -119,6 +123,29 @@ void expect_identical(const std::vector<cc::Match>& got,
   }
 }
 
+/// Borrowed matcher inputs over `jobs` and `slots`; each is flagged changed
+/// with probability `jobs_changed_in_8` / 8 (resp. `slots_changed_in_8`).
+struct Inputs {
+  std::vector<cc::MatchInput> jobs;
+  std::vector<cc::MatchInput> slots;
+};
+
+Inputs flagged_inputs(cu::Rng& rng, const std::vector<cc::IdleJob>& jobs,
+                      const std::vector<cc::Collector::AdPtr>& slots,
+                      std::uint64_t jobs_changed_in_8,
+                      std::uint64_t slots_changed_in_8) {
+  Inputs in;
+  for (const cc::IdleJob& job : jobs) {
+    in.jobs.push_back(
+        {&job.job_id, &job.ad, rng.below(8) < jobs_changed_in_8});
+  }
+  for (const cc::Collector::AdPtr& slot : slots) {
+    in.slots.push_back(
+        {nullptr, slot.get(), rng.below(8) < slots_changed_in_8});
+  }
+  return in;
+}
+
 /// Lookup-based evaluation, the way symmetric_match worked before the
 /// cached Requirements/Rank resolution.
 bool lookup_symmetric_match(const ca::ClassAd& left, const ca::ClassAd& right) {
@@ -145,7 +172,67 @@ TEST(MatcherEquivalence, OptimizedMatchesReferenceOnRandomPopulations) {
     const auto jobs = random_jobs(rng, 30 + rng.below(30));
     const auto slots = random_slots(rng, 40 + rng.below(40));
     expect_identical(cc::match_jobs_to_slots(jobs, slots),
-                     cc::match_jobs_to_slots_reference(jobs, slots), seed);
+                     oracles::match_jobs_to_slots_reference(jobs, slots),
+                     seed);
+  }
+}
+
+TEST(MatcherEquivalence, RestrictedMatchesNaiveRestrictedLoop) {
+  // (changed jobs, changed slots) out of 8: sparse churn through heavy.
+  const std::uint64_t mixes[][2] = {{1, 1}, {2, 1}, {1, 4}, {4, 4}, {6, 2}};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    for (const auto& mix : mixes) {
+      cu::Rng rng(seed);
+      const auto jobs = random_jobs(rng, 30 + rng.below(30));
+      const auto slots = random_slots(rng, 40 + rng.below(40));
+      const Inputs in = flagged_inputs(rng, jobs, slots, mix[0], mix[1]);
+      expect_identical(
+          cc::match_jobs_to_slots(in.jobs, in.slots, /*restricted=*/true),
+          oracles::match_jobs_to_slots_reference(in.jobs, in.slots,
+                                                 /*restricted=*/true),
+          seed);
+    }
+  }
+}
+
+TEST(MatcherEquivalence, RestrictedEdgeCases) {
+  for (std::uint64_t seed = 20; seed < 26; ++seed) {
+    cu::Rng rng(seed);
+    const auto jobs = random_jobs(rng, 30);
+    const auto slots = random_slots(rng, 40);
+    const auto restricted = [](const Inputs& in) {
+      const auto got = cc::match_jobs_to_slots(in.jobs, in.slots, true);
+      return std::make_pair(got, oracles::match_jobs_to_slots_reference(
+                                     in.jobs, in.slots, true));
+    };
+
+    // All clean: only changed slots are candidates, and with none changed
+    // nothing can match.
+    const Inputs clean = flagged_inputs(rng, jobs, slots, 0, 3);
+    const auto [clean_got, clean_want] = restricted(clean);
+    expect_identical(clean_got, clean_want, seed);
+    const Inputs idle = flagged_inputs(rng, jobs, slots, 0, 0);
+    EXPECT_TRUE(cc::match_jobs_to_slots(idle.jobs, idle.slots, true).empty())
+        << "seed " << seed;
+
+    // No changed slot: clean jobs try nothing, so the result is exactly the
+    // full scan over the dirty jobs alone.
+    const Inputs frozen = flagged_inputs(rng, jobs, slots, 3, 0);
+    const auto [frozen_got, frozen_want] = restricted(frozen);
+    expect_identical(frozen_got, frozen_want, seed);
+    std::vector<cc::MatchInput> dirty_only;
+    for (const cc::MatchInput& job : frozen.jobs) {
+      if (job.changed) dirty_only.push_back(job);
+    }
+    expect_identical(frozen_got,
+                     cc::match_jobs_to_slots(dirty_only, frozen.slots), seed);
+
+    // All dirty: the restriction is a no-op, identical to a full scan.
+    const Inputs dirty = flagged_inputs(rng, jobs, slots, 8, 2);
+    const auto [dirty_got, dirty_want] = restricted(dirty);
+    expect_identical(dirty_got, dirty_want, seed);
+    expect_identical(dirty_got,
+                     cc::match_jobs_to_slots(dirty.jobs, dirty.slots), seed);
   }
 }
 
@@ -159,7 +246,7 @@ TEST(MatcherEquivalence, PlainAdOverloadMatchesReference) {
     shared.push_back(std::make_shared<const ca::ClassAd>(plain.back()));
   }
   expect_identical(cc::match_jobs_to_slots(jobs, plain),
-                   cc::match_jobs_to_slots_reference(jobs, shared), 77);
+                   oracles::match_jobs_to_slots_reference(jobs, shared), 77);
 }
 
 TEST(MatcherEquivalence, EmptyEdgeCases) {
@@ -170,8 +257,8 @@ TEST(MatcherEquivalence, EmptyEdgeCases) {
   const std::vector<cc::Collector::AdPtr> no_slots;
   EXPECT_TRUE(cc::match_jobs_to_slots(no_jobs, slots).empty());
   EXPECT_TRUE(cc::match_jobs_to_slots(jobs, no_slots).empty());
-  EXPECT_TRUE(cc::match_jobs_to_slots_reference(no_jobs, slots).empty());
-  EXPECT_TRUE(cc::match_jobs_to_slots_reference(jobs, no_slots).empty());
+  EXPECT_TRUE(oracles::match_jobs_to_slots_reference(no_jobs, slots).empty());
+  EXPECT_TRUE(oracles::match_jobs_to_slots_reference(jobs, no_slots).empty());
 }
 
 TEST(MatcherEquivalence, SymmetricMatchAgreesWithLookupEvaluation) {

@@ -1,17 +1,28 @@
 // Determinism acceptance for the island-parallel kernel: the same scenario
 // must produce byte-identical artifacts — trace digest, tracer JSONL, user
-// log, DetSan report — for every CONDORG_PARALLEL worker count, and the
-// strict (tracer-armed) executor must commit exactly the stream the
-// windowed executor commits. These are the equalities DESIGN.md §15
-// promises; bench_k1_island_scale re-checks them at bench scale.
+// log, DetSan report, the shared pool's matches and job tables — for every
+// CONDORG_PARALLEL worker count, and the strict (tracer-armed) executor must
+// commit exactly the stream the windowed executor commits. These are the
+// equalities DESIGN.md §15 promises; bench_k1_island_scale and
+// bench_u1_multiuser re-check them at bench scale.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "condorg/classad/parser.h"
+#include "condorg/condor/collector.h"
+#include "condorg/condor/pool_negotiator.h"
+#include "condorg/condor/startd.h"
 #include "condorg/core/agent.h"
 #include "condorg/core/broker.h"
+#include "condorg/core/pool_runner.h"
+#include "condorg/core/portal.h"
+#include "condorg/core/portal_client.h"
+#include "condorg/core/schedd.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/explorer.h"
 #include "condorg/sim/world.h"
@@ -20,6 +31,7 @@
 
 namespace {
 
+namespace cc = condorg::condor;
 namespace core = condorg::core;
 namespace cw = condorg::workloads;
 namespace det = condorg::det;
@@ -203,6 +215,129 @@ TEST(ParallelDigest, FaultDrillByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.dispatched, base.dispatched) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.user_log, base.user_log) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
+  }
+}
+
+struct PoolArtifacts {
+  std::uint64_t digest = 0;
+  std::uint64_t dispatched = 0;
+  std::map<std::string, std::uint64_t> matched_by_user;
+  std::string job_tables;
+  std::size_t completed = 0;
+  std::uint64_t sweeps = 0;
+  std::uint64_t divergences = 0;
+  std::vector<std::string> audit;
+};
+
+/// The portal_storm shape in miniature: six users submit through one Portal
+/// into per-user PoolRunners, whose job ads the delta PoolNegotiator
+/// matches against six slots in three site groups, with the anti-entropy
+/// sweep auditing every cycle. The user and slot hosts spread over islands,
+/// so the negotiator runs next to worker threads.
+PoolArtifacts run_pool_storm(unsigned threads) {
+  sim::World::ScopedParallelOverride force(static_cast<int>(threads));
+  sim::World world(/*seed=*/2001);
+  sim::Host& central = world.add_host("portal.grid");
+  cc::Collector collector(central, world.net());
+  cc::PoolNegotiatorOptions nopt;
+  nopt.cycle_period = 5.0;
+  nopt.full_sweep_every = 1;
+  nopt.hold_timeout = 60.0;
+  cc::PoolNegotiator negotiator(central, world.net(), collector, nopt);
+  core::Portal portal(central, world.net());
+
+  struct User {
+    std::string name;
+    std::unique_ptr<core::Schedd> schedd;
+    std::unique_ptr<core::PoolRunner> runner;
+    std::unique_ptr<core::PortalClient> client;
+  };
+  std::vector<User> users(6);
+  for (std::size_t u = 0; u < users.size(); ++u) {
+    User& user = users[u];
+    user.name = "u" + std::to_string(u);
+    sim::Host& host = world.add_host(user.name + ".grid");
+    user.schedd = std::make_unique<core::Schedd>(host);
+    core::PoolRunnerOptions ropt;
+    ropt.collector = collector.address();
+    ropt.advertise_period = 30.0;
+    ropt.shadow.poll_interval = 30.0;
+    user.runner =
+        std::make_unique<core::PoolRunner>(*user.schedd, world.net(), ropt);
+    core::PortalClientOptions copt;
+    copt.portal = portal.address();
+    copt.deliver_to = user.runner->address();
+    copt.user = user.name;
+    copt.total_jobs = 4;
+    copt.batch_size = 2;
+    copt.runtime_seconds = 20.0 + 10.0 * static_cast<double>(u % 3);
+    copt.requirements =
+        "other.SiteGroup == \"g" + std::to_string(u % 2) + "\"";
+    user.client =
+        std::make_unique<core::PortalClient>(host, world.net(), copt);
+  }
+  std::vector<std::unique_ptr<cc::Startd>> startds;
+  for (int g = 0; g < 3; ++g) {
+    for (int n = 0; n < 2; ++n) {
+      const std::string node =
+          "g" + std::to_string(g) + "-n" + std::to_string(n) + ".grid";
+      sim::Host& host = world.add_host(node);
+      cc::StartdOptions sopt;
+      sopt.collector = collector.address();
+      sopt.advertise_period = 30.0;
+      sopt.checkpoint_interval = 300.0;
+      sopt.base_ad = condorg::classad::parse_ad(
+          "[Arch = \"X86_64\"; Memory = 512; SiteGroup = \"g" +
+          std::to_string(g) + "\"]");
+      startds.push_back(std::make_unique<cc::Startd>(
+          host, world.net(), "slot1@" + node, sopt));
+    }
+  }
+
+  portal.start();
+  negotiator.start();
+  for (User& user : users) {
+    user.runner->start();
+    user.client->start();
+  }
+  world.sim().run_until(3000.0);
+
+  PoolArtifacts out;
+  out.digest = world.sim().trace_digest();
+  out.dispatched = world.sim().dispatched();
+  out.matched_by_user = negotiator.matched_by_user();
+  for (const User& user : users) {
+    out.completed += user.schedd->count(core::JobStatus::kCompleted);
+    for (const auto& [id, job] : user.schedd->jobs()) {
+      out.job_tables += user.name + " " + std::to_string(id) + " " +
+                        core::to_string(job.status) + " " +
+                        std::to_string(job.submit_time) + " " +
+                        std::to_string(job.first_execute_time) + " " +
+                        std::to_string(job.completion_time) + "\n";
+    }
+  }
+  out.sweeps = negotiator.sweeps();
+  out.divergences = negotiator.divergences();
+  negotiator.audit(out.audit);
+  return out;
+}
+
+TEST(ParallelDigest, PoolNegotiatorByteIdenticalAcrossThreadCounts) {
+  const PoolArtifacts base = run_pool_storm(kThreadCounts[0]);
+  EXPECT_EQ(base.completed, 24u);  // six users x four jobs, all drained
+  EXPECT_EQ(base.matched_by_user.size(), 6u);
+  EXPECT_GT(base.sweeps, 0u);
+  EXPECT_EQ(base.divergences, 0u);
+  EXPECT_TRUE(base.audit.empty());
+  for (std::size_t i = 1; i < std::size(kThreadCounts); ++i) {
+    const PoolArtifacts a = run_pool_storm(kThreadCounts[i]);
+    EXPECT_EQ(a.digest, base.digest) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.dispatched, base.dispatched) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.matched_by_user, base.matched_by_user)
+        << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.job_tables, base.job_tables) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.divergences, 0u) << "N=" << kThreadCounts[i];
+    EXPECT_TRUE(a.audit.empty()) << "N=" << kThreadCounts[i];
   }
 }
 
