@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "condorg/classad/classad.h"
@@ -159,6 +160,13 @@ struct LogicCase {
   const char* expr;
   const char* expected;  // "true", "false", "undefined", "error"
 };
+
+// Without a printer gtest shows the raw pointer bytes, so the ctest names
+// that gtest_discover_tests derives from the value change with every load
+// address. Printing the case keeps the names stable and readable.
+void PrintTo(const LogicCase& c, std::ostream* os) {
+  *os << c.expr << " -> " << c.expected;
+}
 
 class ThreeValuedLogic : public ::testing::TestWithParam<LogicCase> {};
 
