@@ -6,6 +6,7 @@
 
 #include "condorg/core/agent.h"
 #include "condorg/gass/file_service.h"
+#include "condorg/sim/det.h"
 #include "condorg/util/strings.h"
 #include "condorg/workloads/grid_builder.h"
 
@@ -79,6 +80,9 @@ int main() {
               agent.log().count(core::LogEventKind::kEvicted));
   std::printf("total wall time: %s\n",
               condorg::util::format_duration(testbed.world().now()).c_str());
+  // Determinism sanitizer (CONDORG_DETSAN=1): the manager, the node-side
+  // starters and their Startds must touch only their own host's state.
+  if (condorg::det::report("glidein_pool") > 0) return 4;
   return completed == static_cast<int>(ids.size()) &&
                  glideins.live_glideins() == 0
              ? 0

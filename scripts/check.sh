@@ -58,11 +58,13 @@ bash scripts/tidy.sh --build-dir build
 stage_end
 
 stage_begin "detsan.smoke (determinism sanitizer armed)"
-# The dynamic half: quickstart, the fault drill, and the S1 submission
-# storm must complete with zero host-ownership violations when DetSan is
-# armed via the environment (exit 4 is the detsan-failure exit).
+# The dynamic half: quickstart, the fault drill, the glide-in pool, and
+# the S1 submission storm must complete with zero host-ownership
+# violations when DetSan is armed via the environment (exit 4 is the
+# detsan-failure exit).
 CONDORG_DETSAN=1 ./build/examples/quickstart >/dev/null
 CONDORG_DETSAN=1 ./build/examples/fault_drill >/dev/null
+CONDORG_DETSAN=1 ./build/examples/glidein_pool >/dev/null
 CONDORG_DETSAN=1 CONDORG_BENCH_DIR="$(mktemp -d)" \
   ./build/bench/bench_s1_submission_storm \
   --benchmark_filter='BM_SubmissionStorm/1000x8sites' >/dev/null
@@ -94,6 +96,11 @@ cmp "${pd_dir}/q1.out" "${pd_dir}/q8.out"
 CONDORG_PARALLEL=2 ./build/examples/fault_drill > "${pd_dir}/f2.out"
 CONDORG_PARALLEL=4 ./build/examples/fault_drill > "${pd_dir}/f4.out"
 cmp "${pd_dir}/f2.out" "${pd_dir}/f4.out"
+CONDORG_PARALLEL=1 ./build/examples/glidein_pool > "${pd_dir}/g1.out"
+CONDORG_PARALLEL=4 ./build/examples/glidein_pool > "${pd_dir}/g4.out"
+CONDORG_PARALLEL=8 ./build/examples/glidein_pool > "${pd_dir}/g8.out"
+cmp "${pd_dir}/g1.out" "${pd_dir}/g4.out"
+cmp "${pd_dir}/g1.out" "${pd_dir}/g8.out"
 rm -rf "${pd_dir}"
 stage_end
 

@@ -11,6 +11,7 @@
 #include <functional>
 #include <string>
 
+#include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
 #include "condorg/sim/network.h"
 #include "condorg/sim/rpc.h"
@@ -31,6 +32,9 @@ struct ShadowOptions {
 
 class Shadow {
  public:
+  /// Runs on the submit host, next to the job's Schedd.
+  CONDORG_HOST_LOCAL("user");
+
   enum class Outcome { kPending, kDone, kRequeued };
 
   /// `on_done(job_id)` — job finished all its work.

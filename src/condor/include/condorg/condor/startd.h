@@ -15,6 +15,7 @@
 #include <string>
 
 #include "condorg/classad/classad.h"
+#include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
 #include "condorg/sim/lifetime.h"
 #include "condorg/sim/network.h"
@@ -56,10 +57,14 @@ struct StartdOptions {
 
 class Startd {
  public:
+  /// Runs on an execute node: a glide-in's cluster host or a pool slot.
+  CONDORG_HOST_LOCAL("site");
+
   enum class State { kOwner, kUnclaimed, kClaimed, kRunning, kExited };
 
   /// `on_exit` fires when the daemon shuts down (allocation expiry, idle
-  /// timeout) — for a GlideIn this is when its batch job slot frees up.
+  /// timeout; not on a host crash) — for a GlideIn this is when its batch
+  /// job slot frees up.
   Startd(sim::Host& host, sim::Network& network, std::string slot_name,
          StartdOptions options, std::function<void()> on_exit = nullptr);
   ~Startd();
@@ -115,6 +120,8 @@ class Startd {
   util::Rng rng_;
 
   State state_ = State::kUnclaimed;
+  // det-local(claim_): touched only from this node's own message and timer
+  // events; setup code or the node itself builds and destroys the Startd.
   std::optional<Claim> claim_;
   // Running-job bookkeeping.
   double activated_at_ = 0;

@@ -47,11 +47,9 @@ Startd::Startd(sim::Host& host, sim::Network& network, std::string slot_name,
                }));
   }
   // A host crash kills the daemon outright: no eviction notice, no
-  // checkpoint — the shadow must discover the loss by probing.
-  crash_listener_ = host_.add_crash_listener([this] {
-    state_ = State::kExited;
-    if (on_exit_) on_exit_();
-  });
+  // checkpoint, no on_exit — the shadow must discover the loss by probing.
+  crash_listener_ =
+      host_.add_crash_listener([this] { state_ = State::kExited; });
 }
 
 Startd::~Startd() {

@@ -1,6 +1,8 @@
 #include "condorg/core/glidein.h"
 
-#include "condorg/gass/client.h"
+#include <stdexcept>
+
+#include "condorg/core/glidein_starter.h"
 
 namespace condorg::core {
 namespace {
@@ -16,55 +18,38 @@ GlideInManager::GlideInManager(Schedd& schedd, sim::Network& network,
       host_(schedd.host()),
       gass_(gass),
       options_(std::move(options)),
-      gram_(host_, network, "glidein", {}) {
+      gram_(host_, network, "glidein", {}),
+      rpc_(host_, network, std::string(kCallbackService) + ".rpc"),
+      glideins_(host_, "glidein.glideins"),
+      stashed_states_(host_, "glidein.stashed_states") {
   // The bootstrap "executable" every glidein stages in: "a portable shell
   // script, which in turn uses GSI-authenticated GridFTP to retrieve the
   // Condor executables from a central repository".
   gass_.store().put(kBootstrapPath, "#!/bin/sh glidein_startup", 64 * 1024);
-  host_.register_service(kCallbackService, [this](const sim::Message& m) {
-    if (m.type != "gram.callback") {
-      host_.metrics()
-          .counter("unknown_message",
-                   {{"daemon", "glidein"}, {"type", m.type}})
-          .inc();
-      return;
-    }
-    const std::string contact = m.body.get("contact");
-    const std::string state = m.body.get("state");
-    const auto it = contact_site_.find(contact);
-    if (it == contact_site_.end()) {
-      stashed_states_[contact] = state;  // submit-ack still in flight
-      return;
-    }
-    SiteState& site = *it->second;
-    if (state == "ACTIVE") {
-      // Delayed binding: the site's batch system just allocated our slot.
-      if (site.pending > 0) {
-        --site.pending;
-        --pending_;
-        ++site.live;
-        launch_startd(site, contact);
-      }
-    } else if (state == "DONE" || state == "FAILED") {
-      // Allocation ended (or submission failed). The startd's own expiry
-      // handling does the eviction; here we reconcile counters for
-      // glideins that failed before ever starting.
-      if (site.pending > 0 && !startds_.count(contact)) {
-        --site.pending;
-        --pending_;
-      }
-      contact_site_.erase(it);
-    }
-  });
+  host_.register_service(kCallbackService,
+                         [this](const sim::Message& m) { on_message(m); });
 }
 
 GlideInManager::~GlideInManager() {
   if (host_.alive()) host_.unregister_service(kCallbackService);
 }
 
+sim::Address GlideInManager::address() const {
+  return {host_.name(), kCallbackService};
+}
+
 void GlideInManager::add_site(GlideInSite site) {
+  sim::Host* node = site.cluster_host;
+  if (node == nullptr) {
+    throw std::invalid_argument("glide-in site " + site.name +
+                                " has no cluster host");
+  }
   auto state = std::make_unique<SiteState>();
   state->site = std::move(site);
+  state->starter = sim::Address{node->name(), GlideInStarter::kService};
+  // lint-allow(cross-partition-ref): setup-time construction in add_site
+  starters_.push_back(std::make_unique<GlideInStarter>(
+      *node, network_, state->site.name, options_, address()));
   sites_.push_back(std::move(state));
 }
 
@@ -79,23 +64,21 @@ std::size_t GlideInManager::demand() const {
 }
 
 void GlideInManager::tick() {
-  if (!paused_) {
-    // Flood bounded by per-site caps: keep (pending + live) glideins no
-    // larger than the number of idle jobs, spread round-robin over sites.
-    std::size_t supply = pending_ + startds_.size();
-    const std::size_t want = demand();
-    bool progress = true;
-    while (supply < want && progress) {
-      progress = false;
-      for (auto& state : sites_) {
-        if (supply >= want) break;
-        if (state->pending + state->live >= state->site.max_glideins) {
-          continue;
-        }
-        submit_glidein(*state);
-        ++supply;
-        progress = true;
+  // Flood bounded by per-site caps: keep (pending + live) glideins no
+  // larger than the number of idle jobs, spread round-robin over sites.
+  std::size_t supply = pending_ + live_;
+  const std::size_t want = demand();
+  bool progress = true;
+  while (supply < want && progress) {
+    progress = false;
+    for (auto& state : sites_) {
+      if (supply >= want) break;
+      if (state->pending + state->live >= state->site.max_glideins) {
+        continue;
       }
+      submit_glidein(*state);
+      ++supply;
+      progress = true;
     }
   }
   host_.post(options_.tick_interval, [this] { tick(); });
@@ -113,81 +96,91 @@ void GlideInManager::submit_glidein(SiteState& state) {
   ++state.pending;
   ++pending_;
   ++submitted_;
-  gram_.submit(state.site.gatekeeper, spec,
-               sim::Address{host_.name(), kCallbackService},
+  gram_.submit(state.site.gatekeeper, spec, address(),
                [this, &state](std::optional<std::string> contact) {
                  if (!contact) {
                    --state.pending;
                    --pending_;
                    return;
                  }
-                 contact_site_[*contact] = &state;
-                 const auto stashed = stashed_states_.find(*contact);
-                 if (stashed != stashed_states_.end()) {
-                   const std::string s = stashed->second;
-                   stashed_states_.erase(stashed);
-                   // Replay the state we missed.
-                   sim::Message replay;
-                   replay.type = "gram.callback";
-                   replay.body.set("contact", *contact);
-                   replay.body.set("state", s);
-                   if (const auto* handler =
-                           host_.find_service(kCallbackService)) {
-                     (*handler)(replay);
-                   }
+                 (*glideins_)[*contact] = Glidein{&state};
+                 const auto stashed = stashed_states_->find(*contact);
+                 if (stashed != stashed_states_->end()) {
+                   const std::string missed = stashed->second;
+                   stashed_states_->erase(stashed);
+                   on_state(*contact, missed);
                  }
                });
 }
 
-void GlideInManager::launch_startd(SiteState& state,
-                                   const std::string& contact) {
-  sim::Host* node = state.site.cluster_host;
-  if (node == nullptr || !node->alive()) return;
-
-  const std::string slot_name = "glidein" + std::to_string(++glidein_counter_) +
-                                "@" + state.site.name;
-  auto create = [this, &state, contact, slot_name, node] {
-    condor::StartdOptions so;
-    so.collector = options_.collector;
-    so.advertise_period = options_.advertise_period;
-    so.checkpoint_interval = options_.checkpoint_interval;
-    so.allocation_expires_at = host_.sim().now() + options_.walltime;
-    so.idle_timeout = options_.idle_timeout;
-    if (options_.mean_slot_available_seconds > 0) {
-      so.owner_activity = true;
-      so.mean_owner_away_seconds = options_.mean_slot_available_seconds;
-      so.mean_owner_busy_seconds = options_.mean_slot_reclaimed_seconds;
-    }
-    so.base_ad = options_.slot_base_ad;
-    so.base_ad.insert_string("GlideIn", "true");
-    so.base_ad.insert_string("Site", state.site.name);
-    ++launched_;
-    startds_[contact] = std::make_unique<condor::Startd>(
-        *node, network_, slot_name, std::move(so),
-        /*on_exit=*/[this, &state, contact] {
-          ++exited_;
-          if (state.live > 0) --state.live;
-          // Free the batch slot if the daemon quit before its allocation
-          // ended (idle timeout): cancel the GRAM job.
-          gram_.cancel(contact, [](bool) {});
-          host_.post(0.0, [this, contact] { startds_.erase(contact); });
-        });
-  };
-
-  if (options_.binary_repository) {
-    // Fetch the Condor binaries from the central repository first; the
-    // startd only comes up once the transfer lands.
-    auto fetcher = std::make_shared<gass::FileClient>(
-        *node, network_, "glidein.fetch." + slot_name);
-    fetcher->get(*options_.binary_repository, options_.binary_path,
-                 [create, fetcher](std::optional<gass::FileInfo> file) {
-                   if (file) create();
-                   // On failure the GRAM job idles until its allocation
-                   // ends; the site reclaims the slot.
-                 });
+void GlideInManager::on_message(const sim::Message& message) {
+  if (message.type == "gram.callback") {
+    on_state(message.body.get("contact"), message.body.get("state"));
+  } else if (message.type == "glidein.exited") {
+    on_exited(message.body.get("contact"));
   } else {
-    create();
+    host_.metrics()
+        .counter("unknown_message",
+                 {{"daemon", "glidein"}, {"type", message.type}})
+        .inc();
   }
+}
+
+void GlideInManager::on_state(const std::string& contact,
+                              const std::string& state) {
+  const auto it = glideins_->find(contact);
+  if (it == glideins_->end()) {
+    (*stashed_states_)[contact] = state;  // submit-ack still in flight
+    return;
+  }
+  Glidein& glidein = it->second;
+  SiteState& site = *glidein.site;
+  if (state == "ACTIVE") {
+    if (glidein.phase != Phase::kPending) return;
+    // Delayed binding: the site's batch system just allocated our slot.
+    // The payload starts the daemons on the node.
+    glidein.phase = Phase::kLive;
+    --site.pending;
+    --pending_;
+    ++site.live;
+    ++live_;
+    ++launched_;
+    sim::Payload start;
+    start.set("contact", contact);
+    start.set("slot", "glidein" + std::to_string(++glidein_counter_) + "@" +
+                          site.site.name);
+    start.set_double("expires_at", host_.now() + options_.walltime);
+    rpc_.notify(site.starter, "glidein.start", std::move(start));
+  } else if (state == "DONE" || state == "FAILED") {
+    // Allocation ended (or submission failed). A glide-in still counted
+    // live sent no exit notice (its node crashed, or the notice was lost):
+    // release it here. Its batch slot is already free, so no cancel.
+    if (glidein.phase == Phase::kPending) {
+      --site.pending;
+      --pending_;
+    }
+    release(glidein);
+    glideins_->erase(it);
+  }
+}
+
+void GlideInManager::on_exited(const std::string& contact) {
+  const auto it = glideins_->find(contact);
+  // Gone or already released: the GRAM callback beat the notice.
+  if (it == glideins_->end() || !release(it->second)) return;
+  // Free the batch slot if the daemon quit before its allocation ended
+  // (idle timeout): cancel the GRAM job. Its terminal callback then drops
+  // the record.
+  gram_.cancel(contact, [](bool) {});
+}
+
+bool GlideInManager::release(Glidein& glidein) {
+  if (glidein.phase != Phase::kLive) return false;
+  glidein.phase = Phase::kReleased;
+  --glidein.site->live;
+  --live_;
+  ++exited_;
+  return true;
 }
 
 }  // namespace condorg::core

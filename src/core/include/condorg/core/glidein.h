@@ -7,11 +7,13 @@
 // For each site, the manager submits GRAM jobs whose payload is the glidein
 // bootstrap (a portable script that fetches the Condor binaries from a
 // central repository over GSI GridFTP). When the site's batch system
-// actually starts the glidein (delayed binding!), a Startd comes up on the
-// site's compute side and advertises to the user's personal Collector; the
-// Negotiator then matches queued vanilla jobs to it. Daemons shut down
-// after a configurable idle period and at allocation expiry, checkpointing
-// and evicting any running job.
+// actually starts the glidein (delayed binding!), the manager tells the
+// site's node-side GlideInStarter (glidein_starter.h), which brings a
+// Startd up on the compute side; it advertises to the user's personal
+// Collector and the Negotiator then matches queued vanilla jobs to it.
+// Daemons shut down after a configurable idle period and at allocation
+// expiry, checkpointing and evicting any running job; the starter reports
+// the exit and the manager cancels the GRAM job.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +22,17 @@
 #include <string>
 #include <vector>
 
-#include "condorg/condor/startd.h"
+#include "condorg/classad/classad.h"
 #include "condorg/core/schedd.h"
 #include "condorg/gass/file_service.h"
 #include "condorg/gram/client.h"
+#include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
+#include "condorg/sim/rpc.h"
 
 namespace condorg::core {
+
+class GlideInStarter;
 
 /// A grid site glideins can be sent to. `cluster_host` is the compute-side
 /// host glided-in startds run on (a different failure domain from the
@@ -54,6 +60,7 @@ struct GlideInOptions {
   double mean_slot_reclaimed_seconds = 0.0;
   /// Central repository holding the Condor binaries; when set, each glidein
   /// pulls them (GSI GridFTP) before its Startd starts advertising.
+  /// det-local(binary_repository): configuration, copied and never mutated.
   std::optional<sim::Address> binary_repository;
   std::string binary_path = "condor/startd-bundle";
   classad::ClassAd slot_base_ad;
@@ -61,6 +68,9 @@ struct GlideInOptions {
 
 class GlideInManager {
  public:
+  /// Runs on the submit host, next to the user's Schedd.
+  CONDORG_HOST_LOCAL("user");
+
   GlideInManager(Schedd& schedd, sim::Network& network,
                  gass::FileService& gass, GlideInOptions options);
   ~GlideInManager();
@@ -68,6 +78,11 @@ class GlideInManager {
   GlideInManager(const GlideInManager&) = delete;
   GlideInManager& operator=(const GlideInManager&) = delete;
 
+  /// Where GRAM callbacks and the nodes' exit notices arrive.
+  sim::Address address() const;
+
+  /// Setup only: also builds the site's node-side GlideInStarter on its
+  /// cluster host, which the manager reaches only by message from then on.
   void add_site(GlideInSite site);
 
   /// Credential used for glidein GRAM submissions.
@@ -80,26 +95,38 @@ class GlideInManager {
   /// bounded per site).
   void start();
 
-  /// Stop submitting new glideins (existing ones drain via idle timeout).
-  void pause() { paused_ = true; }
-  void resume() { paused_ = false; }
-
   std::uint64_t glideins_submitted() const { return submitted_; }
+  /// Glide-ins whose GRAM job went ACTIVE and whose node was told to start.
   std::uint64_t glideins_started() const { return launched_; }
+  /// Started glide-ins released again: by their exit notice, or by the GRAM
+  /// job's terminal callback when no notice came (node crash).
   std::uint64_t glideins_exited() const { return exited_; }
-  std::size_t live_glideins() const { return startds_.size(); }
+  std::size_t live_glideins() const { return live_; }
   std::size_t pending_glideins() const { return pending_; }
 
  private:
   struct SiteState {
     GlideInSite site;
+    sim::Address starter;  // the site's node-side GlideInStarter
     int pending = 0;  // submitted, not yet ACTIVE
-    int live = 0;     // startd running
+    int live = 0;     // started, not yet released
+  };
+  /// A submitted glide-in as the manager counts it: pending until its GRAM
+  /// job goes ACTIVE, then live until released — by the node's exit notice
+  /// or by the job's terminal callback, whichever comes first.
+  enum class Phase { kPending, kLive, kReleased };
+  struct Glidein {
+    SiteState* site = nullptr;
+    Phase phase = Phase::kPending;
   };
 
+  void on_message(const sim::Message& message);
+  void on_state(const std::string& contact, const std::string& state);
+  void on_exited(const std::string& contact);
+  /// Count a live glide-in as gone; false if it was not live.
+  bool release(Glidein& glidein);
   void tick();
   void submit_glidein(SiteState& state);
-  void launch_startd(SiteState& state, const std::string& contact);
   std::size_t demand() const;
 
   Schedd& schedd_;
@@ -108,17 +135,24 @@ class GlideInManager {
   gass::FileService& gass_;
   GlideInOptions options_;
   gram::GramClient gram_;
+  sim::RpcClient rpc_;
+  // det-local(sites_): filled by add_site at setup; the per-site counters
+  // are touched only from this host's own callbacks and ticks.
   std::vector<std::unique_ptr<SiteState>> sites_;
-  std::map<std::string, std::unique_ptr<condor::Startd>> startds_;
-  std::map<std::string, SiteState*> contact_site_;
+  // det-local(starters_): built by add_site and destroyed with the
+  // manager, both outside any event; never touched in between.
+  // lint-allow(cross-partition-ref): setup-time construction in add_site
+  std::vector<std::unique_ptr<GlideInStarter>> starters_;
+  det::HostLocal<std::map<std::string, Glidein>> glideins_;
+  /// Callbacks that beat their submit-ack: contact -> state.
+  det::HostLocal<std::map<std::string, std::string>> stashed_states_;
   bool started_ = false;
-  bool paused_ = false;
   std::size_t pending_ = 0;
+  std::size_t live_ = 0;
   std::uint64_t glidein_counter_ = 0;
   std::uint64_t submitted_ = 0;
   std::uint64_t launched_ = 0;
   std::uint64_t exited_ = 0;
-  std::map<std::string, std::string> stashed_states_;  // contact -> state
 };
 
 }  // namespace condorg::core

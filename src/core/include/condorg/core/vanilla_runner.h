@@ -16,6 +16,7 @@
 #include "condorg/condor/negotiator.h"
 #include "condorg/condor/shadow.h"
 #include "condorg/core/schedd.h"
+#include "condorg/sim/det.h"
 #include "condorg/sim/network.h"
 
 namespace condorg::core {
@@ -27,6 +28,9 @@ struct VanillaRunnerOptions {
 
 class VanillaRunner {
  public:
+  /// Runs on the submit host, next to the user's Schedd.
+  CONDORG_HOST_LOCAL("user");
+
   VanillaRunner(Schedd& schedd, sim::Network& network,
                 condor::Collector& collector,
                 VanillaRunnerOptions options = {});
@@ -49,6 +53,8 @@ class VanillaRunner {
   sim::Host& host_;
   VanillaRunnerOptions options_;
   std::unique_ptr<condor::Negotiator> negotiator_;
+  // det-local(shadows_): touched only from this host's own match and
+  // shadow-outcome events; each Shadow lives on this host too.
   std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;
   std::uint64_t claim_counter_ = 0;
   int crash_listener_ = 0;

@@ -1,11 +1,13 @@
 // Object-lifetime guard for deferred callbacks.
 //
 // Host::post fences callbacks against host crashes (epoch change), but a
-// daemon object can also be *destroyed* within an epoch — a glide-in startd
-// torn down by its manager, a JobManager replaced after a process kill. Any
-// timer capturing `this` would then dangle. A Lifetime member makes that
-// safe: wrap(fn) runs fn only while the Lifetime (and hence its owner) is
-// still alive.
+// daemon object can also be *destroyed* within an epoch — a glide-in Startd
+// released by its node's starter once it exits, a JobManager replaced after
+// a process kill. Any timer capturing `this` would then dangle. A Lifetime
+// member makes that safe: wrap(fn) runs fn only while the Lifetime (and
+// hence its owner) is still alive. The owner is always destroyed from its
+// own host's context (or the control context), so cancelling its pending
+// events instead is legal too; RpcClient does that.
 #pragma once
 
 #include <functional>

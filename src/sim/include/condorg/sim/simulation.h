@@ -82,8 +82,6 @@ class Simulation {
   /// barrier) may cancel — cancelling another island's event mid-window
   /// would race with its dispatch.
   bool cancel(EventId id);
-  /// Whether cancel(id) may be called from the calling context.
-  bool may_cancel(EventId id) const;
 
   /// Run until the event queue is empty or stop() is called.
   void run();
@@ -187,8 +185,10 @@ class Simulation {
   }
 
   /// Schedule onto an explicit queue (Host::post routes timers to the
-  /// host's own queue whatever context arms them). Origin — and therefore
-  /// the FIFO tie-break — is still the scheduling context.
+  /// host's own queue). Origin — and therefore the FIFO tie-break — is
+  /// still the scheduling context. An event may schedule only onto its own
+  /// island (other islands are reached through the Network); the control
+  /// context may schedule anywhere. Throws std::logic_error otherwise.
   EventId schedule_on_queue(std::uint32_t queue, Time when,
                             std::function<void()> fn);
 

@@ -25,16 +25,9 @@ RpcClient::RpcClient(Host& host, Network& network, std::string service)
 }
 
 RpcClient::~RpcClient() {
-  // Outstanding timeouts are lifetime-guarded, so none fires into a
-  // destroyed client; cancel them where the kernel allows. A client torn
-  // down from another island (a glide-in startd released by its manager on
-  // the submit host) may not cancel the node's events: those fire later as
-  // no-ops.
-  life_.revoke();
+  // Outstanding timeout events must not fire into a destroyed client.
   for (auto& [id, pending] : pending_) {
-    if (host_.sim().may_cancel(pending.timeout_event)) {
-      host_.sim().cancel(pending.timeout_event);
-    }
+    host_.sim().cancel(pending.timeout_event);
   }
   host_.remove_crash_listener(crash_listener_);
   host_.remove_boot(boot_id_);
@@ -53,14 +46,13 @@ void RpcClient::call(const Address& to, const std::string& type,
   payload.set_uint(kRpcId, id);
   payload.set(kRpcReplyTo, address().str());
 
-  const EventId timeout_event =
-      host_.post(timeout_seconds, life_.wrap([this, id] {
-                   const auto it = pending_.find(id);
-                   if (it == pending_.end()) return;
-                   Callback cb = std::move(it->second.callback);
-                   pending_.erase(it);
-                   cb(false, Payload{});
-                 }));
+  const EventId timeout_event = host_.post(timeout_seconds, [this, id] {
+    const auto it = pending_.find(id);
+    if (it == pending_.end()) return;
+    Callback cb = std::move(it->second.callback);
+    pending_.erase(it);
+    cb(false, Payload{});
+  });
   pending_.emplace(id, Pending{std::move(callback), timeout_event});
 
   Message message;

@@ -272,18 +272,6 @@ struct IslandEngine {
     return true;
   }
 
-  // Whether a running island still holds an event below the window bound.
-  bool pending_below_bound() {
-    for (const std::uint32_t island : work_islands) {
-      if (halted(island)) continue;
-      for (const std::uint32_t qid : members[island]) {
-        DigestKey k;
-        if (peek_key(sim.queues_[qid], &k) && k < bound) return true;
-      }
-    }
-    return false;
-  }
-
   bool halted(std::uint32_t island) const {
     for (const std::uint32_t qid : members[island]) {
       if (sim.queues_[qid].halted) return true;
@@ -571,12 +559,6 @@ struct IslandEngine {
       bound = b;
       ++stats[0].epochs;  // the control row doubles as the window count
       run_execute_phase();
-      // A host that drives a daemon object living on another host (the
-      // GlideIn manager does) posts straight into that island's calendar;
-      // when the island already ran this window, the event sits below the
-      // bound. Run the window again so it still commits inside it —
-      // partition-clean workloads never need a second pass.
-      while (pending_below_bound()) run_execute_phase();
       merge_logs();
       if (s.stopped_.load(std::memory_order_relaxed)) break;
     }
@@ -846,6 +828,17 @@ EventId Simulation::schedule_on_queue(std::uint32_t queue, Time when,
                                       std::function<void()> fn) {
   if (!fn) throw std::invalid_argument("schedule_at: null callback");
   const std::uint32_t origin = context_queue();
+  // The partition contract: an event schedules only on its own island.
+  // Another island may be mid-window on another worker, so reaching it
+  // directly would race; it is reached through the Network
+  // (schedule_cross), which hands the delivery over at a barrier. The
+  // control context runs at barriers and may schedule anywhere; queues
+  // younger than the plan are not executed by anyone until it resyncs.
+  if (origin != 0 && engine_ != nullptr &&
+      queue < engine_->island_of.size() &&
+      engine_->island_of[queue] != engine_->island_of[origin]) {
+    throw std::logic_error("schedule: event targets another island's queue");
+  }
   QueueState& oq = queues_[origin];
   if (when < oq.local_now) when = oq.local_now;  // no scheduling into the past
   return schedule_keyed(queue, when, order_key(origin, ++oq.ctr),
@@ -966,10 +959,11 @@ bool Simulation::cancel(EventId id) {
   // reaching across islands would race with the target's dispatch — it is
   // exactly the cross-host state access the partition contract forbids, so
   // fail loudly.
-  if (!may_cancel(id)) {
+  const std::uint32_t queue = static_cast<std::uint32_t>(id >> 50);
+  const std::uint32_t context = context_queue();
+  if (context != 0 && context != queue) {
     throw std::logic_error("cancel: event belongs to another island's queue");
   }
-  const std::uint32_t queue = static_cast<std::uint32_t>(id >> 50);
   const std::uint64_t slot_p1 = (id >> 28) & ((1ull << 22) - 1);
   if (queue >= queues_.size()) return false;
   QueueState& q = queues_[queue];
@@ -983,11 +977,6 @@ bool Simulation::cancel(EventId id) {
   --q.live;
   ++q.tombstones;  // buried entry; settled when the lazy deletion drains it
   return true;
-}
-
-bool Simulation::may_cancel(EventId id) const {
-  const std::uint32_t context = context_queue();
-  return context == 0 || context == static_cast<std::uint32_t>(id >> 50);
 }
 
 // FNV-1a over the 24 little-endian bytes of (time bits, origin, counter).

@@ -40,7 +40,11 @@ Site& GridTestbed::add_site(SiteSpec spec) {
     site->background = std::make_unique<batch::BackgroundLoad>(
         world_.sim(), *site->scheduler, spec.background,
         world_.sim().make_rng("bg." + spec.name));
-    site->background->start();
+    // Local users submit at the site: run the arrival chain on the
+    // front-end's queue, where the JobManagers drive the same scheduler (a
+    // JobManager cancel must be able to cancel a job's completion event).
+    batch::BackgroundLoad* load = site->background.get();
+    site->frontend->post_any_epoch(0.0, [load] { load->start(); });
   }
 
   sites_.push_back(std::move(site));

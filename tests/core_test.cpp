@@ -489,6 +489,46 @@ TEST(GlideIn, VanillaJobsRunOnGlidedInSlots) {
   EXPECT_GE(glideins.glideins_exited(), glideins.glideins_started());
 }
 
+// A cluster-host crash kills the glided-in daemons without an exit notice,
+// and glide-ins that go ACTIVE while the node is down never start. The
+// manager must still release every one it counts as live — on the GRAM
+// job's terminal callback — or the site's cap stays full and the jobs idle
+// forever.
+TEST(GlideIn, ClusterCrashMidJobStillCompletes) {
+  cw::GridTestbed testbed(29);
+  cw::SiteSpec site;
+  site.name = "pool.wisc.edu";
+  site.cpus = 4;
+  testbed.add_site(site);
+  testbed.add_submit_host("submit");
+  core::CondorGAgent agent(testbed.world(), "submit");
+  core::GlideInOptions options;
+  options.tick_interval = 60.0;
+  auto& glideins = agent.enable_glideins(options);
+  glideins.add_site(core::GlideInSite{"pool.wisc.edu",
+                                      testbed.site(0).gatekeeper_address(),
+                                      testbed.site(0).cluster, 4, 1});
+  agent.start();
+
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 4; ++i) {
+    core::JobDescription desc;
+    desc.universe = core::Universe::kVanilla;
+    desc.runtime_seconds = 3600.0;
+    ids.push_back(agent.submit(desc));
+  }
+  testbed.world().sim().run_until(1800.0);
+  testbed.site(0).cluster->crash_for(600.0);
+  testbed.world().sim().run_until(24 * 3600.0);
+
+  for (const auto id : ids) {
+    EXPECT_EQ(agent.query(id)->status, core::JobStatus::kCompleted)
+        << "job " << id;
+  }
+  EXPECT_EQ(glideins.live_glideins(), 0u);
+  EXPECT_EQ(glideins.glideins_exited(), glideins.glideins_started());
+}
+
 TEST(GlideIn, BinaryRepositoryFetchPrecedesStartd) {
   cw::GridTestbed testbed(17);
   cw::SiteSpec site;

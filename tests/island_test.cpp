@@ -168,23 +168,34 @@ TEST(IslandKernel, ZeroWorkerBudgetRunsOneWorkerIslands) {
   EXPECT_EQ(world.sim().island_plan().island_count, 3u);
 }
 
-TEST(IslandKernel, CrossHostDirectPostCommitsInsideItsWindow) {
-  // A host that drives a daemon object living on another host posts
-  // straight into that host's calendar. Here b (whose island runs after
-  // a's) posts to a at `now`, after a already ran this window past that
-  // instant; the event must still commit inside the window instead of
-  // surfacing below an already-committed time.
-  sim::World::ScopedParallelOverride force(1);
-  sim::World world(7);
-  sim::Host& a = world.add_host("a.example");
-  sim::Host& b = world.add_host("b.example");
-  std::vector<double> fired;
-  a.post(1.01, [&] { fired.push_back(world.sim().now()); });
-  b.post(1.0, [&] { a.post(0.0, [&] { fired.push_back(world.sim().now()); }); });
-  b.post(1.04, [] {});
-  world.sim().run();
-  EXPECT_EQ(fired, (std::vector<double>{1.01, 1.01}));
-  EXPECT_EQ(world.sim().dispatched(), 4u);
+// The partition contract: an event schedules only on its own island, and
+// other islands are reached through the Network. A host event posting
+// straight into another host's calendar would race with that island's
+// window on another worker, so the kernel rejects it; the control context
+// runs at barriers and may still post onto either host.
+TEST(IslandKernel, CrossHostPostFromEventContextThrows) {
+  IslandFixture f;
+  sim::Simulation& s = f.world.sim();
+  // One log per host: each is touched only by its own island's events.
+  std::vector<std::string> on_a, on_b;
+  bool cross_post_threw = false;  // asserted on the main thread below
+  f.b.post(1.0, [&] {
+    try {
+      f.a.post(0.0, [&] { on_a.push_back("from b"); });
+    } catch (const std::logic_error&) {
+      cross_post_threw = true;
+    }
+  });
+  f.a.post(1.01, [&] { on_a.push_back("own"); });
+  s.schedule_at(2.0, [&] {
+    f.a.post(0.0, [&] { on_a.push_back("from control"); });
+    f.b.post(0.0, [&] { on_b.push_back("from control"); });
+  });
+  s.run();
+  EXPECT_TRUE(cross_post_threw);
+  EXPECT_EQ(on_a, (std::vector<std::string>{"own", "from control"}));
+  EXPECT_EQ(on_b, (std::vector<std::string>{"from control"}));
+  EXPECT_EQ(s.dispatched(), 5u);
 }
 
 TEST(IslandKernel, IslandStatsCountPerIslandEvents) {

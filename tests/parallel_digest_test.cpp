@@ -23,6 +23,7 @@
 #include "condorg/core/portal.h"
 #include "condorg/core/portal_client.h"
 #include "condorg/core/schedd.h"
+#include "condorg/gass/file_service.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/explorer.h"
 #include "condorg/sim/world.h"
@@ -338,6 +339,108 @@ TEST(ParallelDigest, PoolNegotiatorByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.job_tables, base.job_tables) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.divergences, 0u) << "N=" << kThreadCounts[i];
     EXPECT_TRUE(a.audit.empty()) << "N=" << kThreadCounts[i];
+  }
+}
+
+struct GlideInArtifacts {
+  std::uint64_t digest = 0;
+  std::uint64_t dispatched = 0;
+  std::string job_table;
+  std::size_t completed = 0;
+  std::uint64_t submitted = 0;
+  std::uint64_t started = 0;
+  std::uint64_t exited = 0;
+  std::size_t live = 0;
+  std::size_t evictions = 0;
+  std::size_t detsan_violations = 0;
+};
+
+/// The glidein_pool example in miniature: two sites glide Startds in (after
+/// fetching the binaries from a repository host), checkpointable vanilla
+/// jobs outlive one two-hour allocation and migrate, then idle daemons
+/// drain. Manager, node-side starters and Startds sit on different islands.
+GlideInArtifacts run_glidein_pool(unsigned threads) {
+  sim::World::ScopedParallelOverride force(static_cast<int>(threads));
+  det::take_violations();
+  det::set_enabled(true);
+
+  cw::GridTestbed testbed(/*seed=*/99);
+  for (const char* name : {"pbs.anl.gov", "condor.wisc.edu"}) {
+    cw::SiteSpec spec;
+    spec.name = name;
+    spec.cpus = 4;
+    testbed.add_site(spec);
+  }
+  testbed.add_submit_host("desktop.wisc.edu");
+  condorg::gass::FileService repo(testbed.world().add_host("repo.wisc.edu"),
+                                  testbed.world().net(), "gridftp");
+  repo.store().put("condor/startd-bundle", "CONDOR-BINARIES", 25 << 20);
+
+  core::CondorGAgent agent(testbed.world(), "desktop.wisc.edu");
+  core::GlideInOptions options;
+  options.walltime = 2 * 3600.0;
+  options.idle_timeout = 1200.0;
+  options.checkpoint_interval = 300.0;
+  options.tick_interval = 120.0;
+  options.binary_repository = repo.address();
+  auto& glideins = agent.enable_glideins(options);
+  for (std::size_t i = 0; i < testbed.sites().size(); ++i) {
+    glideins.add_site(core::GlideInSite{testbed.site(i).spec.name,
+                                        testbed.site(i).gatekeeper_address(),
+                                        testbed.site(i).cluster, 3, 1});
+  }
+  agent.start();
+  for (int i = 0; i < 8; ++i) {
+    core::JobDescription job;
+    job.universe = core::Universe::kVanilla;
+    job.runtime_seconds = 6000.0 + 300.0 * i;
+    agent.submit(job);
+  }
+  sim::Simulation& s = testbed.world().sim();
+  while (!agent.schedd().all_terminal() && testbed.world().now() < 86400.0) {
+    s.run_until(testbed.world().now() + 600.0);
+  }
+  s.run_until(testbed.world().now() + 4 * 3600.0);  // idle daemons drain
+
+  GlideInArtifacts out;
+  out.digest = s.trace_digest();
+  out.dispatched = s.dispatched();
+  for (const auto& [id, job] : agent.schedd().jobs()) {
+    if (job.status == core::JobStatus::kCompleted) ++out.completed;
+    out.job_table += std::to_string(id) + " " + core::to_string(job.status) +
+                     " " + std::to_string(job.submit_time) + " " +
+                     std::to_string(job.first_execute_time) + " " +
+                     std::to_string(job.completion_time) + "\n";
+  }
+  out.submitted = glideins.glideins_submitted();
+  out.started = glideins.glideins_started();
+  out.exited = glideins.glideins_exited();
+  out.live = glideins.live_glideins();
+  out.evictions = agent.log().count(core::LogEventKind::kEvicted);
+  out.detsan_violations = det::take_violations().size();
+  det::set_enabled(false);
+  return out;
+}
+
+TEST(ParallelDigest, GlideInByteIdenticalAcrossThreadCounts) {
+  const GlideInArtifacts base = run_glidein_pool(kThreadCounts[0]);
+  EXPECT_EQ(base.completed, 8u);
+  EXPECT_GE(base.started, 1u);
+  EXPECT_EQ(base.exited, base.started);
+  EXPECT_EQ(base.live, 0u);
+  EXPECT_GE(base.evictions, 1u);  // allocations expired mid-job
+  EXPECT_EQ(base.detsan_violations, 0u);
+  for (std::size_t i = 1; i < std::size(kThreadCounts); ++i) {
+    const GlideInArtifacts a = run_glidein_pool(kThreadCounts[i]);
+    EXPECT_EQ(a.digest, base.digest) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.dispatched, base.dispatched) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.job_table, base.job_table) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.submitted, base.submitted) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.started, base.started) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.exited, base.exited) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.live, base.live) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.evictions, base.evictions) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
   }
 }
 

@@ -77,6 +77,7 @@ PROTOCOLS = {
     "GASS": {"prefixes": ("file",), "from": "site", "to": "user"},
     "MDS": {"prefixes": ("grip", "grrp"), "from": "user", "to": "central"},
     "GSI": {"prefixes": ("myproxy",), "from": "user", "to": "central"},
+    "GLIDEIN": {"prefixes": ("glidein",), "from": "user", "to": "site"},
     "CONDOR": {"prefixes": ("startd", "shadow", "collector"),
                "from": "user", "to": "user"},
 }

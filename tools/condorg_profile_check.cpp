@@ -112,7 +112,7 @@ Observation run_scenario(std::vector<std::string>& problems) {
   pool.name = "pool.wisc.edu";
   pool.kind = cw::SiteKind::kCondorPool;
   pool.cpus = 8;
-  testbed.add_site(pool);
+  cw::Site& site1 = testbed.add_site(pool);
   condorg::mds::GiisServer& giis = testbed.enable_mds("giis.grid.org");
 
   // Host -> partition, mirroring the analyzer's classification: the agent
@@ -152,6 +152,18 @@ Observation run_scenario(std::vector<std::string>& problems) {
   options.credentials.refresh_lifetime = 3600.0;
   core::CondorGAgent agent(testbed.world(), "submit.wisc.edu", options);
   agent.set_site_chooser(core::make_static_chooser(testbed.gatekeepers()));
+  // The glide-in leg: one vanilla job floods a glide-in onto the pool site,
+  // and its GRAM job going ACTIVE sends glidein.start to the node. The
+  // binaries fetch (from the agent's own GASS server) finds no bundle, so
+  // no Startd comes up: its CONDOR traffic would cross the user <-> site
+  // link, which the partition model still files as user-internal.
+  core::GlideInOptions glide;
+  glide.binary_repository = agent.gridmanager().gass_address();
+  glide.binary_path = "profile/no-such-bundle";
+  core::GlideInManager& glideins = agent.enable_glideins(glide);
+  glideins.add_site(core::GlideInSite{"pool.wisc.edu",
+                                      site1.gatekeeper_address(),
+                                      site1.cluster, 1, 1});
   agent.start();
   const gsi::Credential proxy =
       user.delegate(pki, testbed.world().now(), 3600.0);
@@ -163,6 +175,10 @@ Observation run_scenario(std::vector<std::string>& problems) {
   desc.executable_size = 256 * 1024;
   desc.output_size = 2048;
   for (int i = 0; i < 4; ++i) agent.submit(desc);
+  core::JobDescription vanilla;
+  vanilla.universe = core::Universe::kVanilla;
+  vanilla.runtime_seconds = 300.0;
+  agent.submit(vanilla);
   desc.runtime_seconds = 8000.0;  // outlives the proxy refresh threshold
   const std::uint64_t long_id = agent.submit(desc);
 
@@ -215,6 +231,12 @@ Observation run_scenario(std::vector<std::string>& problems) {
   unreg.set("name", "pool.wisc.edu");
   grrp.call(giis.address(), "grrp.unregister", std::move(unreg), 30.0,
             [](bool, const cs::Payload&) {});
+  // A node's exit notice, which only a glided-in Startd would send; the
+  // manager has no live glide-in by this contact and drops it.
+  cs::RpcClient node(*site1.cluster, testbed.world().net(), "profile.glidein");
+  cs::Payload exited;
+  exited.set("contact", "profile.none");
+  node.notify(glideins.address(), "glidein.exited", std::move(exited));
   testbed.world().sim().run_until(testbed.world().now() + 300.0);
 
   // Hold the long job past the first credential scan that finds the seed
