@@ -112,8 +112,11 @@ class CaptureReporter : public benchmark::ConsoleReporter {
       cu::JsonValue row = cu::JsonValue::object();
       row["name"] = run.benchmark_name();
       row["iterations"] = static_cast<double>(run.iterations);
-      row["real_time_ns"] = run.GetAdjustedRealTime();
-      row["cpu_time_ns"] = run.GetAdjustedCPUTime();
+      // Adjusted times are in the run's display unit (milliseconds here).
+      const double to_ns =
+          1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
+      row["real_time_ns"] = run.GetAdjustedRealTime() * to_ns;
+      row["cpu_time_ns"] = run.GetAdjustedCPUTime() * to_ns;
       for (const char* counter :
            {"items_per_second", "exe_transfers", "gass_bytes_served",
             "sim_makespan_seconds"}) {

@@ -14,6 +14,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "condorg/sim/simulation.h"
@@ -82,9 +83,21 @@ class LocalScheduler {
   void add_completion_handler(CompletionHandler handler);
 
   /// Invoked once when job `id` reaches a terminal state, then discarded.
-  /// If the job is already terminal the handler fires immediately. Returns
-  /// a token for remove_job_handler.
+  /// Returns a token for remove_job_handler. If the job is already terminal
+  /// the handler fires immediately, nothing stays registered and 0 is
+  /// returned.
   std::uint64_t add_job_handler(std::uint64_t id, CompletionHandler handler);
+
+  /// Invoked once when queued job `id` starts running (the record carries
+  /// its start_time), then discarded; dropped unfired if the job ends
+  /// without starting. Shares add_job_handler's tokens and
+  /// remove_job_handler. If the job is already running the handler fires
+  /// immediately; for a job that is neither queued nor running nothing is
+  /// registered. Either way 0 is returned.
+  std::uint64_t add_start_handler(std::uint64_t id, CompletionHandler handler);
+
+  /// Drop a registered handler, in O(log n); unknown or spent tokens
+  /// (including 0) are ignored.
   void remove_job_handler(std::uint64_t token);
 
   const std::string& name() const { return name_; }
@@ -113,9 +126,22 @@ class LocalScheduler {
   double owner_usage(const std::string& owner) const;
 
  private:
+  struct JobHandler {
+    std::uint64_t token;
+    CompletionHandler handler;
+  };
+  /// Job id -> its one-shot handlers, in registration order. A job with no
+  /// handler left has no entry.
+  using HandlerLists = std::map<std::uint64_t, std::vector<JobHandler>>;
+
   void try_dispatch();
   void start_job(std::uint64_t id);
   void finish_job(std::uint64_t id, JobState state);
+  std::uint64_t register_handler(HandlerLists& lists, std::uint64_t id,
+                                 CompletionHandler handler);
+  /// Detach (and forget the tokens of) job `id`'s handlers in `lists`.
+  std::vector<JobHandler> take_handlers(HandlerLists& lists,
+                                        std::uint64_t id);
 
   sim::Simulation& sim_;
   std::string name_;
@@ -126,11 +152,12 @@ class LocalScheduler {
   std::map<std::uint64_t, sim::EventId> completion_events_;
   std::vector<std::uint64_t> queue_;  // ids of queued jobs, FIFO order
   std::vector<CompletionHandler> handlers_;
-  struct JobHandler {
-    std::uint64_t token;
-    CompletionHandler handler;
-  };
-  std::map<std::uint64_t, std::vector<JobHandler>> job_handlers_;
+  HandlerLists start_handlers_;
+  HandlerLists end_handlers_;
+  /// Token -> the list holding it (start_handlers_ or end_handlers_) and
+  /// the job it is keyed under.
+  std::map<std::uint64_t, std::pair<HandlerLists*, std::uint64_t>>
+      handler_index_;
   std::uint64_t next_handler_token_ = 1;
   std::vector<JobRecord> history_;
   std::map<std::string, double> usage_;  // owner -> cpu-seconds

@@ -57,21 +57,54 @@ void LocalScheduler::add_completion_handler(CompletionHandler handler) {
 
 std::uint64_t LocalScheduler::add_job_handler(std::uint64_t id,
                                               CompletionHandler handler) {
-  const std::uint64_t token = next_handler_token_++;
   const auto it = jobs_.find(id);
   if (it != jobs_.end() && is_terminal(it->second.state)) {
     handler(it->second);  // already finished: fire immediately
-    return token;
+    return 0;
   }
-  job_handlers_[id].push_back(JobHandler{token, std::move(handler)});
-  return token;
+  return register_handler(end_handlers_, id, std::move(handler));
+}
+
+std::uint64_t LocalScheduler::add_start_handler(std::uint64_t id,
+                                                CompletionHandler handler) {
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) return 0;
+  if (it->second.state == JobState::kRunning) {
+    handler(it->second);  // already started: fire immediately
+    return 0;
+  }
+  if (it->second.state != JobState::kQueued) return 0;  // ended unstarted
+  return register_handler(start_handlers_, id, std::move(handler));
 }
 
 void LocalScheduler::remove_job_handler(std::uint64_t token) {
-  for (auto& [id, handlers] : job_handlers_) {
-    std::erase_if(handlers,
-                  [token](const JobHandler& h) { return h.token == token; });
-  }
+  const auto at = handler_index_.find(token);
+  if (at == handler_index_.end()) return;
+  const auto [lists, id] = at->second;
+  handler_index_.erase(at);
+  const auto it = lists->find(id);
+  std::erase_if(it->second,
+                [token](const JobHandler& h) { return h.token == token; });
+  if (it->second.empty()) lists->erase(it);
+}
+
+std::uint64_t LocalScheduler::register_handler(HandlerLists& lists,
+                                               std::uint64_t id,
+                                               CompletionHandler handler) {
+  const std::uint64_t token = next_handler_token_++;
+  lists[id].push_back(JobHandler{token, std::move(handler)});
+  handler_index_.emplace(token, std::make_pair(&lists, id));
+  return token;
+}
+
+std::vector<LocalScheduler::JobHandler> LocalScheduler::take_handlers(
+    HandlerLists& lists, std::uint64_t id) {
+  const auto it = lists.find(id);
+  if (it == lists.end()) return {};
+  std::vector<JobHandler> taken = std::move(it->second);
+  lists.erase(it);
+  for (const JobHandler& h : taken) handler_index_.erase(h.token);
+  return taken;
 }
 
 double LocalScheduler::owner_usage(const std::string& owner) const {
@@ -108,6 +141,11 @@ void LocalScheduler::start_job(std::uint64_t id) {
     finish_job(id,
                killed ? JobState::kWalltimeExceeded : JobState::kCompleted);
   });
+  const auto started = take_handlers(start_handlers_, id);
+  if (started.empty()) return;
+  // Copy: a handler may cancel the job it is told about.
+  const JobRecord snapshot = record;
+  for (const auto& entry : started) entry.handler(snapshot);
 }
 
 void LocalScheduler::finish_job(std::uint64_t id, JobState state) {
@@ -133,10 +171,9 @@ void LocalScheduler::finish_job(std::uint64_t id, JobState state) {
   const auto handlers = handlers_;
   const JobRecord snapshot = record;
   for (const auto& handler : handlers) handler(snapshot);
-  if (const auto it = job_handlers_.find(id); it != job_handlers_.end()) {
-    const auto per_job = std::move(it->second);
-    job_handlers_.erase(it);
-    for (const auto& entry : per_job) entry.handler(snapshot);
+  take_handlers(start_handlers_, id);  // ended without starting: dropped
+  for (const auto& entry : take_handlers(end_handlers_, id)) {
+    entry.handler(snapshot);
   }
   try_dispatch();
 }

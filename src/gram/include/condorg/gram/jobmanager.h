@@ -113,10 +113,15 @@ class JobManager {
   void stage_in();
   void submit_to_scheduler();
   void watch_scheduler();
+  /// The PENDING->ACTIVE check, run at the grid instant watch_scheduler
+  /// computed.
+  void observe_start();
   void on_local_terminal(const batch::JobRecord& record);
   void stage_out_and_finish(GramJobState final_state,
                             const std::string& why);
-  /// Real-time stdout streaming while ACTIVE (spec.stream_interval > 0).
+  /// Real-time stdout streaming while ACTIVE (spec.stream_interval > 0):
+  /// start_streaming arms the first tick unless one is armed already.
+  void start_streaming();
   void stream_output_tick();
   /// Restart the stream from byte 0 at the (possibly new) GASS server —
   /// the "request resending" path after a client crash/move.
@@ -141,7 +146,8 @@ class JobManager {
   bool process_alive_ = true;
   sim::Lifetime life_;
   std::string forwarded_credential_;
-  std::uint64_t job_handler_token_ = 0;
+  std::uint64_t job_handler_token_ = 0;    // terminal handler
+  std::uint64_t start_handler_token_ = 0;  // start handler
   std::unique_ptr<sim::RpcClient> rpc_;
   std::unique_ptr<gass::FileClient> gass_;
   const JobManagerStateCounters* state_counters_ = nullptr;

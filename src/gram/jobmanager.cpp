@@ -1,12 +1,13 @@
 #include "condorg/gram/jobmanager.h"
 
+#include <optional>
 #include <utility>
 
 #include "condorg/util/strings.h"
 
 namespace condorg::gram {
 namespace {
-constexpr double kLocalPollInterval = 15.0;   // watch PENDING->ACTIVE
+constexpr double kLocalPollInterval = 15.0;   // PENDING->ACTIVE grid step
 constexpr double kStageTimeout = 600.0;
 constexpr double kStageRetryDelay = 60.0;
 constexpr int kStageRetries = 30;
@@ -104,12 +105,7 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
                     : GramJobState::kPending,
                 "reattach");
       watch_scheduler();
-      if (state_ == GramJobState::kActive && spec_.stream_interval > 0 &&
-          !streaming_) {
-        streaming_ = true;
-        host_.post(spec_.stream_interval,
-                   life_.wrap([this] { stream_output_tick(); }));
-      }
+      if (state_ == GramJobState::kActive) start_streaming();
     }
   } else if (committed_) {
     // Crashed between commit and local submission: redo staging.
@@ -121,7 +117,8 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
 JobManager::~JobManager() {
   life_.revoke();
   host_.remove_crash_listener(crash_listener_);
-  if (job_handler_token_) scheduler_.remove_job_handler(job_handler_token_);
+  scheduler_.remove_job_handler(job_handler_token_);
+  scheduler_.remove_job_handler(start_handler_token_);
   if (host_.alive() && process_alive_) {
     host_.unregister_service(jobmanager_service(contact_));
   }
@@ -140,10 +137,10 @@ void JobManager::kill_process() {
   host_.tracer().end_span(stage_in_span_, "crashed");
   host_.tracer().end_span(stage_out_span_, "crashed");
   life_.revoke();
-  if (job_handler_token_) {
-    scheduler_.remove_job_handler(job_handler_token_);
-    job_handler_token_ = 0;
-  }
+  scheduler_.remove_job_handler(job_handler_token_);
+  scheduler_.remove_job_handler(start_handler_token_);
+  job_handler_token_ = 0;
+  start_handler_token_ = 0;
   host_.unregister_service(jobmanager_service(contact_));
   // The RpcClients' pending callbacks die with the process: drop them by
   // resetting (their destructors unregister reply services).
@@ -364,7 +361,19 @@ void JobManager::submit_to_scheduler() {
 }
 
 void JobManager::watch_scheduler() {
-  // Terminal transitions arrive via a one-shot handler...
+  // Terminal transitions arrive via a one-shot handler. PENDING->ACTIVE is
+  // observed on the grid a polling JobManager would use, the watch time
+  // plus k * kLocalPollInterval (k >= 1, by repeated addition), so
+  // time-to-ACTIVE, callbacks and wire traffic are those of a poll. But no
+  // poll runs: the scheduler's one-shot start handler tells us the start
+  // time, and one event is armed at the first grid instant at or after it
+  // (at once for a job already running). A reattached JobManager that
+  // found its job running is ACTIVE already and arms nothing.
+  //
+  // Tie rule: a start exactly on a grid instant is observed at that
+  // instant, because the event is armed from inside the starting event and
+  // runs after it. A poll saw the same only if the starting event ran
+  // before that instant's poll; otherwise it saw the start one step later.
   job_handler_token_ = scheduler_.add_job_handler(
       local_job_id_,
       [this, epoch = host_.epoch()](const batch::JobRecord& record) {
@@ -372,27 +381,33 @@ void JobManager::watch_scheduler() {
         job_handler_token_ = 0;  // consumed
         on_local_terminal(record);
       });
-  // ...while PENDING->ACTIVE is observed by polling the local scheduler.
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, weak = std::weak_ptr<std::function<void()>>(poll)] {
-    if (!process_alive_ || is_terminal(state_)) return;
-    const auto self = weak.lock();
-    if (!self) return;
-    const auto status = scheduler_.status(local_job_id_);
-    if (status && status->state == batch::JobState::kRunning &&
-        state_ == GramJobState::kPending) {
-      set_state(GramJobState::kActive, "running");
-      if (spec_.stream_interval > 0 && !streaming_) {
-        streaming_ = true;
-        host_.post(spec_.stream_interval,
-                   life_.wrap([this] { stream_output_tick(); }));
-      }
-    }
-    if (status && !batch::is_terminal(status->state)) {
-      host_.post(kLocalPollInterval, life_.wrap([self] { (*self)(); }));
-    }
-  };
-  host_.post(kLocalPollInterval, life_.wrap([poll] { (*poll)(); }));
+  if (state_ != GramJobState::kPending) return;
+  sim::Tracer& tracer = host_.tracer();
+  start_handler_token_ = scheduler_.add_start_handler(
+      local_job_id_,
+      [this, epoch = host_.epoch(), watched = host_.now(),
+       cause = tracer.enabled() ? tracer.context() : 0](
+          const batch::JobRecord& record) {
+        if (!process_alive_ || host_.epoch() != epoch) return;
+        start_handler_token_ = 0;  // consumed
+        sim::Time at = watched + kLocalPollInterval;
+        while (at < record.start_time) at += kLocalPollInterval;
+        // Armed under the watch-time causal context, like the poll it
+        // replaces, so the ACTIVE record keeps its cause edge. The cursor
+        // is shared by all islands: touch it only while tracing, which
+        // serializes execution.
+        std::optional<sim::Tracer::ScopedContext> context;
+        if (host_.tracer().enabled()) context.emplace(host_.tracer(), cause);
+        host_.post_at(at, life_.wrap([this] { observe_start(); }));
+      });
+}
+
+void JobManager::observe_start() {
+  if (!process_alive_ || state_ != GramJobState::kPending) return;
+  const auto status = scheduler_.status(local_job_id_);
+  if (!status || status->state != batch::JobState::kRunning) return;
+  set_state(GramJobState::kActive, "running");
+  start_streaming();
 }
 
 void JobManager::on_local_terminal(const batch::JobRecord& record) {
@@ -462,6 +477,13 @@ void JobManager::stage_out_and_finish(GramJobState final_state,
   set_state(final_state, why);
 }
 
+void JobManager::start_streaming() {
+  if (spec_.stream_interval <= 0 || streaming_) return;
+  streaming_ = true;
+  host_.post(spec_.stream_interval,
+             life_.wrap([this] { stream_output_tick(); }));
+}
+
 void JobManager::stream_output_tick() {
   if (!process_alive_ || state_ != GramJobState::kActive ||
       spec_.stream_interval <= 0) {
@@ -498,11 +520,7 @@ void JobManager::restream_output() {
                   0, [](bool) {}, kStageTimeout,
                   /*writer=*/contact_, seq);
   }
-  if (state_ == GramJobState::kActive && !streaming_) {
-    streaming_ = true;
-    host_.post(spec_.stream_interval,
-               life_.wrap([this] { stream_output_tick(); }));
-  }
+  if (state_ == GramJobState::kActive) start_streaming();
 }
 
 void JobManager::set_state(GramJobState state, const std::string& why) {

@@ -47,6 +47,10 @@ class Host {
   /// daemons use for timers, retries, and job completion.
   EventId post(Time delay, std::function<void()> fn);
 
+  /// post() at an absolute time (>= now). For a daemon that keeps its own
+  /// time grid: post(when - now()) would round and land off it.
+  EventId post_at(Time when, std::function<void()> fn);
+
   /// Like post, but the callback survives restarts of the host (it still
   /// requires the host to be alive at fire time). Used for externally-driven
   /// hardware-ish events.
@@ -112,9 +116,6 @@ class Host {
   /// Invoke a timer callback, accumulating its wall-clock cost in the
   /// kernel profiler when armed (one branch when not).
   void run_profiled(const std::function<void()>& fn);
-
-  /// Epoch-fenced schedule at an absolute time onto this host's queue.
-  EventId post_at(Time when, std::function<void()> fn);
 
   Simulation& sim_;
   std::string name_;

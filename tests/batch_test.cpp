@@ -101,6 +101,100 @@ TEST(LocalScheduler, UnknownIdStatus) {
   EXPECT_FALSE(pbs.status(42).has_value());
 }
 
+// ---------- per-job one-shot handlers ----------
+
+TEST(LocalScheduler, StartHandlerFiresOnceWithStartTime) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  pbs.submit(job("a", 40.0));
+  const auto queued = pbs.submit(job("b", 10.0));
+  std::vector<double> starts;
+  const auto token = pbs.add_start_handler(
+      queued, [&](const cb::JobRecord& r) {
+        EXPECT_EQ(r.state, cb::JobState::kRunning);
+        starts.push_back(r.start_time);
+      });
+  EXPECT_NE(token, 0u);
+  sim.run();
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_DOUBLE_EQ(starts[0], 40.0);
+  pbs.remove_job_handler(token);  // spent: a no-op
+}
+
+TEST(LocalScheduler, StartHandlerForRunningJobFiresAtOnce) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  const auto running = pbs.submit(job("a", 40.0));
+  int fired = 0;
+  EXPECT_EQ(pbs.add_start_handler(running,
+                                  [&](const cb::JobRecord&) { ++fired; }),
+            0u);
+  EXPECT_EQ(fired, 1);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  // Ended and unknown jobs never start: nothing fires, nothing registers.
+  EXPECT_EQ(pbs.add_start_handler(running,
+                                  [&](const cb::JobRecord&) { ++fired; }),
+            0u);
+  EXPECT_EQ(pbs.add_start_handler(99, [&](const cb::JobRecord&) { ++fired; }),
+            0u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(LocalScheduler, StartHandlerDroppedWhenCancelledWhileQueued) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  pbs.submit(job("a", 40.0));
+  const auto queued = pbs.submit(job("b", 10.0));
+  int started = 0;
+  std::vector<cb::JobState> ended;
+  pbs.add_start_handler(queued, [&](const cb::JobRecord&) { ++started; });
+  pbs.add_job_handler(queued,
+                      [&](const cb::JobRecord& r) { ended.push_back(r.state); });
+  EXPECT_TRUE(pbs.cancel(queued));
+  sim.run();
+  EXPECT_EQ(started, 0);
+  ASSERT_EQ(ended.size(), 1u);
+  EXPECT_EQ(ended[0], cb::JobState::kCancelled);
+}
+
+TEST(LocalScheduler, RemovedHandlersNeverFire) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  pbs.submit(job("a", 40.0));
+  const auto queued = pbs.submit(job("b", 10.0));
+  int fired = 0;
+  const auto on_start =
+      pbs.add_start_handler(queued, [&](const cb::JobRecord&) { ++fired; });
+  const auto on_end =
+      pbs.add_job_handler(queued, [&](const cb::JobRecord&) { ++fired; });
+  int kept = 0;
+  pbs.add_job_handler(queued, [&](const cb::JobRecord&) { ++kept; });
+  EXPECT_NE(on_start, on_end);  // one token space
+  pbs.remove_job_handler(on_start);
+  pbs.remove_job_handler(on_end);
+  pbs.remove_job_handler(on_end);  // twice: a no-op
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(kept, 1);
+  EXPECT_EQ(pbs.status(queued)->state, cb::JobState::kCompleted);
+}
+
+TEST(LocalScheduler, JobHandlerOnEndedJobFiresAtOnceAndReturnsZero) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 1, false);
+  const auto id = pbs.submit(job("a", 10.0));
+  sim.run();
+  // The caller's handler marks itself consumed by zeroing its token; the
+  // returned token must not overwrite that.
+  std::uint64_t token = 1;
+  token = pbs.add_job_handler(id, [&](const cb::JobRecord& r) {
+    EXPECT_EQ(r.state, cb::JobState::kCompleted);
+    token = 0;
+  });
+  EXPECT_EQ(token, 0u);
+}
+
 // ---------- FIFO + backfill ----------
 
 TEST(FifoScheduler, NoBackfillBlocksBehindWideJob) {

@@ -535,3 +535,196 @@ TEST_F(GramFixture, StreamSurvivesJobManagerRestartWithoutDuplicates) {
         << "duplicate " << needle;
   }
 }
+
+// ---------- when PENDING->ACTIVE is observed ----------
+//
+// The JobManager observes a local start on a 15 s grid anchored at the
+// time it began watching the job (watch + 15 s * k, k >= 1). These cases
+// pin the observed instants, which do not depend on how the grid is
+// implemented.
+
+namespace {
+
+/// Simulated times of the JobManager's transitions into `state`, read from
+/// its jm.state trace records ("<STATE>: <why>").
+std::vector<double> jm_state_times(const cs::Tracer& tracer,
+                                   const std::string& state) {
+  std::vector<double> times;
+  for (const auto& record : tracer.records()) {
+    if (record.name == "jm.state" && record.detail.rfind(state + ":", 0) == 0) {
+      times.push_back(record.t);
+    }
+  }
+  return times;
+}
+
+/// The first grid instant of a JobManager watching since `watch` at or
+/// after `start` (built by repeated addition, as the JobManager does).
+double first_instant(double watch, double start) {
+  double t = watch + 15.0;
+  while (t < start) t += 15.0;
+  return t;
+}
+
+/// Occupy every CPU of the fixture's 16-CPU cluster with local jobs.
+std::vector<std::uint64_t> fill_cluster(cb::LocalScheduler& cluster,
+                                        double runtime) {
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < cluster.total_cpus(); ++i) {
+    cb::JobRequest hog;
+    hog.owner = "local";
+    hog.runtime_seconds = runtime;
+    ids.push_back(cluster.submit(std::move(hog)));
+  }
+  return ids;
+}
+
+/// The local scheduler's record of the GRAM job behind `contact`.
+std::optional<cb::JobRecord> local_record(const cb::LocalScheduler& cluster,
+                                          const std::string& contact) {
+  for (std::uint64_t id = 1;; ++id) {
+    const auto record = cluster.status(id);
+    if (!record || record->request.tag == contact) return record;
+  }
+}
+
+}  // namespace
+
+TEST_F(GramFixture, JobStartedAtSubmitGoesActiveOneStepAfterWatch) {
+  world.sim().tracer().set_enabled(true);
+  const std::string contact = submit_and_await("DONE");
+  const auto local = local_record(*cluster, contact);
+  ASSERT_TRUE(local.has_value());
+  // Free CPUs: the job started as the JobManager queued it and began
+  // watching.
+  const double watch = local->submit_time;
+  EXPECT_EQ(local->start_time, watch);
+  EXPECT_EQ(jm_state_times(world.sim().tracer(), "PENDING"),
+            std::vector<double>{watch});
+  EXPECT_EQ(jm_state_times(world.sim().tracer(), "ACTIVE"),
+            std::vector<double>{watch + 15.0});
+}
+
+TEST_F(GramFixture, StartBetweenGridInstantsGoesActiveAtTheNextOne) {
+  world.sim().tracer().set_enabled(true);
+  fill_cluster(*cluster, 100.0);
+  const std::string contact = submit_and_await("DONE");
+  const auto local = local_record(*cluster, contact);
+  ASSERT_TRUE(local.has_value());
+  EXPECT_EQ(local->start_time, 100.0);
+  const double instant = first_instant(local->submit_time, 100.0);
+  EXPECT_GT(instant, 100.0);  // the start fell between two instants
+  EXPECT_EQ(jm_state_times(world.sim().tracer(), "ACTIVE"),
+            std::vector<double>{instant});
+}
+
+TEST_F(GramFixture, StartOnGridInstantGoesActiveAtThatInstant) {
+  world.sim().tracer().set_enabled(true);
+  const auto hogs = fill_cluster(*cluster, 1e6);
+  const std::string contact = submit_and_await("PENDING", 1000.0);
+  const auto local = local_record(*cluster, contact);
+  ASSERT_TRUE(local.has_value());
+  // Free a CPU exactly on a grid instant, by an event scheduled now: before
+  // the instant ahead of it, so before a poll at `instant` would be armed.
+  const double instant = first_instant(local->submit_time, world.now() + 15.0);
+  ASSERT_GT(instant - 15.0, world.now());
+  world.sim().schedule_at(instant, [&] { cluster->cancel(hogs[0]); });
+  await_state("DONE", instant + 4000.0);
+  EXPECT_EQ(cluster->status(local->id)->start_time, instant);
+  EXPECT_EQ(jm_state_times(world.sim().tracer(), "ACTIVE"),
+            std::vector<double>{instant});
+}
+
+TEST_F(GramFixture, StartAndFinishBetweenInstantsReportsDoneWithoutActive) {
+  world.sim().tracer().set_enabled(true);
+  const auto hogs = fill_cluster(*cluster, 1e6);
+  std::string contact;
+  client.submit(gatekeeper->address(), spec(5.0),
+                {"submit.wisc.edu", "gram.cb"},
+                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+  await_state("PENDING", 1000.0);
+  const auto local = local_record(*cluster, contact);
+  ASSERT_TRUE(local.has_value());
+  // Start 2 s after a grid instant; 5 s later the job is done, 8 s before
+  // the next instant.
+  const double instant = first_instant(local->submit_time, world.now() + 15.0);
+  world.sim().schedule_at(instant + 2.0, [&] { cluster->cancel(hogs[0]); });
+  await_state("DONE", instant + 4000.0);
+  const auto ran = cluster->status(local->id);
+  EXPECT_EQ(ran->start_time, instant + 2.0);
+  EXPECT_EQ(ran->state, cb::JobState::kCompleted);
+  EXPECT_LT(ran->end_time, instant + 15.0);
+  EXPECT_TRUE(saw_state("DONE"));
+  EXPECT_FALSE(saw_state("ACTIVE"));
+  EXPECT_TRUE(jm_state_times(world.sim().tracer(), "ACTIVE").empty());
+  EXPECT_TRUE(gass.store().contains("out/job.out"));
+}
+
+TEST_F(GramFixture, RestartWhileQueuedRebasesGridAtReattach) {
+  // The restart also replaces and frees the killed JobManager: a start
+  // handler it left registered would run on freed memory when the job
+  // starts (caught under ASan).
+  world.sim().tracer().set_enabled(true);
+  const auto hogs = fill_cluster(*cluster, 1e6);
+  const std::string contact = submit_and_await("PENDING", 1000.0);
+  const auto local = local_record(*cluster, contact);
+  ASSERT_TRUE(local.has_value());
+  ASSERT_TRUE(gatekeeper->kill_jobmanager(contact));
+  world.sim().run_until(world.now() + 7.0);
+  std::optional<gram::GramJobState> state;
+  client.restart_jobmanager(contact, [&](auto s) { state = s; });
+  world.sim().run_until(world.now() + 10.0);
+  ASSERT_TRUE(state.has_value());
+  ASSERT_EQ(*state, gram::GramJobState::kPending);
+  // PENDING was recorded at the first watch and again at the reattach.
+  const auto pending = jm_state_times(world.sim().tracer(), "PENDING");
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0], local->submit_time);
+  const double reattach = pending[1];
+  const double start = world.now() + 20.0;
+  world.sim().schedule_at(start, [&] { cluster->cancel(hogs[0]); });
+  await_state("DONE", start + 4000.0);
+  const double instant = first_instant(reattach, start);
+  EXPECT_NE(instant, first_instant(local->submit_time, start));
+  EXPECT_EQ(jm_state_times(world.sim().tracer(), "ACTIVE"),
+            std::vector<double>{instant});
+}
+
+// ---------- what the observation costs ----------
+
+namespace {
+
+/// Events one GRAM job of `runtime` seconds dispatches, submit to DONE,
+/// with GRAM alone: no GridManager probes, no output streaming.
+std::uint64_t events_for_one_job(double runtime) {
+  cs::World world;
+  cs::Host& submit = world.add_host("submit");
+  cs::Host& site = world.add_host("site");
+  cb::FifoScheduler cluster(world.sim(), "pbs", 4);
+  gram::Gatekeeper gatekeeper(site, world.net(), cluster);
+  cg::FileService gass(submit, world.net(), "gass");
+  gass.store().put("exe", "X");
+  std::vector<std::string> states;
+  submit.register_service("cb", [&](const cs::Message& m) {
+    states.push_back(m.body.get("state"));
+  });
+  gram::GramClient client(submit, world.net(), "user");
+  gram::GramJobSpec spec;
+  spec.executable = "exe";
+  spec.gass_url = gass.address().str();
+  spec.runtime_seconds = runtime;
+  spec.output = "";
+  spec.stream_interval = 0;
+  client.submit(gatekeeper.address(), spec, {"submit", "cb"}, [](auto) {});
+  world.sim().run();
+  EXPECT_EQ(states,
+            (std::vector<std::string>{"STAGE_IN", "PENDING", "ACTIVE", "DONE"}));
+  return world.sim().dispatched();
+}
+
+}  // namespace
+
+TEST(GramObservation, EventCountDoesNotGrowWithRuntime) {
+  // A poll would add (14,400 - 600) / 15 = 920 events to the long job.
+  EXPECT_EQ(events_for_one_job(14400.0), events_for_one_job(600.0));
+}
