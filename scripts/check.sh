@@ -85,10 +85,13 @@ stage_end
 
 stage_begin "kernel.parallel_digest (island kernel, N-independence)"
 # The island kernel must produce byte-identical results whatever the
-# worker count. Full scenario output (job tables, recovery epilogue) is
-# the proxy here; the digest/tracer/explorer matrix is
-# tests/parallel_digest_test.cpp, and bench_k1_island_scale gates the
-# same property on a campaign 100x this size.
+# worker count. Full scenario output (job tables, recovery epilogue) of
+# three examples of at most 20 islands is the proxy here. The
+# digest/tracer/explorer matrix is tests/parallel_digest_test.cpp; its
+# idle-islands case runs 240 idle hosts beside two chatty ones, where a
+# window visits a few islands out of hundreds, so the front index decides
+# what runs. bench_k1_island_scale gates the same property on a campaign
+# 100x the examples' size.
 pd_dir="$(mktemp -d)"
 CONDORG_PARALLEL=1 ./build/examples/quickstart > "${pd_dir}/q1.out"
 CONDORG_PARALLEL=8 ./build/examples/quickstart > "${pd_dir}/q8.out"
@@ -171,7 +174,9 @@ stage_end
 stage_begin "TSan island kernel (racy-by-construction suite)"
 # The windowed executor really runs worker threads, so the digest tests
 # double as the race harness: build just the island suites under
-# ThreadSanitizer and run them with an 8-thread budget.
+# ThreadSanitizer and run them with an 8-thread budget. The idle-islands
+# case at 8 workers covers the lock-free window completion count and the
+# list of filled inboxes that senders append to.
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${jobs}" \
   --target island_test parallel_digest_test

@@ -286,7 +286,8 @@ class Simulation {
   /// island must not bleed state into another island's calendar.
   struct QueueState {
     // The live event at the calendar front, as the executors peek it —
-    // cached because the window scan peeks every queue at every barrier.
+    // cached because the island index re-reads an island's queues whenever
+    // its front may have moved.
     // schedule_keyed keeps it current; take_event and cancel clear
     // `front_known`, and the next peek recomputes it.
     bool front_known = false;
@@ -349,8 +350,8 @@ class Simulation {
   /// The one run loop: run_strict under a global observer, run_windows
   /// otherwise (see IslandEngine).
   void run_islands(Time until, bool bounded);
-  /// Lazily (re)build the island plan via the hook.
-  void refresh_plan();
+  /// Lazily (re)build the island plan via the hook; true if it built one.
+  bool refresh_plan();
 
   // Atomic because stop() may be called from an island worker thread while
   // the coordinator (and other islands) are mid-window.

@@ -115,6 +115,7 @@ util::Rng& Network::send_rng(const std::string& host) {
 
 const LinkConfig& Network::link(const std::string& a,
                                 const std::string& b) const {
+  if (links_.empty()) return default_link_;
   const auto it = links_.find(ordered(a, b));
   return it == links_.end() ? default_link_ : it->second;
 }
@@ -129,6 +130,8 @@ void Network::set_partitioned(const std::string& a, const std::string& b,
 }
 
 bool Network::partitioned(const std::string& a, const std::string& b) const {
+  // The common case, on every send and delivery: no fault is in force.
+  if (partitions_.empty() && isolated_.empty()) return false;
   return partitions_.count(ordered(a, b)) > 0 || isolated_.count(a) > 0 ||
          isolated_.count(b) > 0;
 }
@@ -150,18 +153,18 @@ void Network::send(Message message) {
   util::Rng& rng = send_rng(message.from.host);
   // Local delivery (same host) bypasses the WAN: no loss, tiny latency.
   const bool local = message.from.host == message.to.host;
+  const LinkConfig* cfg = nullptr;  // the WAN link, looked up once
   if (!local) {
     if (partitioned(message.from.host, message.to.host)) {
       blocked_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    const LinkConfig& cfg = link(message.from.host, message.to.host);
-    if (cfg.loss_probability > 0.0 && rng.chance(cfg.loss_probability)) {
+    cfg = &link(message.from.host, message.to.host);
+    if (cfg->loss_probability > 0.0 && rng.chance(cfg->loss_probability)) {
       lost_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
   }
-  const LinkConfig& cfg = link(message.from.host, message.to.host);
   double latency;
   if (local) {
     latency = 1e-4;
@@ -171,12 +174,12 @@ void Network::send(Message message) {
     // delivery timestamp — the controller then permutes delivery order via
     // the kernel's bucket pick.
     const double quantum = ctl->delivery_quantum();
-    const double raw = sim_.now() + cfg.latency;
+    const double raw = sim_.now() + cfg->latency;
     latency = std::ceil(raw / quantum) * quantum - sim_.now();
     if (latency <= 0.0) latency = quantum;
   } else {
-    latency = cfg.latency +
-              (cfg.jitter > 0.0 ? rng.uniform(0.0, cfg.jitter) : 0.0);
+    latency = cfg->latency +
+              (cfg->jitter > 0.0 ? rng.uniform(0.0, cfg->jitter) : 0.0);
   }
   // Deliveries target the destination host's kernel queue (the control
   // queue for an unknown host); when that queue lives on another island the

@@ -109,11 +109,17 @@ thread_local std::vector<DigestKey>* t_window_log = nullptr;
 // IslandEngine: the conservative parallel executor.
 //
 // One instance per Simulation, created lazily at the first run.
-// It owns the worker pool, the per-queue cross-island inboxes, and the
-// window/barrier loop. Queue state is only ever touched by (a) the
-// coordinator between barriers or (b) the single worker executing that
-// queue's island inside a window — the barrier's mutex/condvar pair provides
-// the happens-before edges, so the calendars themselves need no locks.
+// It owns the worker pool, the per-queue cross-island inboxes, the island
+// front-key index, and the window/barrier loop. Queue state is only ever
+// touched by (a) the coordinator between barriers or (b) the single worker
+// executing that queue's island inside a window — the barrier handshake (the
+// mutex that publishes a window, the atomic completion count that closes it)
+// provides the happens-before edges, so the calendars need no locks.
+//
+// Kernel cost follows the islands with work, not the island count: the
+// index keeps each island's front key, a window visits only the islands
+// whose front is below its bound, and a barrier integrates only the inboxes
+// that went non-empty.
 //
 // Synchronization model (conservative, LBTS-style realized as global
 // windows): let T be the minimum pending key time over all islands and L the
@@ -147,6 +153,13 @@ struct IslandEngine {
   // unique_ptr so growing the vector (hosts added at a barrier) never moves
   // a mutex out from under a sender.
   std::vector<std::unique_ptr<Inbox>> inboxes;
+  // Queues whose inbox went non-empty since the last integration, recorded
+  // by the sender that made the transition while it holds that inbox's
+  // lock. An inbox transitions once per integration, so `filled` (sized to
+  // the inbox count) never overflows; the count is atomic because senders
+  // on different inboxes append concurrently.
+  std::vector<std::uint32_t> filled;
+  std::atomic<std::size_t> filled_count{0};
   // True only while the windowed executor is between its initial and final
   // barriers: senders inside windows must go through the inbox; everything
   // else (strict mode, setup code, control context between runs) schedules
@@ -161,8 +174,32 @@ struct IslandEngine {
   // --- plan-derived layout ------------------------------------------------
   std::vector<std::vector<std::uint32_t>> members;  // island -> queue ids
   std::vector<std::uint32_t> island_of;             // queue -> island id
-  std::vector<std::uint32_t> work_islands;          // non-control, non-empty
+  std::vector<std::uint32_t> islands;               // non-control, non-empty
   Time lookahead = kInfTime;
+
+  // --- island front-key index ---------------------------------------------
+  // A 4-ary min-heap (the calendar heap's shape) holding one entry per
+  // non-control island that has a pending event and is not stopped, keyed
+  // by the island's front: its least pending key over its member queues.
+  // heap_pos locates an island's entry so a re-read sifts it in place. The
+  // control queue is never indexed: the executors peek it directly, so a
+  // control event can never be mistaken for island work (a window must not
+  // be opened for it). An entry is re-read only when its calendar may have
+  // changed: its island ran (a window, or one strict dispatch), its inbox
+  // was integrated, or an event from another island's context reached it
+  // (mark()).
+  struct Front {
+    DigestKey key;
+    std::uint32_t island = 0;
+    std::uint32_t queue = 0;  // member queue holding the front event
+  };
+  static constexpr std::uint32_t kAbsent =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<Front> heap;               // min-heap on Front::key
+  std::vector<std::uint32_t> heap_pos;   // island -> heap position or kAbsent
+  std::vector<std::uint32_t> marked;     // islands to re-read at the barrier
+  std::vector<char> is_marked;           // island -> already in `marked`
+  std::vector<std::uint32_t> window;     // this window's islands, ascending
 
   // Merge cursors into the window logs (coordinator only).
   struct LogHead {
@@ -174,7 +211,15 @@ struct IslandEngine {
 
   std::vector<Simulation::IslandStat> stats;
   std::vector<std::vector<DigestKey>> logs;       // per-island window logs
-  std::vector<std::uint64_t> window_busy;         // per-island, this window
+  // Blocked time is derived, not charged per window: an island is blocked
+  // for whatever part of the profiled window wall it spent as a work island
+  // and not executing (see charged_wall). wall_mark holds, per island, the
+  // wall total at which its current stretch as a work island began minus
+  // the wall charged before it (or, while it is not a work island, the
+  // wall charged so far), so a plan change only flips the islands that
+  // joined or left.
+  std::uint64_t wall_ns = 0;  // total wall of the profiled windows
+  std::vector<std::uint64_t> wall_mark;
 
   // Scratch for the controller's choice point (run_strict only).
   struct Candidate {
@@ -190,15 +235,20 @@ struct IslandEngine {
   std::condition_variable cv_work;
   std::condition_variable cv_done;
   std::uint64_t job_seq = 0;
-  std::size_t completed = 0;  // islands executed this window
-  std::size_t work_size = 0;  // |work_islands| of the current window
+  std::size_t work_size = 0;  // |window| of the current window
   bool quit = false;
+  // Islands executed this window. Counted without the mutex; only the
+  // completion that finishes the window takes `mu`, to wake the
+  // coordinator (which re-checks the count under `mu`, so the wake-up
+  // cannot be lost). The acq_rel increments chain every worker's writes
+  // into the coordinator's acquire load.
+  std::atomic<std::size_t> completed{0};
   // Claim word: window generation (high 32, = job_seq) | next work index
   // (low 32). Claims CAS the low half and are only valid while the high
   // half still matches the generation the claimant adopted under `mu` — a
   // straggler whose claim loop outlives its window can therefore never
-  // claim (or even index work_islands for) a window it did not enter
-  // through the mutex handshake, which is what makes the coordinator's
+  // claim (or even index `window` for) a window it did not enter through
+  // the mutex handshake, which is what makes the coordinator's
   // between-window calendar/plan mutations safe to run unlocked.
   std::atomic<std::uint64_t> claim_state{0};
 
@@ -208,6 +258,8 @@ struct IslandEngine {
 
   // -------------------------------------------------------------------------
 
+  // Re-derive the layout from a freshly built plan, then re-read every
+  // island's front (island ids may have moved).
   void sync_plan() {
     const IslandPlan& plan = sim.plan_;
     const std::size_t queues = sim.queues_.size();
@@ -239,19 +291,41 @@ struct IslandEngine {
     for (std::size_t q = 0; q < queues; ++q) {
       members[island_of[q]].push_back(static_cast<std::uint32_t>(q));
     }
-    work_islands.clear();
+    // Flip the wall mark of the islands leaving and then of those joining
+    // (one in both flips twice, back to where it was).
+    for (const std::uint32_t island : islands) {
+      wall_mark[island] = wall_ns - wall_mark[island];
+    }
+    islands.clear();
     for (std::uint32_t i = 1; i < count; ++i) {
-      if (!members[i].empty()) work_islands.push_back(i);
+      if (!members[i].empty()) islands.push_back(i);
+    }
+    if (wall_mark.size() < count) wall_mark.resize(count, 0);
+    for (const std::uint32_t island : islands) {
+      wall_mark[island] = wall_ns - wall_mark[island];
     }
     // A single work island can never receive a mid-window message from a
     // peer, so it may run unbounded by lookahead.
-    if (work_islands.size() <= 1) lookahead = kInfTime;
+    if (islands.size() <= 1) lookahead = kInfTime;
     if (stats.size() < count) stats.resize(count);
     if (logs.size() < count) logs.resize(count);
-    if (window_busy.size() < count) window_busy.resize(count, 0);
     while (inboxes.size() < queues) {
       inboxes.push_back(std::make_unique<Inbox>());
     }
+    filled.resize(inboxes.size());
+    // Island ids may have moved: drop the old index before rebuilding.
+    heap.clear();
+    heap_pos.assign(count, kAbsent);
+    marked.clear();
+    is_marked.assign(count, 0);
+    rebuild_index();
+  }
+
+  // Window wall charged to `island` while it was a work island.
+  std::uint64_t charged_wall(std::uint32_t island) const {
+    const bool work =
+        island != 0 && island < members.size() && !members[island].empty();
+    return work ? wall_ns - wall_mark[island] : wall_mark[island];
   }
 
   // Peek the next key of one queue; false if the queue is empty.
@@ -279,16 +353,140 @@ struct IslandEngine {
     return false;
   }
 
-  // Coordinator-only: drain every inbox into its target calendar. Serial on
-  // purpose — cross traffic is the rare path by design (that is what makes
-  // islands worth having), and serial integration keeps determinism
-  // trivial. Runs only at barriers: every sender finished before the
-  // barrier handshake on `mu`, so neither the inboxes nor any calendar can
-  // be touched concurrently and the inbox locks are not needed here.
+  // --- the front-key index (coordinator only) ------------------------------
+
+  void place(std::size_t pos, const Front& front) {
+    heap[pos] = front;
+    heap_pos[front.island] = static_cast<std::uint32_t>(pos);
+  }
+
+  // Put `front` into the hole at `pos`, moving it up or down to its place.
+  // Front keys are distinct (every event's key is unique), so the heap
+  // order is total.
+  void sift(std::size_t pos, const Front& front) {
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) >> 2;
+      if (!(front.key < heap[parent].key)) break;
+      place(pos, heap[parent]);
+      pos = parent;
+    }
+    for (;;) {
+      const std::size_t first = (pos << 2) + 1;
+      if (first >= heap.size()) break;
+      std::size_t best = first;
+      const std::size_t end = std::min(first + 4, heap.size());
+      for (std::size_t c = first + 1; c < end; ++c) {
+        if (heap[c].key < heap[best].key) best = c;
+      }
+      if (!(heap[best].key < front.key)) break;
+      place(pos, heap[best]);
+      pos = best;
+    }
+    place(pos, front);
+  }
+
+  // Re-read one island's front and sift its entry into place; an empty or
+  // stopped island leaves the index.
+  void reindex(std::uint32_t island) {
+    Front front{{}, island, 0};
+    bool found = false;
+    if (!halted(island)) {
+      for (const std::uint32_t qid : members[island]) {
+        DigestKey k;
+        if (!peek_key(sim.queues_[qid], &k)) continue;
+        if (!found || k < front.key) {
+          found = true;
+          front.key = k;
+          front.queue = qid;
+        }
+      }
+    }
+    const std::uint32_t pos = heap_pos[island];
+    if (found) {
+      if (pos == kAbsent) {
+        heap.emplace_back();
+        sift(heap.size() - 1, front);
+      } else {
+        sift(pos, front);
+      }
+    } else if (pos != kAbsent) {
+      heap_pos[island] = kAbsent;
+      const Front last = heap.back();
+      heap.pop_back();
+      if (last.island != island) sift(pos, last);
+    }
+  }
+
+  void rebuild_index() {
+    for (const Front& front : heap) heap_pos[front.island] = kAbsent;
+    heap.clear();
+    for (const std::uint32_t island : marked) is_marked[island] = 0;
+    marked.clear();
+    for (const std::uint32_t island : islands) reindex(island);
+  }
+
+  // An event from another island's context (the control context, or any
+  // event under the strict executor) scheduled onto or cancelled on
+  // `queue`, a planned queue: its island re-reads its front at the next
+  // barrier (the next event, under the strict executor). Windowed workers
+  // never get here: their cross-island traffic goes through the inboxes,
+  // and schedule/cancel on another island throws. The control queue is
+  // never indexed, so a mark on it is dropped.
+  void mark(std::uint32_t queue) {
+    const std::uint32_t island = island_of[queue];
+    if (island == 0 || is_marked[island] != 0) return;
+    is_marked[island] = 1;
+    marked.push_back(island);
+  }
+
+  void reindex_marked() {
+    for (const std::uint32_t island : marked) {
+      is_marked[island] = 0;
+      reindex(island);
+    }
+    marked.clear();
+  }
+
+  // Sender side of the inbox list; call with the inbox's lock held, before
+  // the first entry goes in.
+  void note_filled(std::uint32_t queue) {
+    filled[filled_count.fetch_add(1, std::memory_order_relaxed)] = queue;
+  }
+
+  // This window's islands: every indexed island whose front is below the
+  // bound, in ascending island order (the order one thread runs them in).
+  // A subtree of the heap is at or above its root, so the walk stops at
+  // the first entry that is not below the bound.
+  void collect_window() {
+    window.clear();
+    if (!heap.empty() && heap.front().key < bound) window.push_back(0);
+    for (std::size_t k = 0; k < window.size(); ++k) {
+      const std::size_t first = (std::size_t{window[k]} << 2) + 1;
+      const std::size_t end = std::min(first + 4, heap.size());
+      for (std::size_t c = first; c < end; ++c) {
+        if (heap[c].key < bound) window.push_back(static_cast<std::uint32_t>(c));
+      }
+    }
+    for (std::uint32_t& entry : window) entry = heap[entry].island;
+    std::sort(window.begin(), window.end());
+  }
+
+  // Coordinator-only: drain the filled inboxes into their target
+  // calendars. Serial on purpose — cross traffic is the rare path by design
+  // (that is what makes islands worth having), and serial integration keeps
+  // determinism trivial. Runs only at barriers: every sender finished
+  // before the barrier handshake, so neither the inboxes nor any calendar
+  // can be touched concurrently and the inbox locks are not needed here.
   void integrate_all() {
-    for (std::size_t qid = 1; qid < inboxes.size(); ++qid) {
+    const std::size_t count = filled_count.load(std::memory_order_relaxed);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint32_t qid = filled[k];
+      // Inbox 0 is never drained: a delivery to a host the Network cannot
+      // resolve targets the control queue, and the windowed executor
+      // leaves it there undelivered (the strict executor delivers it to a
+      // dead destination). Draining it would change the committed stream.
+      if (qid == 0) continue;
       Inbox& ib = *inboxes[qid];
-      if (ib.entries.empty()) continue;
       // Swap the batch out; the arena the previous integration left behind
       // (empty, capacity bounded below) becomes this inbox's buffer.
       std::swap(batch_arena, ib.entries);
@@ -301,10 +499,10 @@ struct IslandEngine {
                   return DigestKey{a.when, a.order} < DigestKey{b.when, b.order};
                 });
       for (CrossEntry& e : batch_arena) {
-        sim.schedule_keyed(static_cast<std::uint32_t>(qid), e.when, e.order,
-                           std::move(e.fn), 0);
+        sim.schedule_keyed(qid, e.when, e.order, std::move(e.fn), 0);
       }
       stats[island_of[qid]].inbox_messages += batch_arena.size();
+      mark(qid);
       batch_arena.clear();
       // The arena becomes the next drained inbox's buffer: bound what it
       // hands on, or every inbox ends up pinning the largest batch.
@@ -312,12 +510,15 @@ struct IslandEngine {
         std::vector<CrossEntry>().swap(batch_arena);
       }
     }
+    filled_count.store(0, std::memory_order_relaxed);
   }
 
-  // Stats parity for the direct (strict/setup) cross-schedule path, so the
-  // per-island inbox totals are identical whichever executor ran.
-  void count_cross(std::uint32_t queue) {
-    if (queue < island_of.size()) ++stats[island_of[queue]].inbox_messages;
+  // The direct (strict/setup) cross-schedule path: stats parity, so the
+  // per-island inbox totals are identical whichever executor ran, and the
+  // target island re-reads its front.
+  void direct_cross(std::uint32_t queue) {
+    ++stats[island_of[queue]].inbox_messages;
+    mark(queue);
   }
 
   // --- the execute barrier -------------------------------------------------
@@ -360,17 +561,13 @@ struct IslandEngine {
           break;
         }
       }
-      const std::uint32_t island = work_islands[k];
+      const std::uint32_t island = window[k];
       const std::uint64_t t0 = profiling ? clock_ns() : 0;
       execute_island(island);
-      if (profiling) {
-        const std::uint64_t spent = clock_ns() - t0;
-        stats[island].busy_ns += spent;
-        window_busy[island] = spent;
-      }
-      {
+      if (profiling) stats[island].busy_ns += clock_ns() - t0;
+      if (completed.fetch_add(1, std::memory_order_acq_rel) + 1 == size) {
         std::lock_guard<std::mutex> lk(mu);
-        if (++completed == size) cv_done.notify_all();
+        cv_done.notify_all();
       }
     }
   }
@@ -407,46 +604,39 @@ struct IslandEngine {
   // participates) and wait for all islands to finish. With one thread — or
   // one island — everything runs inline on the caller, no pool involved.
   void run_execute_phase() {
-    if (work_islands.empty()) return;
     const std::uint64_t t0 = profiling ? clock_ns() : 0;
-    const bool parallel = sim.island_threads_ > 1 && work_islands.size() > 1;
+    const bool parallel = sim.island_threads_ > 1 && window.size() > 1;
     if (!parallel) {
       // Inline execution stays off the claim word entirely: this path has
       // no end-of-window barrier, so nothing here may invite a worker in.
-      for (const std::uint32_t island : work_islands) {
+      for (const std::uint32_t island : window) {
         const std::uint64_t s0 = profiling ? clock_ns() : 0;
         execute_island(island);
-        if (profiling) {
-          const std::uint64_t spent = clock_ns() - s0;
-          stats[island].busy_ns += spent;
-          window_busy[island] = spent;
-        }
+        if (profiling) stats[island].busy_ns += clock_ns() - s0;
       }
     } else {
       start_workers(std::min<std::size_t>(sim.island_threads_ - 1,
-                                          work_islands.size() - 1));
+                                          window.size() - 1));
       {
         std::lock_guard<std::mutex> lk(mu);
-        completed = 0;
+        completed.store(0, std::memory_order_relaxed);
         ++job_seq;
-        work_size = work_islands.size();
+        work_size = window.size();
         claim_state.store(job_seq << 32, std::memory_order_release);
       }
       cv_work.notify_all();
-      claim_and_execute(job_seq, work_islands.size());
+      claim_and_execute(job_seq, window.size());
       std::unique_lock<std::mutex> lk(mu);
-      cv_done.wait(lk, [&] { return completed == work_islands.size(); });
+      cv_done.wait(lk, [&] {
+        return completed.load(std::memory_order_acquire) == window.size();
+      });
     }
-    if (profiling) {
-      const std::uint64_t wall = clock_ns() - t0;
-      for (const std::uint32_t island : work_islands) {
-        // Whatever part of the window the island did not spend executing,
-        // it spent blocked on the barrier (or waiting for a worker slot) —
-        // that is the lookahead-starvation signal the report surfaces.
-        stats[island].blocked_ns += wall - std::min(wall, window_busy[island]);
-        window_busy[island] = 0;
-      }
-    }
+    // Whatever part of the window a work island did not spend executing, it
+    // spent blocked on the barrier (or waiting for a worker slot) — the
+    // lookahead-starvation signal the report surfaces. Islands with nothing
+    // below the bound sat the whole window out: charged_wall covers them
+    // too, without a pass over every island here.
+    if (profiling) wall_ns += clock_ns() - t0;
   }
 
   // Fold one committed dispatch key into the digest, enforcing that the
@@ -484,7 +674,7 @@ struct IslandEngine {
       return b.key < a.key;
     };
     heads.clear();
-    for (const std::uint32_t island : work_islands) {
+    for (const std::uint32_t island : window) {
       const std::vector<DigestKey>& log = logs[island];
       sim.dispatched_ += log.size();
       if (!log.empty()) heads.push_back(LogHead{log.front(), island, 0});
@@ -519,23 +709,12 @@ struct IslandEngine {
     use_inbox.store(true, std::memory_order_release);
     for (;;) {
       integrate_all();
-      if (s.planned_version_ != s.topology_version_) {
-        s.refresh_plan();
-        sync_plan();
-      }
+      if (s.refresh_plan()) sync_plan();
+      reindex_marked();
       DigestKey ctl, isl;
       const bool have_ctl = peek_key(s.queues_[0], &ctl);
-      bool have_isl = false;
-      for (const std::uint32_t island : work_islands) {
-        for (const std::uint32_t qid : members[island]) {
-          DigestKey k;
-          if (!peek_key(s.queues_[qid], &k)) continue;
-          if (!have_isl || k < isl) {
-            have_isl = true;
-            isl = k;
-          }
-        }
-      }
+      const bool have_isl = !heap.empty();
+      if (have_isl) isl = heap.front().key;
       if (!have_ctl && !have_isl) break;
       const DigestKey& first =
           !have_isl || (have_ctl && ctl < isl) ? ctl : isl;
@@ -558,8 +737,16 @@ struct IslandEngine {
       if (DigestKey{until_edge, 0} < b) b = DigestKey{until_edge, 0};
       bound = b;
       ++stats[0].epochs;  // the control row doubles as the window count
+      collect_window();
+      // The least front is below any bound (lookahead > 0, and a capping
+      // control event or horizon lies above it): an empty window means the
+      // index is out of step with the calendars, which would spin forever.
+      if (window.empty()) {
+        throw std::logic_error("island kernel: front index out of step");
+      }
       run_execute_phase();
       merge_logs();
+      for (const std::uint32_t island : window) reindex(island);
       if (s.stopped_.load(std::memory_order_relaxed)) break;
     }
     integrate_all();  // drain stragglers so pending() stays accurate
@@ -581,25 +768,21 @@ struct IslandEngine {
     use_inbox.store(false, std::memory_order_release);
     DigestKey wbound{-kInfTime, 0};
     for (;;) {
-      if (s.planned_version_ != s.topology_version_) {
-        s.refresh_plan();
-        sync_plan();
-      }
+      if (s.refresh_plan()) sync_plan();
+      reindex_marked();
       DigestKey ctl, best;
       const bool have_ctl = peek_key(s.queues_[0], &ctl);
       bool found = have_ctl;
       std::uint32_t best_q = 0;
       if (have_ctl) best = ctl;
-      for (const std::uint32_t island : work_islands) {
-        if (halted(island)) continue;  // stopped: idle until the window edge
-        for (const std::uint32_t qid : members[island]) {
-          DigestKey k;
-          if (!peek_key(s.queues_[qid], &k)) continue;
-          if (!found || k < best) {
-            found = true;
-            best = k;
-            best_q = qid;
-          }
+      // The least indexed front (a stopped island is not indexed: it idles
+      // until the window edge).
+      if (!heap.empty()) {
+        const Front& front = heap.front();
+        if (!found || front.key < best) {
+          found = true;
+          best = front.key;
+          best_q = front.queue;
         }
       }
       if (!found) break;
@@ -629,6 +812,7 @@ struct IslandEngine {
       commit_key(best);
       ++s.dispatched_;
       s.dispatch(best_q, ev);
+      reindex(island_of[best_q]);
     }
   }
 
@@ -636,13 +820,14 @@ struct IslandEngine {
   // time, across the control queue and every running island, offered in key
   // order — the candidate set one global calendar would hold at that
   // instant, so a pick of 0 is exactly the uncontrolled (minimum-key) event.
-  // Requires peek_key to have run on each of those queues. Overwrites the
-  // key, queue and bucket position of the event to dispatch.
+  // A scan over every queue, not the index: exploration worlds are small.
+  // Overwrites the key, queue and bucket position of the event to dispatch.
   void choose(DigestKey* key, std::uint32_t* queue, std::size_t* index) {
     candidates.clear();
     const auto collect = [&](std::uint32_t qid) {
-      const Simulation::QueueState& q = sim.queues_[qid];
-      if (q.heap.empty() || q.heap.front().when != key->when) return;
+      Simulation::QueueState& q = sim.queues_[qid];
+      DigestKey front;
+      if (!peek_key(q, &front) || q.heap.front().when != key->when) return;
       const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
       for (std::size_t i = b.next; i < b.items.size(); ++i) {
         const Simulation::PendingEvent& e = b.items[i];
@@ -652,7 +837,7 @@ struct IslandEngine {
       }
     };
     collect(0);
-    for (const std::uint32_t island : work_islands) {
+    for (const std::uint32_t island : islands) {
       if (halted(island)) continue;
       for (const std::uint32_t qid : members[island]) collect(qid);
     }
@@ -721,8 +906,8 @@ void Simulation::set_island_plan_hook(std::function<IslandPlan()> hook) {
   notify_topology_changed();
 }
 
-void Simulation::refresh_plan() {
-  if (planned_version_ == topology_version_) return;
+bool Simulation::refresh_plan() {
+  if (planned_version_ == topology_version_) return false;
   if (plan_hook_) {
     plan_ = plan_hook_();
   } else {
@@ -737,6 +922,7 @@ void Simulation::refresh_plan() {
     plan_.lookahead = 0.0;
   }
   planned_version_ = topology_version_;
+  return true;
 }
 
 std::size_t Simulation::pending() const {
@@ -751,6 +937,10 @@ std::vector<Simulation::IslandStat> Simulation::island_stats() const {
   for (std::size_t qid = 0;
        qid < queues_.size() && qid < engine_->island_of.size(); ++qid) {
     out[engine_->island_of[qid]].events += queues_[qid].events;
+  }
+  for (std::uint32_t island = 1; island < out.size(); ++island) {
+    const std::uint64_t wall = engine_->charged_wall(island);
+    out[island].blocked_ns = wall - std::min(wall, out[island].busy_ns);
   }
   return out;
 }
@@ -834,10 +1024,12 @@ EventId Simulation::schedule_on_queue(std::uint32_t queue, Time when,
   // (schedule_cross), which hands the delivery over at a barrier. The
   // control context runs at barriers and may schedule anywhere; queues
   // younger than the plan are not executed by anyone until it resyncs.
-  if (origin != 0 && engine_ != nullptr &&
-      queue < engine_->island_of.size() &&
-      engine_->island_of[queue] != engine_->island_of[origin]) {
-    throw std::logic_error("schedule: event targets another island's queue");
+  if (engine_ != nullptr && queue < engine_->island_of.size()) {
+    if (origin == 0) {
+      engine_->mark(queue);
+    } else if (engine_->island_of[queue] != engine_->island_of[origin]) {
+      throw std::logic_error("schedule: event targets another island's queue");
+    }
   }
   QueueState& oq = queues_[origin];
   if (when < oq.local_now) when = oq.local_now;  // no scheduling into the past
@@ -871,6 +1063,7 @@ void Simulation::schedule_cross(std::uint32_t queue, Time when,
     // stream key-ascending.)
     IslandEngine::Inbox& ib = *engine_->inboxes[queue];
     std::lock_guard<std::mutex> lk(ib.mu);
+    if (ib.entries.empty()) engine_->note_filled(queue);
     ib.entries.push_back(IslandEngine::CrossEntry{when, order, std::move(fn)});
     return;
   }
@@ -878,7 +1071,7 @@ void Simulation::schedule_cross(std::uint32_t queue, Time when,
   // same-island: schedule straight into the target calendar under the key.
   schedule_keyed(queue, when, order, std::move(fn),
                  tracer_.enabled() ? tracer_.context() : 0);
-  if (cross) engine_->count_cross(queue);  // stats parity with the inbox path
+  if (cross) engine_->direct_cross(queue);
 }
 
 EventId Simulation::schedule_keyed(std::uint32_t queue, Time when,
@@ -973,6 +1166,9 @@ bool Simulation::cancel(EventId id) {
   rec.fn = nullptr;
   ++rec.gen;  // invalidates the pending entry and any outstanding id copy
   q.front_known = false;
+  if (context == 0 && engine_ != nullptr && queue < engine_->island_of.size()) {
+    engine_->mark(queue);
+  }
   q.free_slots.push_back(static_cast<std::uint32_t>(slot_p1 - 1));
   --q.live;
   ++q.tombstones;  // buried entry; settled when the lazy deletion drains it
@@ -1058,10 +1254,17 @@ Simulation::PendingEvent Simulation::take_event(QueueState& q,
 }
 
 void Simulation::run_islands(Time until, bool bounded) {
-  if (engine_ == nullptr) engine_ = std::make_unique<IslandEngine>(*this);
-  refresh_plan();
-  engine_->sync_plan();
+  const bool fresh = engine_ == nullptr;
+  if (fresh) engine_ = std::make_unique<IslandEngine>(*this);
   for (QueueState& q : queues_) q.halted = false;
+  // Code between runs may have touched any calendar and stopped islands
+  // left the index: re-read every island's front (sync_plan does, after a
+  // plan change).
+  if (refresh_plan() || fresh) {
+    engine_->sync_plan();
+  } else {
+    engine_->rebuild_index();
+  }
   stopped_.store(false, std::memory_order_relaxed);
   engine_->last_key = DigestKey{-kInfTime, 0};
   // A global observer (Tracer, auditor, controller) must see the one true

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -441,6 +442,146 @@ TEST(ParallelDigest, GlideInByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.live, base.live) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.evictions, base.evictions) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
+  }
+}
+
+struct IdleArtifacts {
+  std::uint64_t digest = 0;
+  std::uint64_t dispatched = 0;
+  std::string outcome;
+};
+
+/// Two chatty hosts beside 240 idle ones, each idle host holding one
+/// far-future timer, so a window has work on a few islands out of hundreds
+/// and the kernel's front index decides which. The run drives every path
+/// that changes an island's front from outside its own window: a control
+/// event posts onto an idle host and cancels an event there (and the front
+/// event of another idle host, due before the run ends, so only the cancel
+/// can move that island's key), a control event schedules onto the control
+/// queue, a message lands on a host idle since the start, a control event
+/// adds a host, and a delivery handler calls stop().
+IdleArtifacts run_idle_hosts(unsigned threads, bool strict) {
+  sim::World::ScopedParallelOverride force(static_cast<int>(threads));
+  sim::World world(/*seed=*/1818);
+  sim::Simulation& s = world.sim();
+  if (strict) s.tracer().set_enabled(true);  // arms the strict executor
+
+  constexpr int kIdle = 240;
+  constexpr std::int64_t kPokeHop = 110;  // about t = 7 s
+  constexpr std::int64_t kStopHop = 150;  // about t = 9 s
+  constexpr std::int64_t kLastHop = 400;
+  // One note per host (idle hosts first, then chat0, chat1, late), each
+  // written only by that host's events; `control` only by control events.
+  std::vector<std::string> notes(kIdle + 3);
+  std::string control;
+  const auto at = [&s] { return std::to_string(s.now()); };
+  const auto send = [&world](sim::Host& from, const std::string& to,
+                             const std::string& service, std::int64_t hop) {
+    sim::Message m;
+    m.from = sim::Address{from.name(), service};
+    m.to = sim::Address{to, service};
+    m.type = service;
+    m.body.set_int("hop", hop);
+    world.net().send(std::move(m));
+  };
+
+  std::vector<sim::Host*> idle;
+  std::vector<sim::EventId> timers;
+  for (int i = 0; i < kIdle; ++i) {
+    sim::Host& host = world.add_host("idle" + std::to_string(i) + ".example");
+    idle.push_back(&host);
+    std::string& note = notes[static_cast<std::size_t>(i)];
+    host.register_service("poke", [&note, at](const sim::Message& m) {
+      note += "poke" + m.body.get("hop") + "@" + at() + " ";
+    });
+    timers.push_back(host.post(5000.0 + i, [&note, at] {
+      note += "timer@" + at() + " ";
+    }));
+  }
+  const sim::EventId soon = idle[12]->post(5.0, [&note = notes[12], at] {
+    note += "soon@" + at() + " ";
+  });
+  sim::Host& chat0 = world.add_host("chat0.example");
+  sim::Host& chat1 = world.add_host("chat1.example");
+  const auto echo = [&](sim::Host* self, std::string peer, std::string* note) {
+    self->register_service("echo", [&, self, peer, note](const sim::Message& m) {
+      const std::int64_t hop = m.body.get_int("hop");
+      *note += std::to_string(hop) + "@" + at() + " ";
+      if (hop == kPokeHop) send(*self, "idle7.example", "poke", hop);
+      if (hop == kStopHop) s.stop();
+      if (hop < kLastHop) send(*self, peer, "echo", hop + 1);
+    });
+    self->register_service("sink", [note, at](const sim::Message&) {
+      *note += "sink@" + at() + " ";
+    });
+  };
+  echo(&chat0, "chat1.example", &notes[kIdle]);
+  echo(&chat1, "chat0.example", &notes[kIdle + 1]);
+  // chat1 also ticks on its own, so the window a stop ends in has work on
+  // another island to finish.
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    if (s.now() < 30.0) chat1.post(0.02, tick);
+  };
+  chat1.post(0.02, tick);
+
+  s.schedule_at(1.0, [&] { send(chat0, "chat1.example", "echo", 1); });
+  s.schedule_at(3.0, [&] {
+    idle[11]->post(0.25, [&note = notes[11], at] {
+      note += "posted@" + at() + " ";
+    });
+    control += "cancel=" + std::to_string(s.cancel(timers[11])) + " ";
+    control += "cancel=" + std::to_string(s.cancel(soon)) + " ";
+  });
+  s.schedule_at(4.0, [&] {
+    s.schedule_at(4.5, [&] { control += "control@" + at() + " "; });
+  });
+  s.schedule_at(7.0, [&] {
+    sim::Host* late = &world.add_host("late.example");
+    late->post(0.5, [&, late] {
+      notes[kIdle + 2] += "late@" + at() + " ";
+      send(*late, "chat1.example", "sink", 0);
+    });
+  });
+
+  s.run_until(2.0);
+  s.run();  // returns at the stop
+  control += "stopped@" + at() + " ticks=" + std::to_string(ticks) + " ";
+  s.run_until(40.0);
+  s.run();  // drains every idle timer
+
+  IdleArtifacts out;
+  out.digest = s.trace_digest();
+  out.dispatched = s.dispatched();
+  out.outcome = control + "ticks=" + std::to_string(ticks) + "\n";
+  for (const std::string& note : notes) out.outcome += note + "\n";
+  return out;
+}
+
+TEST(ParallelDigest, IdleIslandsByteIdenticalAcrossThreadCounts) {
+  const IdleArtifacts strict = run_idle_hosts(4, /*strict=*/true);
+  const std::string& o = strict.outcome;
+  EXPECT_NE(o.find("cancel=1 cancel=1 "), std::string::npos);
+  EXPECT_EQ(o.find("soon@"), std::string::npos);
+  EXPECT_NE(o.find("posted@3.250000 "), std::string::npos);
+  EXPECT_NE(o.find("control@4.500000 "), std::string::npos);
+  EXPECT_NE(o.find("poke110@"), std::string::npos);
+  EXPECT_NE(o.find("late@7.500000 "), std::string::npos);
+  EXPECT_NE(o.find("sink@"), std::string::npos);
+  EXPECT_NE(o.find("400@"), std::string::npos);  // the chatter ran out
+  EXPECT_NE(o.find("stopped@9."), std::string::npos);
+  std::size_t fired = 0;
+  for (std::size_t p = o.find("timer@"); p != std::string::npos;
+       p = o.find("timer@", p + 1)) {
+    ++fired;
+  }
+  EXPECT_EQ(fired, 239u);  // every idle timer but idle11's
+  for (const unsigned n : kThreadCounts) {
+    const IdleArtifacts a = run_idle_hosts(n, /*strict=*/false);
+    EXPECT_EQ(a.digest, strict.digest) << "N=" << n;
+    EXPECT_EQ(a.dispatched, strict.dispatched) << "N=" << n;
+    EXPECT_EQ(a.outcome, strict.outcome) << "N=" << n;
   }
 }
 
