@@ -1,13 +1,11 @@
 // S1 — submission-pipeline throughput (google-benchmark): a burst of N
 // identical jobs fanned across 8 gatekeepers, timed end-to-end (burst
-// submitted at t=0 until the queue is all-terminal). The production path
+// submitted at t=0 until the queue is all-terminal). The GridManager
 // stages one content-addressed executable per site (the per-site GASS
 // cache coalesces the rest), reads idle jobs off the Schedd's secondary
 // indexes, and pipelines at most max_pending_per_site submissions per
-// gatekeeper. The retained reference path re-stages "exe/<id>" per job,
-// scans the whole queue each tick, and floods every idle job at its site
-// at once — the pre-optimization behaviour bench_compare.py measures the
-// speedup against.
+// gatekeeper. bench_compare.py gates the wall time against the committed
+// baseline.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -37,7 +35,7 @@ struct StormResult {
   double makespan = 0;               // sim seconds to drain the burst
 };
 
-StormResult run_storm(int jobs, bool reference) {
+StormResult run_storm(int jobs) {
   cw::GridTestbed testbed(42);
   for (int s = 0; s < kSites; ++s) {
     cw::SiteSpec spec;
@@ -49,8 +47,7 @@ StormResult run_storm(int jobs, bool reference) {
 
   core::AgentOptions options;
   options.gridmanager.staged_content_bytes = kContentBytes;
-  options.gridmanager.reference_submit_path = reference;
-  if (!reference) options.gridmanager.max_pending_per_site = 128;
+  options.gridmanager.max_pending_per_site = 128;
   core::CondorGAgent agent(testbed.world(), "submit.wisc.edu", options);
   agent.start();
 
@@ -81,10 +78,10 @@ StormResult run_storm(int jobs, bool reference) {
   return result;
 }
 
-void run_bench(benchmark::State& state, int jobs, bool reference) {
+void run_bench(benchmark::State& state, int jobs) {
   StormResult result;
   for (auto _ : state) {
-    result = run_storm(jobs, reference);
+    result = run_storm(jobs);
     benchmark::DoNotOptimize(result.completed);
   }
   if (result.completed != static_cast<std::size_t>(jobs)) {
@@ -142,12 +139,7 @@ int main(int argc, char** argv) {
     const int n = jobs;
     benchmark::RegisterBenchmark(
         (std::string("BM_SubmissionStorm/") + tag).c_str(),
-        [n](benchmark::State& state) { run_bench(state, n, false); })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        (std::string("BM_SubmissionStormReference/") + tag).c_str(),
-        [n](benchmark::State& state) { run_bench(state, n, true); })
+        [n](benchmark::State& state) { run_bench(state, n); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   }

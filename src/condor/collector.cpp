@@ -13,7 +13,6 @@ Collector::Collector(sim::Host& host, sim::Network& network)
       network_(network),
       entries_(host, "collector.entries"),
       expiry_heap_(host, "collector.expiry_heap"),
-      shards_(host, "collector.shards"),
       delta_log_(host, "collector.delta_log"),
       change_seq_(host, "collector.change_seq", 0),
       noop_updates_(host, "collector.noop_updates", 0),
@@ -24,7 +23,6 @@ Collector::Collector(sim::Host& host, sim::Network& network)
   crash_listener_ = host_.add_crash_listener([this] {
     entries_->clear();
     expiry_heap_->clear();
-    shards_->clear();
     delta_log_->clear();
     // Sequence resets with the incarnation: a subscriber holding a larger
     // sequence number learns it must resync instead of trusting "no new
@@ -44,37 +42,16 @@ void Collector::install() {
                          [this](const sim::Message& m) { on_message(m); });
 }
 
-std::string Collector::shard_of(const classad::ClassAd& ad) {
-  if (const auto universe = ad.eval_string("JobUniverse")) {
-    const auto status = ad.eval_string("JobStatus");
-    return "job/" + *universe + "/" + (status ? *status : "Idle");
-  }
-  if (const auto state = ad.eval_string("State")) {
-    return "machine/" + *state;
-  }
-  return "other";
-}
-
-void Collector::record_delta(const std::string& name, const std::string& shard,
-                             AdPtr ad, std::uint64_t checksum) const {
+void Collector::record_delta(const std::string& name, AdPtr ad,
+                             std::uint64_t checksum) const {
   ++*change_seq_;
-  delta_log_->push_back(
-      Delta{*change_seq_, name, shard, std::move(ad), checksum});
+  delta_log_->push_back(Delta{*change_seq_, name, std::move(ad), checksum});
   if (delta_log_->size() > kDeltaLogCap) {
     // Drop the older half in one move; readers that fall behind the floor
     // resync from a full query.
     delta_log_->erase(delta_log_->begin(),
                       delta_log_->begin() + kDeltaLogCap / 2);
   }
-}
-
-void Collector::drop_entry(const std::string& name, const Entry& entry) const {
-  const auto shard_it = shards_->find(entry.shard);
-  if (shard_it != shards_->end()) {
-    shard_it->second.erase(name);
-    if (shard_it->second.empty()) shards_->erase(shard_it);
-  }
-  record_delta(name, entry.shard, nullptr, 0);
 }
 
 void Collector::on_message(const sim::Message& message) {
@@ -94,8 +71,8 @@ void Collector::on_message(const sim::Message& message) {
     };
     const auto it = entries_->find(name);
     if (it != entries_->end() && it->second.checksum == checksum) {
-      // Content-identical re-publish: refresh the lease, leave the views
-      // and the change sequence alone.
+      // Content-identical re-publish: refresh the lease, leave the change
+      // sequence alone.
       it->second.expires_at = expires_at;
       push_deadline(expires_at, name);
       ++*noop_updates_;
@@ -109,18 +86,7 @@ void Collector::on_message(const sim::Message& message) {
           classad::parse_ad(raw));
       entry.expires_at = expires_at;
       entry.checksum = checksum;
-      entry.shard = shard_of(*entry.ad);
-      if (it != entries_->end() && it->second.shard != entry.shard) {
-        // The ad migrated shards (e.g. Unclaimed -> Claimed): retire it
-        // from the old view before the new one records the change.
-        const auto old_it = shards_->find(it->second.shard);
-        if (old_it != shards_->end()) {
-          old_it->second.erase(name);
-          if (old_it->second.empty()) shards_->erase(old_it);
-        }
-      }
-      (*shards_)[entry.shard].insert(name);
-      record_delta(name, entry.shard, entry.ad, entry.checksum);
+      record_delta(name, entry.ad, entry.checksum);
       push_deadline(expires_at, name);
       (*entries_)[name] = std::move(entry);
       ++ads_received_;
@@ -154,7 +120,7 @@ void Collector::prune() const {
     // Stale node if the name was re-advertised with a later deadline (the
     // newer node is still in the heap) or explicitly invalidated.
     if (it != entries_->end() && it->second.expires_at <= now) {
-      drop_entry(it->first, it->second);
+      record_delta(it->first, nullptr, 0);
       entries_->erase(it);
     }
   }
@@ -189,34 +155,6 @@ bool Collector::query_delta(std::uint64_t since,
   return true;
 }
 
-std::vector<Collector::AdPtr> Collector::query_shard(
-    const std::string& shard) const {
-  prune();
-  std::vector<AdPtr> out;
-  const auto it = shards_->find(shard);
-  if (it == shards_->end()) return out;
-  out.reserve(it->second.size());
-  for (const std::string& name : it->second) {
-    const auto entry = entries_->find(name);
-    if (entry != entries_->end()) out.push_back(entry->second.ad);
-  }
-  return out;
-}
-
-std::vector<std::string> Collector::shard_names() const {
-  prune();
-  std::vector<std::string> out;
-  out.reserve(shards_->size());
-  for (const auto& [shard, names] : *shards_) out.push_back(shard);
-  return out;
-}
-
-std::size_t Collector::shard_size(const std::string& shard) const {
-  prune();
-  const auto it = shards_->find(shard);
-  return it == shards_->end() ? 0 : it->second.size();
-}
-
 std::map<std::string, std::uint64_t> Collector::checksums() const {
   prune();
   std::map<std::string, std::uint64_t> out;
@@ -238,7 +176,7 @@ std::size_t Collector::live_count() const {
 void Collector::invalidate(const std::string& name) {
   const auto it = entries_->find(name);
   if (it == entries_->end()) return;
-  drop_entry(it->first, it->second);
+  record_delta(it->first, nullptr, 0);
   entries_->erase(it);
 }
 

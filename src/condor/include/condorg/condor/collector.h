@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -57,7 +56,7 @@ class Collector {
 
   std::uint64_t ads_received() const { return ads_received_; }
 
-  // --- sharded views + incremental (delta) subscription ---
+  // --- incremental (delta) subscription ---
   //
   // Every content change (new ad, changed ad, invalidation, TTL expiry)
   // bumps a monotone change sequence and appends to a bounded delta log.
@@ -66,21 +65,16 @@ class Collector {
   // reaches back far enough — or the collector restarted and the sequence
   // reset — query_delta() reports a resync and the subscriber falls back to
   // a full query(). A re-publish whose ad text is byte-identical to the
-  // stored one only refreshes the TTL: no sequence bump, no delta, no view
-  // invalidation (counted in `collector_noop_updates`).
+  // stored one only refreshes the TTL: no sequence bump, no delta (counted in
+  // `collector_noop_updates`).
 
   /// One change. `ad == nullptr` is a tombstone (invalidated or expired).
   struct Delta {
     std::uint64_t seq = 0;
     std::string name;
-    std::string shard;
     AdPtr ad;
     std::uint64_t checksum = 0;  // content checksum; 0 for tombstones
   };
-
-  /// Shard key of an ad: "job/<JobUniverse>/<JobStatus>" for job ads,
-  /// "machine/<State>" for machine ads, "other" for anything else.
-  static std::string shard_of(const classad::ClassAd& ad);
 
   /// Sequence number of the latest recorded change (0 = none yet).
   std::uint64_t change_seq() const { return *change_seq_; }
@@ -90,12 +84,6 @@ class Collector {
   /// `since` (truncated past it, or `since` is from a previous incarnation);
   /// the caller must resync from query().
   bool query_delta(std::uint64_t since, std::vector<Delta>& out) const;
-
-  /// Live ads of one shard, in ad-name order.
-  std::vector<AdPtr> query_shard(const std::string& shard) const;
-  /// Sorted shard keys with at least one live ad.
-  std::vector<std::string> shard_names() const;
-  std::size_t shard_size(const std::string& shard) const;
 
   /// name -> content checksum of every live ad (prunes first). The
   /// anti-entropy sweep compares a subscriber's mirror against this.
@@ -111,7 +99,6 @@ class Collector {
     AdPtr ad;
     sim::Time expires_at = 0;
     std::uint64_t checksum = 0;  // FNV-1a of the advertised ad text
-    std::string shard;
   };
   // Lazily-deleted expiry heap node. An entry's live deadline always has a
   // matching node (advertise pushes one); nodes for superseded deadlines or
@@ -128,10 +115,8 @@ class Collector {
   /// log n) instead of a full-pool scan per query.
   void prune() const;
   /// Bump the change sequence and append to the (bounded) delta log.
-  void record_delta(const std::string& name, const std::string& shard,
-                    AdPtr ad, std::uint64_t checksum) const;
-  /// Drop `name` from the shard index + record a tombstone.
-  void drop_entry(const std::string& name, const Entry& entry) const;
+  void record_delta(const std::string& name, AdPtr ad,
+                    std::uint64_t checksum) const;
 
   /// Delta-log retention: enough to bridge many negotiation cycles at
   /// steady state, small enough that a storm degrades to one resync
@@ -144,8 +129,6 @@ class Collector {
   // determinism, lazily-deleted min-heap on `when`.
   mutable det::HostLocal<std::map<std::string, Entry>> entries_;
   mutable det::HostLocal<std::vector<Deadline>> expiry_heap_;
-  /// shard key -> live ad names (the sharded views).
-  mutable det::HostLocal<std::map<std::string, std::set<std::string>>> shards_;
   mutable det::HostLocal<std::vector<Delta>> delta_log_;
   mutable det::HostLocal<std::uint64_t> change_seq_;
   det::HostLocal<std::uint64_t> noop_updates_;

@@ -7,6 +7,15 @@
 
 namespace condorg::core {
 
+namespace {
+
+// Cadence of the queue scan that routes idle jobs and prunes the pipeline.
+constexpr double kPollInterval = 60.0;
+// Re-probe cadence while neither the JobManager nor the Gatekeeper answers.
+constexpr double kRecoverRetry = 120.0;
+
+}  // namespace
+
 GridManager::GridManager(Schedd& schedd, sim::Network& network,
                          std::string user, SiteChooser chooser,
                          GridManagerOptions options)
@@ -89,21 +98,17 @@ void GridManager::start() {
 void GridManager::tick() {
   prune_pipeline();
   drive_idle_jobs();
-  host_.post(options_.poll_interval, [this] { tick(); });
+  host_.post(kPollInterval, [this] { tick(); });
 }
 
 gram::GramJobSpec GridManager::spec_for(const Job& job) {
   gram::GramJobSpec spec;
-  if (options_.reference_submit_path) {
-    spec.executable = "exe/" + std::to_string(job.id);
-  } else {
-    // Content-addressed: every job running this executable names the same
-    // store entry, and the checksum lets the site's staging cache serve
-    // repeats without a transfer (and detect changed content).
-    const Artifact& artifact = stage_artifact(job);
-    spec.executable = artifact.path;
-    spec.exe_checksum = artifact.checksum;
-  }
+  // Content-addressed: every job running this executable names the same
+  // store entry, and the checksum lets the site's staging cache serve
+  // repeats without a transfer (and detect changed content).
+  const Artifact& artifact = stage_artifact(job);
+  spec.executable = artifact.path;
+  spec.exe_checksum = artifact.checksum;
   spec.output = job.desc.output.empty()
                     ? "out/" + std::to_string(job.id) + ".out"
                     : job.desc.output;
@@ -146,19 +151,6 @@ const GridManager::Artifact& GridManager::stage_artifact(const Job& job) {
                               artifact.declared_size);
   return artifacts_->emplace(job.desc.executable, std::move(artifact))
       .first->second;
-}
-
-void GridManager::stage_executable(const Job& job) {
-  // What matters is that the executable exists on the GASS server for the
-  // JobManager to fetch (and is re-created after a submit-machine crash).
-  if (options_.reference_submit_path) {
-    // Reference path: one store entry per job, re-put on every submission.
-    gass_.store().put("exe/" + std::to_string(job.id),
-                      make_exe_content(job.desc.executable),
-                      job.desc.executable_size);
-    return;
-  }
-  stage_artifact(job);
 }
 
 std::size_t GridManager::pipeline_depth(const std::string& site) const {
@@ -209,10 +201,6 @@ void GridManager::prune_pipeline() {
 }
 
 void GridManager::drive_idle_jobs() {
-  if (options_.reference_submit_path) {
-    drive_idle_jobs_reference();
-    return;
-  }
   for (const std::uint64_t id : schedd_.idle_jobs(Universe::kGrid)) {
     if (queued_->count(id) || submitting_->count(id)) continue;
     enqueue_idle(id);
@@ -220,42 +208,21 @@ void GridManager::drive_idle_jobs() {
   pump_all();
 }
 
-void GridManager::drive_idle_jobs_reference() {
-  std::size_t in_flight = submitting_->size();
-  if (options_.max_submitted_jobs > 0) {
-    // Retained pre-index reference path for bench_s1; the production path
-    // uses count(universe, status).
-    // lint-allow(schedd-full-scan): reference configuration by design
-    for (const auto& [id, job] : schedd_.jobs()) {
-      if (job.desc.universe == Universe::kGrid &&
-          job.status == JobStatus::kRunning) {
-        ++in_flight;
-      }
-    }
-  }
-  for (const std::uint64_t id : schedd_.idle_jobs(Universe::kGrid)) {
-    if (options_.max_submitted_jobs > 0 &&
-        in_flight >= options_.max_submitted_jobs) {
-      return;
-    }
-    if (!submitting_->count(id)) {
-      submit_job(id);
-      ++in_flight;
-    }
-  }
-}
-
 void GridManager::enqueue_idle(std::uint64_t job_id) {
   const auto job = schedd_.query(job_id);
   if (!job || job->status != JobStatus::kIdle) return;
   if (!job->gram_contact.empty()) {
     // Released-from-hold with a live site contact: reconnect, don't queue.
-    submit_job(job_id);
+    reattach(*job);
     return;
   }
   queued_->insert(job_id);
-  if (!job->desc.grid_site.empty()) {
-    (*site_ready_)[job->desc.grid_site].push_back(job_id);
+  // A persisted seq may already be committed at the site it was sent to,
+  // so it is only ever sent again there, never to a brokered site.
+  const std::string& site =
+      job->gram_seq != 0 ? job->gram_site : job->desc.grid_site;
+  if (!site.empty()) {
+    (*site_ready_)[site].push_back(job_id);
     return;
   }
   chooser_(*job, [this, job_id](std::optional<sim::Address> gatekeeper) {
@@ -318,57 +285,35 @@ void GridManager::do_pump(const std::string& site) {
       continue;  // moved on (held/removed/re-driven) while waiting
     }
     submitting_->insert(job_id);
-    stage_executable(*job);
     begin_pipeline(job_id, site);
     submit_to(job_id, sim::Address{site, gram::kGatekeeperService});
   }
 }
 
-void GridManager::submit_job(std::uint64_t job_id) {
-  const auto job = schedd_.query(job_id);
-  if (!job || job->status != JobStatus::kIdle) return;
+void GridManager::reattach(const Job& job) {
+  // The job already lives at a site (e.g. it was held for a credential
+  // refresh and released): reconnect to the existing JobManager instead of
+  // submitting a second copy. The probe ladder handles a JobManager that
+  // died in the meantime.
+  (*contact_to_job_)[job.gram_contact] = job.id;
+  schedd_.log().record(host_.now(), job.id, LogEventKind::kReconnected,
+                       "release: reattaching to " + job.gram_contact);
+  schedd_.with_job(job.id, [](Job& j) { j.status = JobStatus::kRunning; });
+  start_probing(job.id, 1.0);
+}
 
-  if (!job->gram_contact.empty()) {
-    // The job already lives at a site (e.g. it was held for a credential
-    // refresh and released): reconnect to the existing JobManager instead
-    // of submitting a second copy. The probe ladder handles a JobManager
-    // that died in the meantime.
-    const std::string contact = job->gram_contact;
-    (*contact_to_job_)[contact] = job_id;
-    schedd_.log().record(host_.now(), job_id, LogEventKind::kReconnected,
-                         "release: reattaching to " + contact);
-    schedd_.with_job(job_id,
-                     [](Job& j) { j.status = JobStatus::kRunning; });
-    if (!probing_->count(job_id)) {
-      probing_->insert(job_id);
-      host_.post(1.0, [this, job_id] { probe(job_id); });
-    }
-    return;
-  }
-
-  submitting_->insert(job_id);
-  stage_executable(*job);
-
-  if (!job->desc.grid_site.empty()) {
-    submit_to(job_id, sim::Address{job->desc.grid_site,
-                                   gram::kGatekeeperService});
-    return;
-  }
-  chooser_(*job, [this, job_id](std::optional<sim::Address> gatekeeper) {
-    if (!gatekeeper) {
-      // No candidate resource right now; try again next tick.
-      submitting_->erase(job_id);
-      return;
-    }
-    submit_to(job_id, *gatekeeper);
-  });
+void GridManager::start_probing(std::uint64_t job_id, double delay) {
+  if (!probing_->insert(job_id).second) return;  // a loop is already running
+  host_.post(delay, [this, job_id] { probe(job_id); });
 }
 
 void GridManager::submit_to(std::uint64_t job_id,
                             const sim::Address& gatekeeper) {
   const auto job = schedd_.query(job_id);
   if (!job || job->status != JobStatus::kIdle) {
+    // Held or removed while its (re-)drive waited: nothing is sent.
     submitting_->erase(job_id);
+    end_pipeline(job_id);
     return;
   }
   // Allocate (or reuse, during crash recovery) the persisted sequence
@@ -417,11 +362,7 @@ void GridManager::submit_to(std::uint64_t job_id,
         if (host_.crash_point("gridmanager.submit_ack")) return;
         (*contact_to_job_)[*contact] = job_id;
         schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host, *contact);
-        if (!probing_->count(job_id)) {
-          probing_->insert(job_id);
-          host_.post(options_.probe_interval,
-                     [this, job_id] { probe(job_id); });
-        }
+        start_probing(job_id, options_.probe_interval);
       });
 }
 
@@ -610,8 +551,7 @@ void GridManager::probe(std::uint64_t job_id) {
             // F2 or F4 — indistinguishable from here. Wait and re-probe;
             // when the site answers again we reconnect (and restart the
             // JobManager if needed).
-            host_.post(options_.recover_retry,
-                       [this, job_id] { probe(job_id); });
+            host_.post(kRecoverRetry, [this, job_id] { probe(job_id); });
           }
         });
   });
@@ -640,12 +580,14 @@ void GridManager::recover_after_boot() {
         job.status == JobStatus::kRemoved || job.status == JobStatus::kHeld) {
       continue;
     }
-    stage_executable(job);
     if (!job.gram_contact.empty()) {
       // We had an acknowledged submission: reconnect. Tell the JobManager
       // our (possibly new) GASS address, ask the gatekeeper to restart the
       // JobManager if it is gone, and resume probing. Recovery latency for
-      // F3 is measured from the reboot to the re-established contact.
+      // F3 is measured from the reboot to the re-established contact. The
+      // executable is staged again for a JobManager that has yet to fetch
+      // it.
+      stage_artifact(job);
       note_degraded(id, "submit machine rebooted");
       (*contact_to_job_)[job.gram_contact] = id;
       if (job.remote_state != "ACTIVE") {
@@ -669,41 +611,18 @@ void GridManager::recover_after_boot() {
               });
         }
       });
-      probing_->insert(id);
-      host_.post(options_.probe_interval, [this, job_id] { probe(job_id); });
+      start_probing(job_id, options_.probe_interval);
     } else if (job.gram_seq != 0) {
       // Crash hit between allocating the sequence number and learning the
-      // contact: re-drive with the SAME seq; dedup at the gatekeeper makes
-      // this safe even if the original request did get through.
+      // contact: re-drive with the SAME seq to the SAME site; dedup at the
+      // gatekeeper makes this safe even if the original request did get
+      // through.
       submitting_->insert(id);
       begin_pipeline(id, job.gram_site);
       const std::uint64_t job_id = id;
-      const std::uint64_t seq = job.gram_seq;
-      const sim::Address gatekeeper{job.gram_site,
-                                    gram::kGatekeeperService};
-      host_.post(1.0, [this, job_id, seq, gatekeeper] {
-        const auto j = schedd_.query(job_id);
-        if (!j) return;
-        gram_.submit_with_seq(
-            seq, gatekeeper, spec_for(*j), callback_address(),
-            [this, job_id, seq, gatekeeper](
-                std::optional<std::string> contact) {
-              submitting_->erase(job_id);
-              if (!contact) {
-                end_pipeline(job_id);
-                schedd_.mark_idle_again(job_id, LogEventKind::kResubmitted,
-                                        "recovery: site unreachable");
-                return;
-              }
-              (*contact_to_job_)[*contact] = job_id;
-              schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host,
-                                          *contact);
-              if (!probing_->count(job_id)) {
-                probing_->insert(job_id);
-                host_.post(options_.probe_interval,
-                           [this, job_id] { probe(job_id); });
-              }
-            });
+      const sim::Address gatekeeper{job.gram_site, gram::kGatekeeperService};
+      host_.post(1.0, [this, job_id, gatekeeper] {
+        submit_to(job_id, gatekeeper);
       });
     }
     // else: plain Idle; the tick loop re-drives it.

@@ -40,9 +40,7 @@ using SiteChooser = std::function<void(
     std::function<void(std::optional<sim::Address> gatekeeper)> done)>;
 
 struct GridManagerOptions {
-  double poll_interval = 60.0;    // queue scan + status poll backstop
   double probe_interval = 120.0;  // JobManager liveness probe
-  double recover_retry = 120.0;   // site-unreachable retry cadence
   /// Queued-job migration (§4.4: "Monitoring of actual queuing and
   /// execution times allows for ... migrat[ing] queued jobs"): a job stuck
   /// PENDING at its site longer than this is cancelled and re-brokered.
@@ -66,11 +64,6 @@ struct GridManagerOptions {
   /// 0 keeps the tiny marker string of the original model. Benches raise
   /// this to make redundant staging cost real bytes.
   std::uint64_t staged_content_bytes = 0;
-  /// Retain the pre-pipeline submit path: full-queue scan per tick, per-job
-  /// "exe/<id>" staging (no content addressing, no site cache), tick-cadence
-  /// global sweep. Exists as the bench_s1 reference configuration; never
-  /// enabled in production setups.
-  bool reference_submit_path = false;
   gram::GramClientOptions gram;
 };
 
@@ -137,9 +130,9 @@ class GridManager {
 
   void tick();
   void drive_idle_jobs();
-  void drive_idle_jobs_reference();
-  /// Route a newly idle job into its site's ready queue (consulting the
-  /// site chooser when the job has no fixed destination).
+  /// Route a newly idle job into its site's ready queue: a job holding a
+  /// persisted seq goes back to the site that seq was sent to, a fixed-site
+  /// job to its site, and only a fresh job consults the site chooser.
   void enqueue_idle(std::uint64_t job_id);
   /// Issue submissions from a site's ready queue up to the pipeline cap.
   /// Re-entrant calls (a completion callback freeing a slot mid-pump) are
@@ -158,15 +151,19 @@ class GridManager {
   /// executable name.
   const Artifact& stage_artifact(const Job& job);
   std::string make_exe_content(const std::string& name) const;
-  void submit_job(std::uint64_t job_id);
+  /// Resume watching a released job that still has a live site contact.
+  void reattach(const Job& job);
+  /// The only code that sends a job to a gatekeeper. A job that is no
+  /// longer Idle is skipped and gives up its pipeline slot.
   void submit_to(std::uint64_t job_id, const sim::Address& gatekeeper);
+  /// Start the job's probe loop after `delay`, unless one is running.
+  void start_probing(std::uint64_t job_id, double delay);
   void dispatch(const sim::Message& message);
   void on_gram_callback(const sim::Message& message);
   void probe(std::uint64_t job_id);
   void handle_remote_state(std::uint64_t job_id, const std::string& state,
                            const std::string& why);
   void recover_after_boot();
-  void stage_executable(const Job& job);
   gram::GramJobSpec spec_for(const Job& job);
   sim::Address callback_address() const;
   /// Registry counter scoped to this daemon's user.
@@ -200,7 +197,7 @@ class GridManager {
   // open recovery windows
   det::HostLocal<std::map<std::uint64_t, double>> degraded_since_;
 
-  // --- pipelined submission state (production path) ---
+  // --- pipelined submission state ---
   /// Idle jobs routed to a site, awaiting a pipeline slot (job-id order is
   /// preserved: jobs enter in id order and are popped front-first).
   det::HostLocal<std::map<std::string, std::deque<std::uint64_t>>>

@@ -74,7 +74,8 @@ class Network {
 
   /// Send a message. Returns immediately; the message is delivered after the
   /// link latency unless it is lost, a partition blocks it, or the
-  /// destination host is down / lacks the service at delivery time.
+  /// destination host is down / lacks the service at delivery time. A host
+  /// the world does not know is a dead destination at send time.
   void send(Message message);
 
   /// Seconds a bulk transfer of `bytes` takes on the link a->b (latency +

@@ -181,21 +181,27 @@ void Network::send(Message message) {
     latency = cfg->latency +
               (cfg->jitter > 0.0 ? rng.uniform(0.0, cfg->jitter) : 0.0);
   }
-  // Deliveries target the destination host's kernel queue (the control
-  // queue for an unknown host); when that queue lives on another island the
-  // kernel routes through the island inbox.
-  std::uint32_t dest_queue = 0;
-  if (Host* d = resolver_(message.to.host)) dest_queue = d->queue();
+  // A host the resolver cannot find is a dead destination at once, under
+  // either executor: nothing is scheduled. The draws above are already
+  // made, so the sender's RNG stream does not depend on the destination.
+  Host* dest = resolver_(message.to.host);
+  if (dest == nullptr) {
+    dead_destination_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Deliveries target the destination host's kernel queue; when that queue
+  // lives on another island the kernel routes through the island inbox.
+  // Hosts are never removed, so `dest` is still valid at delivery.
+  const std::uint32_t queue = dest->queue();
   sim_.schedule_cross(
-      dest_queue, sim_.now() + latency, [this, message = std::move(message)] {
+      queue, sim_.now() + latency, [this, dest, message = std::move(message)] {
     // Partition may have appeared while in flight.
     if (message.from.host != message.to.host &&
         partitioned(message.from.host, message.to.host)) {
       blocked_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Host* dest = resolver_(message.to.host);
-    if (dest == nullptr || !dest->alive()) {
+    if (!dest->alive()) {
       dead_destination_.fetch_add(1, std::memory_order_relaxed);
       return;
     }

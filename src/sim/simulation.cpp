@@ -481,11 +481,6 @@ struct IslandEngine {
     const std::size_t count = filled_count.load(std::memory_order_relaxed);
     for (std::size_t k = 0; k < count; ++k) {
       const std::uint32_t qid = filled[k];
-      // Inbox 0 is never drained: a delivery to a host the Network cannot
-      // resolve targets the control queue, and the windowed executor
-      // leaves it there undelivered (the strict executor delivers it to a
-      // dead destination). Draining it would change the committed stream.
-      if (qid == 0) continue;
       Inbox& ib = *inboxes[qid];
       // Swap the batch out; the arena the previous integration left behind
       // (empty, capacity bounded below) becomes this inbox's buffer.

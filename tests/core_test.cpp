@@ -52,6 +52,30 @@ struct AgentFixture : public ::testing::Test {
     }
   }
 
+  /// Submits one brokered job while submit.wisc.edu <-> pbs.anl.gov is
+  /// partitioned, so its first submit allocates a persisted seq that never
+  /// reaches pbs. The submit host crashes at 100 s and restarts at 200 s,
+  /// when recovery re-drives that seq one second later; the partition
+  /// heals at 300 s. Returns with the clock at 200.5 s.
+  std::uint64_t submit_across_reboot() {
+    cs::Simulation& sim = testbed.world().sim();
+    cs::Network& net = testbed.world().net();
+    net.set_partitioned("submit.wisc.edu", "pbs.anl.gov", true);
+    const auto id = agent->submit(grid_job());
+    sim.run_until(100.0);
+    const auto job = agent->query(id);
+    EXPECT_NE(job->gram_seq, 0u);
+    EXPECT_EQ(job->gram_site, "pbs.anl.gov");
+    EXPECT_TRUE(job->gram_contact.empty());
+    agent->host().crash();
+    sim.schedule_at(200.0, [this] { agent->host().restart(); });
+    sim.schedule_at(300.0, [&net] {
+      net.set_partitioned("submit.wisc.edu", "pbs.anl.gov", false);
+    });
+    sim.run_until(200.5);
+    return id;
+  }
+
   std::size_t total_site_executions() const {
     std::size_t n = 0;
     for (const auto& site : testbed.sites()) {
@@ -218,6 +242,40 @@ TEST_F(AgentFixture, F3SubmitMachineCrashRecovered) {
   }
   // Exactly-once even across the crash: re-driven submissions deduped.
   EXPECT_EQ(total_site_executions(), 8u);
+}
+
+TEST_F(AgentFixture, RemovedDuringRecoveryRedriveIsNeverSent) {
+  const auto id = submit_across_reboot();
+  ASSERT_TRUE(agent->remove(id));
+  testbed.world().sim().run_until(5000.0);
+  EXPECT_EQ(agent->query(id)->status, core::JobStatus::kRemoved);
+  EXPECT_EQ(total_site_executions(), 0u);
+}
+
+TEST_F(AgentFixture, HeldDuringRecoveryRedriveIsNeverSent) {
+  const auto id = submit_across_reboot();
+  ASSERT_TRUE(agent->hold(id, "held by user"));
+  testbed.world().sim().run_until(5000.0);
+  EXPECT_EQ(agent->query(id)->status, core::JobStatus::kHeld);
+  EXPECT_EQ(total_site_executions(), 0u);
+}
+
+TEST_F(AgentFixture, ReleasedJobResendsItsSeqToItsFirstSite) {
+  // The round-robin broker already chose pbs once, so it would choose lsf
+  // next; the persisted seq must still go only to pbs.
+  const auto id = submit_across_reboot();
+  const std::uint64_t seq = agent->query(id)->gram_seq;
+  ASSERT_TRUE(agent->hold(id, "held by user"));
+  testbed.world().sim().run_until(1000.0);
+  ASSERT_TRUE(agent->release(id));
+  run_to_completion(40000.0);
+  const auto job = agent->query(id);
+  EXPECT_EQ(job->status, core::JobStatus::kCompleted);
+  EXPECT_EQ(job->gram_site, "pbs.anl.gov");
+  EXPECT_EQ(job->gram_seq, seq);
+  EXPECT_EQ(testbed.site(0).scheduler->history().size(), 1u);
+  EXPECT_TRUE(testbed.site(1).scheduler->history().empty());
+  EXPECT_EQ(total_site_executions(), 1u);
 }
 
 TEST_F(AgentFixture, F4PartitionRiddenOut) {

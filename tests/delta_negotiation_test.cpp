@@ -1,4 +1,4 @@
-// Sharded Collector views + incremental (delta) negotiation.
+// Collector delta subscription + incremental (delta) negotiation.
 //
 // The Collector half pins the delta-subscription contract: every content
 // change appends to the bounded log under a monotone sequence, identical
@@ -77,29 +77,6 @@ struct CentralFixture : public ::testing::Test {
   cs::Host& feeder;
   cc::Collector collector;
 };
-
-TEST_F(CentralFixture, ShardedViewsTrackAdKinds) {
-  advertise("m1", machine_ad("m1", 512));
-  advertise("m2", machine_ad("m2", 256, "Claimed"));
-  advertise("ada#job1", job_ad("ada#job1", "ada"));
-  settle();
-
-  EXPECT_EQ(collector.live_count(), 3u);
-  const std::vector<std::string> shards = collector.shard_names();
-  ASSERT_EQ(shards.size(), 3u);
-  EXPECT_EQ(shards[0], "job/Vanilla/Idle");
-  EXPECT_EQ(shards[1], "machine/Claimed");
-  EXPECT_EQ(shards[2], "machine/Unclaimed");
-  EXPECT_EQ(collector.shard_size("job/Vanilla/Idle"), 1u);
-  EXPECT_EQ(collector.shard_size("machine/Unclaimed"), 1u);
-  EXPECT_EQ(collector.query_shard("machine/Unclaimed").size(), 1u);
-
-  // A state change moves the ad between shards.
-  advertise("m1", machine_ad("m1", 512, "Claimed"));
-  settle();
-  EXPECT_EQ(collector.shard_size("machine/Unclaimed"), 0u);
-  EXPECT_EQ(collector.shard_size("machine/Claimed"), 2u);
-}
 
 TEST_F(CentralFixture, DeltaLogReplaysChangesAndTombstones) {
   // Settle between sends: WAN jitter may reorder messages in flight, and

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "condorg/classad/parser.h"
 #include "condorg/condor/collector.h"
 #include "condorg/core/pool_runner.h"
 #include "condorg/core/portal.h"
@@ -18,6 +19,7 @@
 #include "condorg/core/schedd.h"
 #include "condorg/sim/world.h"
 
+namespace ca = condorg::classad;
 namespace cc = condorg::condor;
 namespace co = condorg::core;
 namespace cs = condorg::sim;
@@ -113,7 +115,11 @@ TEST_F(PortalFixture, BatchesFlowIntoPerUserSchedds) {
   EXPECT_EQ(portal->deliveries_acked(), portal->batches_admitted());
   EXPECT_EQ(ada.runner->duplicate_deliveries(), 0u);
   // Each runner published its first idle job as an ad in the central pool.
-  EXPECT_EQ(collector.shard_size("job/Vanilla/Idle"), 2u);
+  EXPECT_EQ(collector
+                .query(ca::parse_expr(
+                    "JobUniverse == \"Vanilla\" && JobStatus == \"Idle\""))
+                .size(),
+            2u);
 }
 
 TEST_F(PortalFixture, DuplicateSubmitIsAbsorbedByTheAdmissionRecord) {

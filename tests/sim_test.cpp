@@ -599,6 +599,26 @@ TEST(Network, MissingServiceDropsMessage) {
   EXPECT_EQ(world.net().dead_destination(), 1u);
 }
 
+TEST(Network, UnknownHostIsDeadUnderBothExecutors) {
+  // A send from inside a host's event to a host the world does not know:
+  // the windowed executor (no observer) and the strict one (tracer armed)
+  // must both count it dead and leave nothing queued anywhere.
+  for (const bool strict : {false, true}) {
+    SCOPED_TRACE(strict ? "strict" : "windowed");
+    cs::World world;
+    cs::Host& a = world.add_host("a");
+    world.add_host("b");
+    world.sim().tracer().set_enabled(strict);
+    a.post(1.0, [&] {
+      world.net().send(make_message("a/x", "ghost/svc", "ping"));
+    });
+    world.sim().run();
+    EXPECT_EQ(world.net().dead_destination(), 1u);
+    EXPECT_EQ(world.net().delivered(), 0u);
+    EXPECT_EQ(world.sim().pending(), 0u);
+  }
+}
+
 TEST(Network, LocalDeliveryBypassesLossAndPartition) {
   cs::World world;
   cs::Host& a = world.add_host("a");
