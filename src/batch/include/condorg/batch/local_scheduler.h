@@ -121,6 +121,9 @@ class LocalScheduler {
 
   const std::vector<std::uint64_t>& queue() const { return queue_; }
   const JobRecord& record(std::uint64_t id) const { return jobs_.at(id); }
+  /// The smallest CPU request in the queue (the queue must not be empty):
+  /// when it exceeds the free CPUs, no queued job can start.
+  int min_queued_cpus() const { return queued_cpus_.begin()->first; }
 
   /// Owner usage accounting for fair-share policies.
   double owner_usage(const std::string& owner) const;
@@ -135,6 +138,8 @@ class LocalScheduler {
   using HandlerLists = std::map<std::uint64_t, std::vector<JobHandler>>;
 
   void try_dispatch();
+  /// Remove queue_[index], keeping queued_cpus_ in step.
+  void dequeue(std::size_t index);
   void start_job(std::uint64_t id);
   void finish_job(std::uint64_t id, JobState state);
   std::uint64_t register_handler(HandlerLists& lists, std::uint64_t id,
@@ -151,6 +156,7 @@ class LocalScheduler {
   std::map<std::uint64_t, JobRecord> jobs_;
   std::map<std::uint64_t, sim::EventId> completion_events_;
   std::vector<std::uint64_t> queue_;  // ids of queued jobs, FIFO order
+  std::map<int, std::size_t> queued_cpus_;  // CPU request -> queued jobs
   std::vector<CompletionHandler> handlers_;
   HandlerLists start_handlers_;
   HandlerLists end_handlers_;

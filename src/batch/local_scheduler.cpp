@@ -29,6 +29,7 @@ std::uint64_t LocalScheduler::submit(JobRequest request) {
   record.id = id;
   record.request = std::move(request);
   record.submit_time = sim_.now();
+  ++queued_cpus_[record.request.cpus];
   jobs_.emplace(id, std::move(record));
   queue_.push_back(id);
   try_dispatch();
@@ -45,7 +46,8 @@ bool LocalScheduler::cancel(std::uint64_t id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end() || is_terminal(it->second.state)) return false;
   if (it->second.state == JobState::kQueued) {
-    std::erase(queue_, id);
+    dequeue(static_cast<std::size_t>(
+        std::find(queue_.begin(), queue_.end(), id) - queue_.begin()));
   }
   finish_job(id, JobState::kCancelled);
   return true;
@@ -123,9 +125,15 @@ void LocalScheduler::try_dispatch() {
     const std::size_t index = pick_next(free_cpus());
     if (index >= queue_.size()) return;
     const std::uint64_t id = queue_[index];
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
+    dequeue(index);
     start_job(id);
   }
+}
+
+void LocalScheduler::dequeue(std::size_t index) {
+  const auto it = queued_cpus_.find(jobs_.at(queue_[index]).request.cpus);
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
+  if (--it->second == 0) queued_cpus_.erase(it);
 }
 
 void LocalScheduler::start_job(std::uint64_t id) {

@@ -11,7 +11,7 @@ namespace {
 
 // Cadence of the queue scan that routes idle jobs and prunes the pipeline.
 constexpr double kPollInterval = 60.0;
-// Re-probe cadence while neither the JobManager nor the Gatekeeper answers.
+// Re-probe cadence while a site's Gatekeeper does not answer.
 constexpr double kRecoverRetry = 120.0;
 
 }  // namespace
@@ -29,7 +29,9 @@ GridManager::GridManager(Schedd& schedd, sim::Network& network,
       gram_(host_, network, user_, options.gram),
       submitting_(host_, "gridmanager.submitting"),
       contact_to_job_(host_, "gridmanager.contact_to_job"),
-      probing_(host_, "gridmanager.probing"),
+      watched_(host_, "gridmanager.watched"),
+      restarting_(host_, "gridmanager.restarting"),
+      gass_owed_(host_, "gridmanager.gass_owed"),
       pending_since_(host_, "gridmanager.pending_since"),
       migrating_(host_, "gridmanager.migrating"),
       degraded_since_(host_, "gridmanager.degraded_since"),
@@ -188,7 +190,7 @@ void GridManager::end_pipeline(std::uint64_t job_id) {
 void GridManager::prune_pipeline() {
   for (auto it = pipeline_site_of_->begin(); it != pipeline_site_of_->end();) {
     const std::uint64_t id = (it++)->first;  // end_pipeline erases
-    const auto job = schedd_.query(id);
+    const Job* job = schedd_.find(id);
     // A slot is owed while the submit is in flight or the job sits at the
     // site without an ACTIVE sighting; anything else (held, removed,
     // terminal with a lost callback) is reclaimed here.
@@ -293,18 +295,13 @@ void GridManager::do_pump(const std::string& site) {
 void GridManager::reattach(const Job& job) {
   // The job already lives at a site (e.g. it was held for a credential
   // refresh and released): reconnect to the existing JobManager instead of
-  // submitting a second copy. The probe ladder handles a JobManager that
+  // submitting a second copy. The site probe handles a JobManager that
   // died in the meantime.
   (*contact_to_job_)[job.gram_contact] = job.id;
   schedd_.log().record(host_.now(), job.id, LogEventKind::kReconnected,
                        "release: reattaching to " + job.gram_contact);
   schedd_.with_job(job.id, [](Job& j) { j.status = JobStatus::kRunning; });
-  start_probing(job.id, 1.0);
-}
-
-void GridManager::start_probing(std::uint64_t job_id, double delay) {
-  if (!probing_->insert(job_id).second) return;  // a loop is already running
-  host_.post(delay, [this, job_id] { probe(job_id); });
+  watch(job.id, job.gram_site, 1.0);
 }
 
 void GridManager::submit_to(std::uint64_t job_id,
@@ -362,7 +359,7 @@ void GridManager::submit_to(std::uint64_t job_id,
         if (host_.crash_point("gridmanager.submit_ack")) return;
         (*contact_to_job_)[*contact] = job_id;
         schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host, *contact);
-        start_probing(job_id, options_.probe_interval);
+        watch(job_id, gatekeeper.host, options_.probe_interval);
       });
 }
 
@@ -390,7 +387,8 @@ void GridManager::on_gram_callback(const sim::Message& message) {
 void GridManager::handle_remote_state(std::uint64_t job_id,
                                       const std::string& state,
                                       const std::string& why) {
-  const auto job = schedd_.query(job_id);
+  // Every branch reads the entry before it changes the job.
+  const Job* job = schedd_.find(job_id);
   if (!job || job->status == JobStatus::kCompleted ||
       job->status == JobStatus::kRemoved) {
     pending_since_->erase(job_id);  // terminal: drop the queued-at-site watch
@@ -407,14 +405,12 @@ void GridManager::handle_remote_state(std::uint64_t job_id,
     pending_since_->erase(job_id);
     end_pipeline(job_id);
     schedd_.mark_completed(job_id);
-    probing_->erase(job_id);
     degraded_since_->erase(job_id);  // job left the site; outage moot
     return;
   }
   if (state == "FAILED") {
     pending_since_->erase(job_id);
     end_pipeline(job_id);
-    probing_->erase(job_id);
     degraded_since_->erase(job_id);
     if (migrating_->erase(job_id)) {
       // This FAILED is our own migration cancel taking effect: re-broker
@@ -437,8 +433,11 @@ void GridManager::handle_remote_state(std::uint64_t job_id,
     }
     return;
   }
-  // PENDING / STAGE_IN / UNSUBMITTED: remember the remote state.
-  schedd_.with_job(job_id, [&state](Job& j) { j.remote_state = state; });
+  // PENDING / STAGE_IN / UNSUBMITTED, or ACTIVE again: remember the remote
+  // state. A report that changes nothing writes nothing.
+  if (job->remote_state != state) {
+    schedd_.with_job(job_id, [&state](Job& j) { j.remote_state = state; });
+  }
   if (state == "PENDING") {
     pending_since_->emplace(job_id, host_.now());  // keep first-seen time
     maybe_migrate_pending(job_id);
@@ -466,7 +465,7 @@ void GridManager::maybe_migrate_pending(std::uint64_t job_id) {
   const std::string site = job->gram_site;
   gram_.cancel(contact, [this, job_id, contact, site](bool ok) {
     if (!ok) {
-      // Unreachable site: leave the job where it is; the probe ladder
+      // Unreachable site: leave the job where it is; the site probe
       // keeps watching and migration can be retried on a later PENDING
       // report.
       migrating_->erase(job_id);
@@ -481,7 +480,6 @@ void GridManager::maybe_migrate_pending(std::uint64_t job_id) {
         current->status != JobStatus::kRunning) {
       return;  // state moved on while the cancel was in flight
     }
-    probing_->erase(job_id);
     contact_to_job_->erase(contact);
     end_pipeline(job_id);
     ++queued_migrations_;
@@ -491,77 +489,123 @@ void GridManager::maybe_migrate_pending(std::uint64_t job_id) {
   });
 }
 
-void GridManager::probe(std::uint64_t job_id) {
-  const auto job = schedd_.query(job_id);
-  if (!job || job->gram_contact.empty() ||
-      job->status == JobStatus::kCompleted ||
-      job->status == JobStatus::kRemoved ||
-      job->status == JobStatus::kHeld) {
-    probing_->erase(job_id);
-    pending_since_->erase(job_id);  // backstop for lost terminal callbacks
-    end_pipeline(job_id);
+void GridManager::watch(std::uint64_t job_id, const std::string& site,
+                        double delay) {
+  const auto [it, first] = watched_->try_emplace(site);
+  it->second.insert(job_id);
+  if (first) host_.post(delay, [this, site] { probe_site(site); });
+}
+
+void GridManager::probe_site(const std::string& site) {
+  std::set<std::uint64_t>& watched = watched_->at(site);
+  std::vector<std::uint64_t> jobs;
+  std::vector<std::string> contacts;
+  for (auto it = watched.begin(); it != watched.end();) {
+    const std::uint64_t id = *it;
+    const Job* job = schedd_.find(id);
+    if (job && (job->gram_site != site || job->gram_contact.empty())) {
+      // Moved on (resubmitted, migrated): its slot and recovery window
+      // belong to its new attachment, not to this site.
+      it = watched.erase(it);
+      continue;
+    }
+    if (!job || job->status == JobStatus::kCompleted ||
+        job->status == JobStatus::kRemoved ||
+        job->status == JobStatus::kHeld) {
+      it = watched.erase(it);
+      pending_since_->erase(id);  // backstop for lost terminal callbacks
+      end_pipeline(id);
+      continue;
+    }
+    jobs.push_back(id);
+    contacts.push_back(job->gram_contact);
+    ++it;
+  }
+  if (jobs.empty()) {
+    watched_->erase(site);  // the loop ends; the next watch starts one
     return;
   }
-  const std::string contact = job->gram_contact;
   ++probes_;
   count("gridmanager.probes");
-  gram_.ping_jobmanager(contact, [this, job_id, contact](bool jm_ok) {
-    if (jm_ok) {
-      // An open outage ends the moment the JobManager answers again
-      // (F2/F4 reconnect; F1 usually closes via the restart path below).
-      note_recovered(job_id, "jobmanager answered probe");
-      // Backstop status poll: callbacks can be lost on the wire.
-      gram_.status(contact,
-                   [this, job_id](std::optional<gram::GramJobState> state) {
-                     if (state) {
-                       handle_remote_state(job_id,
-                                           gram::to_string(*state), "poll");
-                     }
-                   });
-      host_.post(options_.probe_interval, [this, job_id] { probe(job_id); });
-      return;
+  gram_.status_all(
+      sim::Address{site, gram::kGatekeeperService}, contacts,
+      [this, site, jobs = std::move(jobs), contacts](
+          std::optional<gram::GramClient::SiteReport> report) {
+        on_site_report(site, jobs, contacts, report);
+        host_.post(report ? options_.probe_interval : kRecoverRetry,
+                   [this, site] { probe_site(site); });
+      });
+}
+
+void GridManager::on_site_report(
+    const std::string& site, const std::vector<std::uint64_t>& jobs,
+    const std::vector<std::string>& contacts,
+    const std::optional<gram::GramClient::SiteReport>& report) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::uint64_t id = jobs[i];
+    const std::string& contact = contacts[i];
+    const Job* job = schedd_.find(id);
+    if (!job || job->gram_contact != contact) continue;  // moved meanwhile
+    if (!report) {
+      // F2 or F4 — indistinguishable from here. The loop probes again
+      // after kRecoverRetry; when the site answers, its contacts are
+      // reported (reconnect) or MISSING (restart).
+      note_degraded(id, "site silent: " + site);
+      continue;
     }
-    note_degraded(job_id, "jobmanager silent: " + contact);
-    // JobManager silent: probe the Gatekeeper to classify the failure.
-    gram_.ping_gatekeeper(
-        gram::gatekeeper_address_for(contact),
-        [this, job_id, contact](bool gk_ok) {
-          const auto current = schedd_.query(job_id);
-          if (!current || current->gram_contact != contact) {
-            probing_->erase(job_id);
-            return;
-          }
-          if (gk_ok) {
-            // F1: only the JobManager died. Restart it; the replacement
-            // re-attaches to the local job (or reports it finished).
-            schedd_.log().record(host_.now(), job_id,
-                                 LogEventKind::kJobManagerLost,
-                                 "gatekeeper up; restarting jobmanager");
-            ++jm_restarts_;
-            count("gridmanager.jm_restarts");
-            gram_.restart_jobmanager(
-                contact, [this, job_id](std::optional<gram::GramJobState>) {
-                  note_recovered(job_id, "jobmanager restarted");
-                  schedd_.log().record(host_.now(), job_id,
-                                       LogEventKind::kReconnected, "");
-                  host_.post(options_.probe_interval,
-                             [this, job_id] { probe(job_id); });
-                });
-          } else {
-            // F2 or F4 — indistinguishable from here. Wait and re-probe;
-            // when the site answers again we reconnect (and restart the
-            // JobManager if needed).
-            host_.post(kRecoverRetry, [this, job_id] { probe(job_id); });
-          }
-        });
-  });
+    const std::optional<gram::GramJobState>& state = (*report)[i];
+    if (!state) {
+      restart_jobmanager(id, contact);
+      continue;
+    }
+    // An open outage ends the moment the JobManager answers again (F2/F4
+    // reconnect, F3 reattach).
+    note_recovered(id, resend_gass_if_owed(contact)
+                           ? "reattached after reboot"
+                           : "jobmanager answered probe");
+    // Backstop for lost callbacks.
+    handle_remote_state(id, gram::to_string(*state), "poll");
+  }
+}
+
+void GridManager::restart_jobmanager(std::uint64_t job_id,
+                                     const std::string& contact) {
+  // F1: the Gatekeeper answered but holds no live JobManager for the
+  // contact. Restart it; the replacement re-attaches to the local job (or
+  // reports it finished).
+  note_degraded(job_id, "jobmanager missing: " + contact);
+  if (!restarting_->insert(contact).second) return;  // already in flight
+  schedd_.log().record(host_.now(), job_id, LogEventKind::kJobManagerLost,
+                       "gatekeeper up; restarting jobmanager");
+  ++jm_restarts_;
+  count("gridmanager.jm_restarts");
+  gram_.restart_jobmanager(
+      contact,
+      [this, job_id, contact](std::optional<gram::GramJobState> state) {
+        restarting_->erase(contact);
+        // No answer: the site went silent; its next probe decides again.
+        if (!state) return;
+        note_recovered(job_id, resend_gass_if_owed(contact)
+                                   ? "jobmanager restarted after reboot"
+                                   : "jobmanager restarted");
+        schedd_.log().record(host_.now(), job_id, LogEventKind::kReconnected,
+                             "");
+      });
+}
+
+bool GridManager::resend_gass_if_owed(const std::string& contact) {
+  if (gass_owed_->erase(contact) == 0) return false;
+  gram_.update_gass(contact, gass_.address(), [](bool) {});
+  return true;
 }
 
 void GridManager::recover_after_boot() {
   // F3 recovery: rebuild in-memory state from the persistent queue.
   submitting_->clear();
   contact_to_job_->clear();
-  probing_->clear();
+  watched_->clear();
+  restarting_->clear();
+  gass_owed_->clear();
   degraded_since_->clear();  // outage windows restart from the reboot
   site_ready_->clear();
   queued_->clear();
@@ -581,12 +625,12 @@ void GridManager::recover_after_boot() {
       continue;
     }
     if (!job.gram_contact.empty()) {
-      // We had an acknowledged submission: reconnect. Tell the JobManager
-      // our (possibly new) GASS address, ask the gatekeeper to restart the
-      // JobManager if it is gone, and resume probing. Recovery latency for
-      // F3 is measured from the reboot to the re-established contact. The
-      // executable is staged again for a JobManager that has yet to fetch
-      // it.
+      // We had an acknowledged submission: reconnect. The site's probe,
+      // sent at once, classifies every contact there in one round trip: a
+      // live JobManager gets our (possibly new) GASS address, a MISSING
+      // one is restarted first. Recovery latency for F3 is measured from
+      // the reboot to the re-established contact. The executable is staged
+      // again for a JobManager that has yet to fetch it.
       stage_artifact(job);
       note_degraded(id, "submit machine rebooted");
       (*contact_to_job_)[job.gram_contact] = id;
@@ -594,24 +638,8 @@ void GridManager::recover_after_boot() {
         // Still working through the site's queue: it owes a pipeline slot.
         begin_pipeline(id, job.gram_site);
       }
-      const std::string contact = job.gram_contact;
-      const std::uint64_t job_id = id;
-      gram_.ping_jobmanager(contact, [this, job_id, contact](bool ok) {
-        if (ok) {
-          note_recovered(job_id, "reattached after reboot");
-          gram_.update_gass(contact, gass_.address(), [](bool) {});
-        } else {
-          ++jm_restarts_;
-          count("gridmanager.jm_restarts");
-          gram_.restart_jobmanager(
-              contact,
-              [this, job_id, contact](std::optional<gram::GramJobState>) {
-                note_recovered(job_id, "jobmanager restarted after reboot");
-                gram_.update_gass(contact, gass_.address(), [](bool) {});
-              });
-        }
-      });
-      start_probing(job_id, options_.probe_interval);
+      gass_owed_->insert(job.gram_contact);
+      watch(id, job.gram_site, 0.0);
     } else if (job.gram_seq != 0) {
       // Crash hit between allocating the sequence number and learning the
       // contact: re-drive with the SAME seq to the SAME site; dedup at the
@@ -632,9 +660,10 @@ void GridManager::recover_after_boot() {
 
 void GridManager::audit(std::vector<std::string>& out) const {
   // Conservation, schedd -> gridmanager: every grid job the queue believes
-  // is running at a site must be tracked here (otherwise its callbacks are
-  // dropped and the probe ladder never watches it), unless the host is down
-  // or the daemon has not started managing the queue yet.
+  // is running at a site must be tracked here and watched by that site's
+  // probe (otherwise its callbacks are dropped and no probe backs them up),
+  // unless the host is down or the daemon has not started managing the
+  // queue yet.
   if (host_.alive() && started_) {
     // The audit cross-checks tracking maps against the whole queue.
     // lint-allow(schedd-full-scan): audit site
@@ -642,6 +671,11 @@ void GridManager::audit(std::vector<std::string>& out) const {
       if (job.desc.universe != Universe::kGrid ||
           job.status != JobStatus::kRunning || job.gram_contact.empty()) {
         continue;
+      }
+      const auto watch = watched_->find(job.gram_site);
+      if (watch == watched_->end() || watch->second.count(id) == 0) {
+        out.push_back("running job " + std::to_string(id) + " at " +
+                      job.gram_site + " is not watched by its site probe");
       }
       const auto tracked = contact_to_job_->find(job.gram_contact);
       if (tracked == contact_to_job_->end()) {
@@ -677,9 +711,12 @@ void GridManager::audit(std::vector<std::string>& out) const {
       out.push_back("in-flight submit for unknown job " + std::to_string(id));
     }
   }
-  for (const std::uint64_t id : *probing_) {
-    if (!schedd_.query(id)) {
-      out.push_back("probe loop for unknown job " + std::to_string(id));
+  for (const auto& [site, jobs] : *watched_) {
+    for (const std::uint64_t id : jobs) {
+      if (!schedd_.query(id)) {
+        out.push_back("site " + site + " watches unknown job " +
+                      std::to_string(id));
+      }
     }
   }
   // Pipeline conservation: the per-site depth counters must equal the

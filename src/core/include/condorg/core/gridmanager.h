@@ -4,11 +4,12 @@
 // on remote GRAM resources:
 //   * drives exactly-once submission (persisted sequence numbers re-driven
 //     across submit-machine crashes),
-//   * receives JobManager status callbacks and polls as a backstop,
-//   * runs the §4.2 probing ladder: probe the JobManager; on silence probe
-//     the Gatekeeper; if the Gatekeeper answers, restart the JobManager
-//     (F1); otherwise keep waiting — front-end crash and partition are
-//     indistinguishable (F2/F4) — and reconnect when the site returns,
+//   * receives JobManager status callbacks and, as a backstop, probes each
+//     site once per interval for every contact it holds there,
+//   * runs the §4.2 ladder on that site probe: a contact the Gatekeeper
+//     reports MISSING lost only its JobManager, which is restarted (F1); a
+//     silent Gatekeeper is a front-end crash or a partition, which look the
+//     same from here (F2/F4), so the site is probed again until it answers,
 //   * resubmits failed jobs (up to the job's max_attempts, then hold), and
 //   * after a local crash (F3), re-drives every non-terminal job from the
 //     Schedd's persistent queue and re-sends the GASS address to surviving
@@ -24,6 +25,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "condorg/core/schedd.h"
 #include "condorg/gass/file_service.h"
@@ -40,7 +42,7 @@ using SiteChooser = std::function<void(
     std::function<void(std::optional<sim::Address> gatekeeper)> done)>;
 
 struct GridManagerOptions {
-  double probe_interval = 120.0;  // JobManager liveness probe
+  double probe_interval = 120.0;  // per-site liveness probe cadence
   /// Queued-job migration (§4.4: "Monitoring of actual queuing and
   /// execution times allows for ... migrat[ing] queued jobs"): a job stuck
   /// PENDING at its site longer than this is cancelled and re-brokered.
@@ -112,6 +114,7 @@ class GridManager {
   std::uint64_t submissions() const { return submissions_; }
   std::uint64_t resubmissions() const { return resubmissions_; }
   std::uint64_t jobmanager_restarts() const { return jm_restarts_; }
+  /// Site probes sent (one gram.status_all each).
   std::uint64_t probes_sent() const { return probes_; }
   /// Jobs currently counted against `site`'s pipeline cap.
   std::size_t pipeline_depth(const std::string& site) const;
@@ -156,11 +159,24 @@ class GridManager {
   /// The only code that sends a job to a gatekeeper. A job that is no
   /// longer Idle is skipped and gives up its pipeline slot.
   void submit_to(std::uint64_t job_id, const sim::Address& gatekeeper);
-  /// Start the job's probe loop after `delay`, unless one is running.
-  void start_probing(std::uint64_t job_id, double delay);
+  /// Watch the job under `site`'s probe loop, starting the loop after
+  /// `delay` unless it is already running.
+  void watch(std::uint64_t job_id, const std::string& site, double delay);
+  /// One site probe: a gram.status_all for every contact watched at
+  /// `site`. Re-arms itself until the site has nothing left to watch.
+  void probe_site(const std::string& site);
+  /// The §4.2 ladder on a site probe's answer (nullopt: silence).
+  void on_site_report(
+      const std::string& site, const std::vector<std::uint64_t>& jobs,
+      const std::vector<std::string>& contacts,
+      const std::optional<gram::GramClient::SiteReport>& report);
+  /// F1: restart a MISSING JobManager, unless its restart is in flight.
+  void restart_jobmanager(std::uint64_t job_id, const std::string& contact);
+  /// Send the GASS address to `contact` if a reboot left it owed (F3).
+  /// Returns whether it was owed.
+  bool resend_gass_if_owed(const std::string& contact);
   void dispatch(const sim::Message& message);
   void on_gram_callback(const sim::Message& message);
-  void probe(std::uint64_t job_id);
   void handle_remote_state(std::uint64_t job_id, const std::string& state,
                            const std::string& why);
   void recover_after_boot();
@@ -169,9 +185,9 @@ class GridManager {
   /// Registry counter scoped to this daemon's user.
   void count(std::string_view name);
   /// Recovery bracketing for the trace: note_degraded opens (at most once
-  /// per outage) when the probe ladder loses the JobManager or the submit
-  /// machine reboots; note_recovered closes it, emits the paired trace
-  /// event, and feeds the recovery-latency histogram.
+  /// per outage) when a site probe loses the JobManager or the site, or the
+  /// submit machine reboots; note_recovered closes it, emits the paired
+  /// trace event, and feeds the recovery-latency histogram.
   void note_degraded(std::uint64_t job_id, std::string_view why);
   void note_recovered(std::uint64_t job_id, std::string_view how);
 
@@ -188,8 +204,14 @@ class GridManager {
   // jobs with an in-flight submit
   det::HostLocal<std::set<std::uint64_t>> submitting_;
   det::HostLocal<std::map<std::string, std::uint64_t>> contact_to_job_;
-  // jobs with an active probe loop
-  det::HostLocal<std::set<std::uint64_t>> probing_;
+  /// Per-site liveness watch: site -> jobs whose contact is there. A site
+  /// has an entry exactly while its probe loop is armed or in flight; a
+  /// job whose contact moved on is dropped by that site's next probe.
+  det::HostLocal<std::map<std::string, std::set<std::uint64_t>>> watched_;
+  // contacts whose JobManager restart is in flight
+  det::HostLocal<std::set<std::string>> restarting_;
+  // contacts a submit-host reboot left owed the GASS address (F3)
+  det::HostLocal<std::set<std::string>> gass_owed_;
   // queued-at-site watch
   det::HostLocal<std::map<std::uint64_t, double>> pending_since_;
   // cancel-for-migration in flight

@@ -43,6 +43,10 @@ class Schedd {
   // --- user API (§4.1) ---
   std::uint64_t submit(JobDescription description);
   std::optional<Job> query(std::uint64_t id) const;
+  /// The queue entry itself, or null: query() without the copy, for hot
+  /// read-only paths. Entries are never erased, so the pointer stays valid
+  /// until the host reboots; the entry it points at changes with the job.
+  const Job* find(std::uint64_t id) const;
   bool hold(std::uint64_t id, const std::string& reason);
   bool release(std::uint64_t id);
   bool remove(std::uint64_t id);

@@ -142,6 +142,11 @@ std::optional<Job> Schedd::query(std::uint64_t id) const {
   return it->second;
 }
 
+const Job* Schedd::find(std::uint64_t id) const {
+  const auto it = jobs_->find(id);
+  return it == jobs_->end() ? nullptr : &it->second;
+}
+
 bool Schedd::with_job(std::uint64_t id,
                       const std::function<void(Job&)>& mutate) {
   const auto it = jobs_->find(id);

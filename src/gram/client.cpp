@@ -165,32 +165,34 @@ void GramClient::drive_commit(const std::string& contact, SubmitCallback done,
             });
 }
 
-void GramClient::status(const std::string& contact, StateCallback done) {
-  rpc_.call(jobmanager_address(contact), "jm.status", base_payload(),
+void GramClient::status_all(const sim::Address& gatekeeper,
+                            const std::vector<std::string>& contacts,
+                            SiteReportCallback done) {
+  sim::Payload payload = base_payload();
+  payload.set("contacts", util::join(contacts, ","));
+  rpc_.call(gatekeeper, "gram.status_all", std::move(payload),
             options_.rpc_timeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
+            [asked = contacts.size(), done = std::move(done)](
+                bool ok, const sim::Payload& reply) {
               if (!ok || !reply.get_bool("ok")) {
                 done(std::nullopt);
                 return;
               }
-              done(gram_state_from_string(reply.get("state")));
-            });
-}
-
-void GramClient::ping_jobmanager(const std::string& contact,
-                                 BoolCallback done) {
-  rpc_.call(jobmanager_address(contact), "jm.ping", base_payload(),
-            options_.rpc_timeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              done(ok && reply.get_bool("ok"));
-            });
-}
-
-void GramClient::ping_gatekeeper(const sim::Address& gatekeeper,
-                                 BoolCallback done) {
-  rpc_.call(gatekeeper, "gram.ping", base_payload(), options_.rpc_timeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              done(ok && reply.get_bool("ok"));
+              SiteReport report;
+              report.reserve(asked);
+              for (const std::string& state :
+                   util::split(reply.get("states"), ',')) {
+                if (state == kMissingState) {
+                  report.emplace_back(std::nullopt);
+                } else {
+                  report.emplace_back(gram_state_from_string(state));
+                }
+              }
+              if (report.size() != asked) {
+                done(std::nullopt);  // not an answer to this question
+                return;
+              }
+              done(std::move(report));
             });
 }
 

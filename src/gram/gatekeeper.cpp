@@ -158,7 +158,7 @@ void Gatekeeper::on_message(const sim::Message& message) {
   }
 
   sim::Tracer& tracer = host_.tracer();
-  if (tracer.enabled() && message.type != "gram.ping") {
+  if (tracer.enabled() && message.type != "gram.status_all") {
     // Milestone for the critical-path taxonomy: request authenticated at
     // the gatekeeper (the interval ending here is the submit RTT's request
     // leg; auth itself is synchronous, so the auth phase is honest zeros).
@@ -166,11 +166,8 @@ void Gatekeeper::on_message(const sim::Message& message) {
                  host_.name(), host_.epoch(), message.type);
   }
 
-  if (message.type == "gram.ping") {
-    // The GridManager's probe for distinguishing a dead JobManager (F1)
-    // from a dead front-end / partition (F2/F4).
-    reply.set_bool("ok", true);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+  if (message.type == "gram.status_all") {
+    handle_status_all(message);
     return;
   }
   if (message.type == "gram.submit") {
@@ -271,6 +268,26 @@ void Gatekeeper::handle_restart(const sim::Message& message) {
   jm_restarted_counter_.inc();
   reply.set_bool("ok", true);
   reply.set("state", to_string((*jobmanagers_)[contact]->state()));
+  sim::rpc_reply(network_, message, address(), std::move(reply));
+}
+
+void Gatekeeper::handle_status_all(const sim::Message& message) {
+  // Crash point: site probe received; the GridManager reads the silence
+  // as F2/F4 and probes again later.
+  if (host_.crash_point("gatekeeper.status_all_recv")) return;
+  // The GridManager's site probe. Any answer tells it the front-end is up,
+  // so a MISSING contact is F1 (only that JobManager died), while silence
+  // is a dead front-end or a partition (F2/F4).
+  std::vector<std::string> states;
+  for (const std::string& contact :
+       util::split(message.body.get("contacts"), ',')) {
+    const JobManager* jm = find_jobmanager(contact);
+    states.emplace_back(jm != nullptr ? to_string(jm->state())
+                                      : kMissingState);
+  }
+  sim::Payload reply;
+  reply.set_bool("ok", true);
+  reply.set("states", util::join(states, ","));
   sim::rpc_reply(network_, message, address(), std::move(reply));
 }
 

@@ -12,6 +12,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "condorg/gram/protocol.h"
 #include "condorg/gsi/credential.h"
@@ -74,6 +75,12 @@ class GramClient {
   using BoolCallback = std::function<void(bool ok)>;
   using StateCallback =
       std::function<void(std::optional<GramJobState> state)>;
+  /// One site's answer to status_all, in the order the contacts were
+  /// asked: each contact's JobManager state, or nullopt (MISSING) when no
+  /// live JobManager holds it.
+  using SiteReport = std::vector<std::optional<GramJobState>>;
+  using SiteReportCallback =
+      std::function<void(std::optional<SiteReport> report)>;
 
   /// Full submission (allocate seq, two-phase commit, retries). `callback_`
   /// names the client service that will receive "gram.callback" updates.
@@ -85,12 +92,13 @@ class GramClient {
                        const GramJobSpec& spec, const sim::Address& callback,
                        SubmitCallback done);
 
-  /// Poll a JobManager's job state.
-  void status(const std::string& contact, StateCallback done);
-  /// Probe the JobManager (alive?).
-  void ping_jobmanager(const std::string& contact, BoolCallback done);
-  /// Probe the site's Gatekeeper (alive & reachable?).
-  void ping_gatekeeper(const sim::Address& gatekeeper, BoolCallback done);
+  /// One round trip to a site's Gatekeeper for the state of each of
+  /// `contacts` (all at that site). nullopt means the Gatekeeper did not
+  /// answer or refused: the caller cannot tell a down front-end (F2) from
+  /// a partition (F4).
+  void status_all(const sim::Address& gatekeeper,
+                  const std::vector<std::string>& contacts,
+                  SiteReportCallback done);
   /// Ask the Gatekeeper to start a replacement JobManager for `contact`.
   void restart_jobmanager(const std::string& contact, StateCallback done);
   /// Cancel the job.

@@ -94,6 +94,9 @@ class Gatekeeper {
   void on_message(const sim::Message& message);
   void handle_submit(const sim::Message& message);
   void handle_restart(const sim::Message& message);
+  /// gram.status_all: the state of each asked contact's live JobManager,
+  /// or MISSING — one answer per site probe instead of a ping per job.
+  void handle_status_all(const sim::Message& message);
   std::string new_contact();
   /// Registry counter labelled with this site's name; references are stable
   /// so they are resolved once at construction, off the submit hot path.

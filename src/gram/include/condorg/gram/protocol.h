@@ -29,6 +29,9 @@ enum class GramJobState {
   kFailed,       // staging failure, walltime kill, cancel, ...
 };
 
+/// gram.status_all's answer for a contact no live JobManager holds.
+inline constexpr const char* kMissingState = "MISSING";
+
 const char* to_string(GramJobState state);
 GramJobState gram_state_from_string(const std::string& text);
 bool is_terminal(GramJobState state);

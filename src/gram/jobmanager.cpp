@@ -230,10 +230,6 @@ void JobManager::on_message(const sim::Message& message) {
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
-  if (message.type == "jm.status" || message.type == "jm.ping") {
-    sim::rpc_reply(network_, message, address(), std::move(reply));
-    return;
-  }
   if (message.type == "jm.cancel") {
     // Crash point: cancel received, not yet acted on — the GridManager's
     // retry must find either a cancelled job or a restartable JobManager.

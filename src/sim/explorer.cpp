@@ -21,6 +21,7 @@ const char* kind_name(ExploreChoice::Kind kind) {
 // this initializer by name, so keep one string literal per line.
 constexpr const char* kEnumeratedCrashPoints[] = {
     "gatekeeper.restart_recv",
+    "gatekeeper.status_all_recv",
     "gatekeeper.submit_accepted",
     "gatekeeper.submit_recv",
     "gram.client.commit_send",

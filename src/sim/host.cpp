@@ -1,9 +1,9 @@
 #include "condorg/sim/host.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "condorg/sim/det.h"
 #include "condorg/sim/schedule_controller.h"
@@ -65,20 +65,19 @@ void Host::run_profiled(const std::function<void()>& fn) {
 }
 
 namespace {
-/// Invoke each registered callback, re-checking before every call that it
-/// is still registered: a callback may destroy objects that deregister
-/// *other* callbacks (e.g. a gatekeeper's crash listener tears down
-/// JobManagers whose RPC clients hold their own listeners). Invoking a
-/// stale copy would be use-after-free.
-void invoke_live(std::vector<std::pair<int, std::function<void()>>>& list) {
+/// Invoke each registered callback in id (= registration) order,
+/// re-checking before every call that it is still registered: a callback
+/// may destroy objects that deregister *other* callbacks (e.g. a
+/// gatekeeper's crash listener tears down JobManagers whose RPC clients
+/// hold their own listeners). Invoking a stale copy would be use-after-free.
+void invoke_live(std::map<int, std::function<void()>>& callbacks) {
   std::vector<int> ids;
-  ids.reserve(list.size());
-  for (const auto& [id, fn] : list) ids.push_back(id);
+  ids.reserve(callbacks.size());
+  for (const auto& [id, fn] : callbacks) ids.push_back(id);
   for (const int id : ids) {
-    const auto it = std::find_if(list.begin(), list.end(),
-                                 [id](const auto& e) { return e.first == id; });
-    if (it == list.end()) continue;  // deregistered by an earlier callback
-    const auto fn = it->second;      // copy: the callback may deregister itself
+    const auto it = callbacks.find(id);
+    if (it == callbacks.end()) continue;  // deregistered by an earlier one
+    const auto fn = it->second;  // copy: the callback may deregister itself
     fn();
   }
 }
@@ -122,24 +121,19 @@ bool Host::crash_point(const char* point) {
 
 int Host::add_boot(std::function<void()> fn) {
   const int id = next_listener_id_++;
-  boots_.emplace_back(id, std::move(fn));
+  boots_.emplace(id, std::move(fn));
   return id;
 }
 
-void Host::remove_boot(int id) {
-  std::erase_if(boots_, [id](const auto& entry) { return entry.first == id; });
-}
+void Host::remove_boot(int id) { boots_.erase(id); }
 
 int Host::add_crash_listener(std::function<void()> fn) {
   const int id = next_listener_id_++;
-  crash_listeners_.emplace_back(id, std::move(fn));
+  crash_listeners_.emplace(id, std::move(fn));
   return id;
 }
 
-void Host::remove_crash_listener(int id) {
-  std::erase_if(crash_listeners_,
-                [id](const auto& entry) { return entry.first == id; });
-}
+void Host::remove_crash_listener(int id) { crash_listeners_.erase(id); }
 
 void Host::register_service(const std::string& service, Handler handler) {
   // Two live daemons behind one service name would silently steal each

@@ -11,7 +11,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "condorg/sim/simulation.h"
 #include "condorg/sim/stable_storage.h"
@@ -124,8 +123,10 @@ class Host {
   Epoch epoch_ = 1;
   StableStorage disk_;
   std::map<std::string, Handler> services_;
-  std::vector<std::pair<int, std::function<void()>>> boots_;
-  std::vector<std::pair<int, std::function<void()>>> crash_listeners_;
+  /// Boot functions and crash listeners by id. Ids only grow, so map order
+  /// is registration order, and removal is a lookup, not a scan.
+  std::map<int, std::function<void()>> boots_;
+  std::map<int, std::function<void()>> crash_listeners_;
   int next_listener_id_ = 1;
   std::size_t crash_count_ = 0;
 };

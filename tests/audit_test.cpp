@@ -170,7 +170,10 @@ TEST(StandardAuditor, FiresOnNonMonotonicSequenceNumber) {
   // Corrupt the queue: a sequence number the client allocator never issued.
   rig.agent->schedd().with_job(
       id, [](core::Job& job) { job.gram_seq = 999999; });
-  world.sim().run_until(world.now() + 300.0);
+  // The auditor runs every 32 dispatched events; running to the job's
+  // completion guarantees a pass after the corruption.
+  rig.run_to_completion(86400.0);
+  ASSERT_EQ(rig.agent->query(id)->status, core::JobStatus::kCompleted);
   EXPECT_FALSE(rig.auditor->ok());
   EXPECT_NE(rig.auditor->report().find("allocator"), std::string::npos);
 }

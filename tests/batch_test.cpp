@@ -219,6 +219,24 @@ TEST(FifoScheduler, BackfillStartsNarrowJob) {
   EXPECT_EQ(pbs.status(narrow)->state, cb::JobState::kCompleted);
 }
 
+TEST(FifoScheduler, BackfillStartsNarrowJobWhenOneCpuFrees) {
+  cs::Simulation sim;
+  cb::FifoScheduler pbs(sim, "pbs", 4, /*backfill=*/true);
+  pbs.submit(job("a", 50.0, 1));
+  pbs.submit(job("b", 200.0, 3));  // the cluster is full
+  const auto wide = pbs.submit(job("c", 10.0, 4));
+  const auto narrow = pbs.submit(job("d", 10.0, 1));
+  EXPECT_EQ(pbs.status(narrow)->state, cb::JobState::kQueued);
+  sim.run_until(55.0);
+  // a's CPU freed at 50: the head still does not fit, the 1-CPU job does.
+  EXPECT_EQ(pbs.status(wide)->state, cb::JobState::kQueued);
+  EXPECT_EQ(pbs.status(narrow)->state, cb::JobState::kRunning);
+  EXPECT_DOUBLE_EQ(pbs.status(narrow)->start_time, 50.0);
+  sim.run();
+  EXPECT_DOUBLE_EQ(pbs.status(wide)->start_time, 200.0);
+  EXPECT_EQ(pbs.queue_length(), 0u);
+}
+
 // ---------- fair share ----------
 
 TEST(FairShareScheduler, AlternatesBetweenOwners) {

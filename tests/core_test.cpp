@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 
 #include "condorg/core/agent.h"
 #include "condorg/core/broker.h"
@@ -323,6 +325,146 @@ TEST_F(AgentFixture, RepeatedRemoteFailureEndsInHold) {
   EXPECT_EQ(agent->query(id)->status, core::JobStatus::kHeld);
   EXPECT_EQ(agent->query(id)->attempts, 2);
   EXPECT_GE(agent->log().count(core::LogEventKind::kResubmitted), 1u);
+}
+
+// ---------- the site probe (one gram.status_all per site) ----------
+
+TEST_F(AgentFixture, SiteProbeIsOnePerSitePerInterval) {
+  std::size_t status_all = 0;
+  testbed.world().net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.type == "gram.status_all") ++status_all;
+  });
+  core::JobDescription desc = grid_job(3000.0);
+  desc.grid_site = "pbs.anl.gov";
+  for (int i = 0; i < 20; ++i) agent->submit(desc);
+  testbed.world().sim().run_until(1200.0);
+  EXPECT_EQ(agent->schedd().count(core::JobStatus::kRunning), 20u);
+  // The first probe follows the first contact by one 120 s interval, then
+  // one per interval: 9 by 1,200 s, where per-job probes would be ~180.
+  EXPECT_EQ(agent->gridmanager().probes_sent(), 9u);
+  EXPECT_EQ(status_all, agent->gridmanager().probes_sent());
+}
+
+TEST_F(AgentFixture, SiteProbeRestartsAKilledJobManagerOnce) {
+  core::JobDescription desc = grid_job(3000.0);
+  desc.grid_site = "pbs.anl.gov";
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(agent->submit(desc));
+  testbed.world().sim().run_until(1500.0);
+  ASSERT_TRUE(testbed.site(0).gatekeeper->kill_jobmanager(
+      agent->query(ids[1])->gram_contact));
+  run_to_completion(40000.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
+  }
+  EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 1u);
+  EXPECT_EQ(agent->log().count(core::LogEventKind::kJobManagerLost), 1u);
+  EXPECT_EQ(testbed.site(0).gatekeeper->jobmanagers_started(), 5u);
+  EXPECT_EQ(agent->log().count(core::LogEventKind::kTerminated), 4u);
+  EXPECT_EQ(total_site_executions(), 4u);
+}
+
+TEST_F(AgentFixture, SiteProbeCompletesAJobWhoseDoneCallbackWasLost) {
+  core::JobDescription desc = grid_job(300.0);
+  desc.grid_site = "pbs.anl.gov";
+  const auto id = agent->submit(desc);
+  cs::Simulation& sim = testbed.world().sim();
+  while (agent->query(id)->remote_state != "ACTIVE" && sim.now() < 1000.0) {
+    sim.run_until(sim.now() + 5.0);
+  }
+  ASSERT_EQ(agent->query(id)->remote_state, "ACTIVE");
+  // Take the GridManager's callback service away while the job finishes,
+  // so its DONE callback finds no one.
+  cs::Host& submit = agent->host();
+  const cs::Host::Handler callbacks = *submit.find_service("gridmanager.user");
+  submit.unregister_service("gridmanager.user");
+  const std::string contact = agent->query(id)->gram_contact;
+  const auto site_state = [&] {
+    return testbed.site(0).gatekeeper->find_jobmanager(contact)->state();
+  };
+  while (site_state() != condorg::gram::GramJobState::kDone &&
+         sim.now() < 1000.0) {
+    sim.run_until(sim.now() + 5.0);
+  }
+  ASSERT_EQ(site_state(), condorg::gram::GramJobState::kDone);
+  sim.run_until(sim.now() + 5.0);
+  ASSERT_EQ(agent->query(id)->status, core::JobStatus::kRunning);
+  const double restored = sim.now();
+  submit.register_service("gridmanager.user", callbacks);
+  run_to_completion(2000.0);
+  EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
+  EXPECT_GT(agent->query(id)->completion_time, restored);
+  EXPECT_EQ(agent->log().count(core::LogEventKind::kTerminated), 1u);
+  EXPECT_EQ(total_site_executions(), 1u);
+}
+
+TEST_F(AgentFixture, SiteProbeRidesOutAPartitionWithoutRestarts) {
+  cs::Tracer& tracer = testbed.world().sim().tracer();
+  tracer.set_enabled(true);
+  core::JobDescription desc = grid_job(3000.0);
+  desc.grid_site = "pbs.anl.gov";
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(agent->submit(desc));
+  cs::Network& net = testbed.world().net();
+  testbed.world().sim().run_until(1500.0);
+  net.set_partitioned("submit.wisc.edu", "pbs.anl.gov", true);
+  testbed.world().sim().run_until(2500.0);
+  net.set_partitioned("submit.wisc.edu", "pbs.anl.gov", false);
+  run_to_completion(40000.0);
+  std::map<std::uint64_t, std::vector<double>> begins;
+  std::map<std::uint64_t, std::vector<double>> ends;
+  for (const cs::TraceRecord& record : tracer.records()) {
+    if (record.name == "recovery.begin") begins[record.job].push_back(record.t);
+    if (record.name == "recovery.end") ends[record.job].push_back(record.t);
+  }
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
+    // One window per job: opened by a silent probe during the partition,
+    // closed by the first probe the healed site answers.
+    ASSERT_EQ(begins[id].size(), 1u) << "job " << id;
+    ASSERT_EQ(ends[id].size(), 1u) << "job " << id;
+    EXPECT_GT(begins[id][0], 1500.0);
+    EXPECT_LT(begins[id][0], 2500.0);
+    EXPECT_GT(ends[id][0], 2500.0);
+    EXPECT_LT(ends[id][0], 2500.0 + 2 * 120.0);
+  }
+  EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 0u);
+  EXPECT_EQ(agent->log().count(core::LogEventKind::kJobManagerLost), 0u);
+  EXPECT_EQ(total_site_executions(), 4u);
+}
+
+TEST_F(AgentFixture, SubmitHostRebootResendsGassToEveryContact) {
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(agent->submit(grid_job(3000.0)));
+  cs::Simulation& sim = testbed.world().sim();
+  sim.run_until(1500.0);
+  std::set<std::string> contacts;
+  for (const auto id : ids) contacts.insert(agent->query(id)->gram_contact);
+  ASSERT_EQ(contacts.size(), 6u);
+  std::map<std::string, int> gass_updates;  // JobManager service -> count
+  testbed.world().net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.type == "jm.update_gass") ++gass_updates[m.to.service];
+  });
+  const std::string lost = agent->query(ids[0])->gram_contact;
+  const std::size_t lost_site =
+      agent->query(ids[0])->gram_site == "pbs.anl.gov" ? 0 : 1;
+  agent->host().crash();
+  sim.schedule_at(2500.0, [&] { agent->host().restart(); });
+  // One JobManager dies during the outage: it gets the address once the
+  // site probe has it restarted.
+  sim.run_until(2000.0);
+  ASSERT_TRUE(testbed.site(lost_site).gatekeeper->kill_jobmanager(lost));
+  run_to_completion(40000.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
+  }
+  EXPECT_EQ(gass_updates.size(), 6u);
+  for (const auto& contact : contacts) {
+    EXPECT_EQ(gass_updates[condorg::gram::jobmanager_service(contact)], 1)
+        << contact;
+  }
+  EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 1u);
+  EXPECT_EQ(total_site_executions(), 6u);
 }
 
 // ---------- CredentialManager ----------

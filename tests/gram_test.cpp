@@ -66,6 +66,26 @@ struct GramFixture : public ::testing::Test {
     }
   }
 
+  /// One site probe for `contact`, given 60 s: the contact's state as
+  /// reported, MISSING, or "silent" when the Gatekeeper did not answer.
+  std::string probe_site(const std::string& contact) {
+    std::string answer = "pending";
+    client.status_all(gatekeeper->address(), {contact},
+                      [&](std::optional<gram::GramClient::SiteReport> report) {
+                        if (!report) {
+                          answer = "silent";
+                        } else if (report->size() != 1) {
+                          answer = "malformed";
+                        } else {
+                          answer = report->front()
+                                       ? gram::to_string(*report->front())
+                                       : gram::kMissingState;
+                        }
+                      });
+    world.sim().run_until(world.now() + 60.0);
+    return answer;
+  }
+
   cs::World world;
   cs::Host& submit;
   cs::Host& site;
@@ -97,11 +117,7 @@ TEST_F(GramFixture, SubmitRunsJobToCompletion) {
 TEST_F(GramFixture, StatusPollReflectsProgress) {
   const std::string contact = submit_and_await("ACTIVE");
   ASSERT_FALSE(contact.empty());
-  std::optional<gram::GramJobState> state;
-  client.status(contact, [&](std::optional<gram::GramJobState> s) { state = s; });
-  world.sim().run_until(world.now() + 20.0);
-  ASSERT_TRUE(state.has_value());
-  EXPECT_EQ(*state, gram::GramJobState::kActive);
+  EXPECT_EQ(probe_site(contact), "ACTIVE");
 }
 
 TEST_F(GramFixture, CancelTerminatesJob) {
@@ -223,15 +239,9 @@ TEST_F(GramFixture, F1JobManagerCrashJobSurvivesAndReattaches) {
   ASSERT_FALSE(contact.empty());
   // Kill only the JobManager process; the local job keeps running.
   ASSERT_TRUE(gatekeeper->kill_jobmanager(contact));
-  bool jm_alive = true;
-  client.ping_jobmanager(contact, [&](bool ok) { jm_alive = ok; });
-  world.sim().run_until(world.now() + 60.0);
-  EXPECT_FALSE(jm_alive);
-  // But the gatekeeper still answers (distinguishes F1 from F2/F4)...
-  bool gk_alive = false;
-  client.ping_gatekeeper(gatekeeper->address(), [&](bool ok) { gk_alive = ok; });
-  world.sim().run_until(world.now() + 60.0);
-  EXPECT_TRUE(gk_alive);
+  // The gatekeeper still answers, reporting the contact MISSING: that
+  // distinguishes F1 from F2/F4...
+  EXPECT_EQ(probe_site(contact), "MISSING");
   // ...so the client asks for a JobManager restart and the job completes.
   std::optional<gram::GramJobState> state;
   client.restart_jobmanager(contact, [&](auto s) { state = s; });
@@ -264,14 +274,9 @@ TEST_F(GramFixture, F4PartitionJobUnaffectedAndReconnects) {
   const std::string contact = submit_and_await("ACTIVE");
   ASSERT_FALSE(contact.empty());
   world.net().set_partitioned("submit.wisc.edu", "gk.anl.gov", true);
-  bool jm_alive = true, gk_alive = true;
-  client.ping_jobmanager(contact, [&](bool ok) { jm_alive = ok; });
-  client.ping_gatekeeper(gatekeeper->address(), [&](bool ok) { gk_alive = ok; });
-  world.sim().run_until(world.now() + 60.0);
-  // During a partition the client cannot distinguish F2 from F4: both
-  // probes fail.
-  EXPECT_FALSE(jm_alive);
-  EXPECT_FALSE(gk_alive);
+  // During a partition the client cannot distinguish F2 from F4: the site
+  // probe meets silence.
+  EXPECT_EQ(probe_site(contact), "silent");
   // Job completes during the partition; output staging retries.
   world.sim().run_until(world.now() + 600.0);
   EXPECT_EQ(cluster->history().size(), 1u);

@@ -4,9 +4,9 @@
 // GRAM/GASS/MDS/GSI message types that cross the user/site/central
 // partition boundary *statically*, from the source. This tool measures the
 // same boundary *dynamically*: it arms sim::Profiler, runs one campaign
-// that exercises every protocol leg (two-phase submission, staging,
-// polling, MyProxy refresh, MDS registration/query, and the rare recovery
-// RPCs no healthy campaign emits — pings, restart_jobmanager, update_gass,
+// that exercises every protocol leg (two-phase submission, staging, site
+// probes, MyProxy refresh, MDS registration/query, and the rare recovery
+// RPCs no healthy campaign emits — restart_jobmanager, update_gass,
 // refresh_credential, cancel, the odd GASS verbs, grrp.unregister), then
 // compares the set of message types observed crossing partitions in the
 // profiler's traffic matrix against the report's cut classification.
@@ -183,7 +183,7 @@ Observation run_scenario(std::vector<std::string>& problems) {
   const std::uint64_t long_id = agent.submit(desc);
 
   // Run until the long job holds a contact (the short jobs complete along
-  // the way, exercising submit/commit/callback/status and both stagings).
+  // the way, exercising submit/commit/callback and both stagings).
   while (testbed.world().now() < 4000.0 &&
          agent.query(long_id)->gram_contact.empty()) {
     if (!testbed.world().sim().run_until(testbed.world().now() + 50.0)) break;
@@ -199,8 +199,8 @@ Observation run_scenario(std::vector<std::string>& problems) {
   condorg::gram::GramClient extra(submit, testbed.world().net(),
                                   "profile.check");
   extra.set_credential(proxy);
-  extra.ping_gatekeeper(site0.gatekeeper_address(), [](bool) {});
-  extra.ping_jobmanager(contact, [](bool) {});
+  extra.status_all(condorg::gram::gatekeeper_address_for(contact), {contact},
+                   [](auto) {});
   extra.update_gass(contact, agent.gridmanager().gass_address(),
                     [](bool) {});
   extra.refresh_remote_credential(contact, [](bool) {});
