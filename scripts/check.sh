@@ -176,7 +176,9 @@ stage_begin "TSan island kernel (racy-by-construction suite)"
 # double as the race harness: build just the island suites under
 # ThreadSanitizer and run them with an 8-thread budget. The idle-islands
 # case at 8 workers covers the lock-free window completion count and the
-# list of filled inboxes that senders append to.
+# list of filled inboxes that senders append to; the glide-in cluster-crash
+# case covers the per-host probe loop across a node crash and restart
+# (ProbeLoop, ShadowMonitor, the restarted GlideInStarter's MISSING).
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${jobs}" \
   --target island_test parallel_digest_test

@@ -7,6 +7,13 @@
 // checkpoint) when the machine's owner returns or the site allocation
 // expires, and shuts itself down after a configurable idle period "thus
 // guarding against runaway daemons."
+//
+// Liveness is asked per execute host, not per claim: a runner's
+// ShadowMonitor sends one startd.status_all per interval to the host's
+// responder, which answers for every Startd named in it with its state, its
+// claim's job and that job's progress, or MISSING. A Startd that stands
+// alone is its own responder; a glide-in's Startds are answered for by
+// their GlideInStarter, which the slot ad names as its Responder.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +95,13 @@ class Startd {
 
   static const char* to_string(State state);
 
+  /// Reply to a startd.status_all: one line per Startd service named in the
+  /// request, from `find` (nullptr: MISSING). `from` is the responder.
+  static void answer_status_all(
+      sim::Network& network, const sim::Message& request,
+      const sim::Address& from,
+      const std::function<const Startd*(const std::string& service)>& find);
+
  private:
   struct Claim {
     std::string claim_id;
@@ -120,6 +134,10 @@ class Startd {
   util::Rng rng_;
 
   State state_ = State::kUnclaimed;
+  // The serialized ad (empty until first built) and the state it was built
+  // for: re-advertising an unchanged slot re-sends the cached text.
+  std::string ad_text_;
+  State ad_state_ = State::kUnclaimed;
   // det-local(claim_): touched only from this node's own message and timer
   // events; setup code or the node itself builds and destroys the Startd.
   std::optional<Claim> claim_;

@@ -1,31 +1,36 @@
 #include "condorg/condor/shadow.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "condorg/condor/shadow_monitor.h"
 
 namespace condorg::condor {
 
 Shadow::Shadow(
-    sim::Host& host, sim::Network& network, ShadowJob job,
-    sim::Address startd, std::string claim_id, ShadowOptions options,
+    ShadowMonitor& monitor, ShadowJob job, sim::Address startd,
+    sim::Address responder, std::string claim_id, ShadowOptions options,
     std::function<void(const std::string&)> on_done,
     std::function<void(const std::string&, double, const std::string&)>
         on_requeue)
-    : host_(host),
-      network_(network),
+    : monitor_(monitor),
+      host_(monitor.host_),
+      network_(monitor.network_),
       job_(std::move(job)),
       startd_(std::move(startd)),
+      responder_(std::move(responder)),
       claim_id_(std::move(claim_id)),
       service_("shadow." + claim_id_),
       options_(options),
       on_done_(std::move(on_done)),
       on_requeue_(std::move(on_requeue)),
-      rpc_(host, network, service_ + ".rpc") {
+      rpc_(host_, network_, service_ + ".rpc") {
   host_.register_service(service_,
                          [this](const sim::Message& m) { on_message(m); });
 }
 
 Shadow::~Shadow() {
-  host_.sim().cancel(poll_event_);  // the timer must not outlive us
+  monitor_.forget(*this);  // no probe may reach a destroyed Shadow
   if (host_.alive()) host_.unregister_service(service_);
 }
 
@@ -55,11 +60,30 @@ void Shadow::start() {
                             finish(Outcome::kRequeued, "activation failed");
                             return;
                           }
-                          activated_ = true;
-                          poll_event_ = host_.post(options_.poll_interval,
-                                                   [this] { poll(); });
+                          monitor_.watch(*this);
                         });
             });
+}
+
+void Shadow::observe(const SlotStatus* status) {
+  if (outcome_ != Outcome::kPending) return;
+  if (status != nullptr && status->state == "Running" &&
+      status->job_id == job_.job_id) {
+    missed_polls_ = 0;
+    // Fold the reported progress in, so a subsequent crash costs at most
+    // one probe interval.
+    job_.checkpointed_work =
+        std::max(job_.checkpointed_work, status->work_done);
+    return;
+  }
+  // Silence: the execute host or the path to it is down. An answer that is
+  // not our job running (MISSING, a claim broken by the owner): the
+  // definitive done/evict may still be in flight, so wait the same number
+  // of rounds before declaring the execution lost.
+  if (++missed_polls_ >= options_.max_missed_polls) {
+    finish(Outcome::kRequeued,
+           status != nullptr ? "claim lost" : "execution machine lost");
+  }
 }
 
 void Shadow::on_message(const sim::Message& message) {
@@ -106,43 +130,6 @@ void Shadow::on_message(const sim::Message& message) {
       .inc();
 }
 
-void Shadow::poll() {
-  if (outcome_ != Outcome::kPending || !activated_) return;
-  sim::Payload status;
-  status.set("job_id", job_.job_id);
-  rpc_.call(startd_, "startd.status", std::move(status),
-            options_.rpc_timeout,
-            [this](bool ok, const sim::Payload& reply) {
-              if (outcome_ != Outcome::kPending) return;
-              const bool healthy = ok && reply.get_bool("ok") &&
-                                   reply.get("job_id") == job_.job_id &&
-                                   reply.get("state") == "Running";
-              if (healthy) {
-                missed_polls_ = 0;
-                // Opportunistically fold the reported progress in, so a
-                // subsequent crash costs at most one poll interval.
-                job_.checkpointed_work = std::max(
-                    job_.checkpointed_work, reply.get_double("work_done"));
-              } else if (!ok) {
-                if (++missed_polls_ >= options_.max_missed_polls) {
-                  finish(Outcome::kRequeued, "execution machine lost");
-                  return;
-                }
-              } else {
-                // Startd answered but no longer runs our job and no evict
-                // notice reached us (e.g. claim broken by the owner): the
-                // definitive done/evict may still be in flight, so wait one
-                // more poll round before declaring the execution lost.
-                if (++missed_polls_ >= options_.max_missed_polls) {
-                  finish(Outcome::kRequeued, "claim lost");
-                  return;
-                }
-              }
-              poll_event_ =
-                  host_.post(options_.poll_interval, [this] { poll(); });
-            });
-}
-
 void Shadow::release_slot() {
   sim::Payload release;
   release.set("claim_id", claim_id_);
@@ -153,6 +140,7 @@ void Shadow::release_slot() {
 void Shadow::finish(Outcome outcome, const std::string& reason) {
   if (outcome_ != Outcome::kPending) return;
   outcome_ = outcome;
+  monitor_.forget(*this);
   if (outcome == Outcome::kDone) {
     if (on_done_) on_done_(job_.job_id);
   } else {

@@ -1,11 +1,17 @@
 #include "condorg/condor/startd.h"
 
 #include <utility>
+#include <vector>
+
+#include "condorg/util/strings.h"
 
 namespace condorg::condor {
 namespace {
 constexpr double kNotifyTimeout = 30.0;
 constexpr int kNotifyRetries = 10;
+// startd.status_all's state for a Startd the responder does not run (a
+// restarted glide-in starter, an exited daemon).
+constexpr const char* kMissingSlot = "MISSING";
 }  // namespace
 
 const char* Startd::to_string(State state) {
@@ -72,17 +78,21 @@ void Startd::advertise() {
 }
 
 void Startd::send_ad() {
-  classad::ClassAd ad = options_.base_ad;
-  ad.insert_string("Name", slot_name_);
-  ad.insert_string("MyAddress", address().str());
-  ad.insert_string("State", to_string(state_));
+  if (ad_text_.empty() || ad_state_ != state_) {
+    classad::ClassAd ad = options_.base_ad;
+    ad.insert_string("Name", slot_name_);
+    ad.insert_string("MyAddress", address().str());
+    ad.insert_string("State", to_string(state_));
+    ad_text_ = ad.unparse();
+    ad_state_ = state_;
+  }
   // Deliberately no heartbeat timestamp: liveness is the TTL refresh, and a
   // content-stable ad lets the Collector's checksum no-op path absorb the
   // periodic re-advertise instead of fanning it out as a delta to every
   // subscriber.
   sim::Payload payload;
   payload.set("name", slot_name_);
-  payload.set("ad", ad.unparse());
+  payload.set("ad", ad_text_);
   payload.set_double("ttl",
                      options_.advertise_period * options_.ad_ttl_factor);
   rpc_.notify(options_.collector, "collector.advertise", std::move(payload));
@@ -164,14 +174,12 @@ void Startd::on_message(const sim::Message& message) {
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
-  if (message.type == "startd.status") {
-    reply.set_bool("ok", true);
-    reply.set("state", to_string(state_));
-    reply.set("job_id", claim_ ? claim_->job_id : "");
-    if (state_ == State::kRunning) {
-      reply.set_double("work_done", work_done_now());
-    }
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+  if (message.type == "startd.status_all") {
+    // Standing alone, this Startd is its own host's responder.
+    answer_status_all(network_, message, address(),
+                      [this](const std::string& service) {
+                        return service == service_ ? this : nullptr;
+                      });
     return;
   }
   if (message.type == "startd.shutdown") {
@@ -187,6 +195,36 @@ void Startd::on_message(const sim::Message& message) {
   reply.set_bool("ok", false);
   reply.set("why", "unknown operation: " + message.type);
   sim::rpc_reply(network_, message, address(), std::move(reply));
+}
+
+void Startd::answer_status_all(
+    sim::Network& network, const sim::Message& request,
+    const sim::Address& from,
+    const std::function<const Startd*(const std::string& service)>& find) {
+  std::vector<std::string> states;
+  std::vector<std::string> jobs;
+  std::vector<std::string> work;
+  for (const std::string& service :
+       util::split(request.body.get("startds"), ',')) {
+    const Startd* startd = find(service);
+    if (startd == nullptr) {
+      states.emplace_back(kMissingSlot);
+      jobs.emplace_back();
+      work.emplace_back("0");
+      continue;
+    }
+    const bool running = startd->state_ == State::kRunning;
+    states.emplace_back(to_string(startd->state_));
+    jobs.emplace_back(startd->claim_ ? startd->claim_->job_id : "");
+    work.emplace_back(
+        running ? util::format("%.17g", startd->work_done_now()) : "0");
+  }
+  sim::Payload reply;
+  reply.set_bool("ok", true);
+  reply.set("states", util::join(states, ","));
+  reply.set("jobs", util::join(jobs, ","));
+  reply.set("work", util::join(work, ","));
+  sim::rpc_reply(network, request, from, std::move(reply));
 }
 
 void Startd::activate(const sim::Message& message) {

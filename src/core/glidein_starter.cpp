@@ -13,11 +13,16 @@ GlideInStarter::GlideInStarter(sim::Host& node, sim::Network& network,
       options_(std::move(options)),
       manager_(std::move(manager)),
       rpc_(node, network, std::string(kService) + ".rpc"),
-      glideins_(node, "glidein_starter.glideins") {
+      glideins_(node, "glidein_starter.glideins"),
+      startds_(node, "glidein_starter.startds") {
   install();
   // The daemons are processes on this node: a crash kills them outright,
-  // with no exit notice (a Startd runs no on_exit on a crash).
-  crash_listener_ = host_.add_crash_listener([this] { glideins_->clear(); });
+  // with no exit notice (a Startd runs no on_exit on a crash), and the
+  // restarted starter answers MISSING for each of them.
+  crash_listener_ = host_.add_crash_listener([this] {
+    glideins_->clear();
+    startds_->clear();
+  });
   boot_id_ = host_.add_boot([this] { install(); });
 }
 
@@ -36,6 +41,16 @@ void GlideInStarter::on_message(const sim::Message& message) {
   if (message.type == "glidein.start") {
     start(message.body.get("contact"), message.body.get("slot"),
           message.body.get_double("expires_at"));
+    return;
+  }
+  if (message.type == "startd.status_all") {
+    // This node's responder: one answer for every Startd it runs.
+    condor::Startd::answer_status_all(
+        network_, message, {host_.name(), kService},
+        [this](const std::string& service) -> const condor::Startd* {
+          const auto it = startds_->find(service);
+          return it == startds_->end() ? nullptr : it->second;
+        });
     return;
   }
   host_.metrics()
@@ -80,9 +95,13 @@ void GlideInStarter::launch(const std::string& contact, const std::string& slot,
   so.base_ad = options_.slot_base_ad;
   so.base_ad.insert_string("GlideIn", "true");
   so.base_ad.insert_string("Site", site_);
-  (*glideins_)[contact].startd = std::make_unique<condor::Startd>(
+  so.base_ad.insert_string("Responder",
+                           sim::Address{host_.name(), kService}.str());
+  auto& startd = (*glideins_)[contact].startd;
+  startd = std::make_unique<condor::Startd>(
       host_, network_, slot, std::move(so),
       /*on_exit=*/[this, contact] { on_exit(contact); });
+  (*startds_)[startd->address().service] = startd.get();
 }
 
 void GlideInStarter::on_exit(const std::string& contact) {
@@ -90,7 +109,14 @@ void GlideInStarter::on_exit(const std::string& contact) {
   notice.set("contact", contact);
   rpc_.notify(manager_, "glidein.exited", std::move(notice));
   // The Startd is still on the call stack: release it on a later event.
-  host_.post(0.0, life_.wrap([this, contact] { glideins_->erase(contact); }));
+  host_.post(0.0, life_.wrap([this, contact] {
+    const auto it = glideins_->find(contact);
+    if (it == glideins_->end()) return;
+    if (it->second.startd) {
+      startds_->erase(it->second.startd->address().service);
+    }
+    glideins_->erase(it);
+  }));
 }
 
 }  // namespace condorg::core

@@ -1,6 +1,7 @@
 #include "condorg/core/gridmanager.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "condorg/util/rng.h"
 #include "condorg/util/strings.h"
@@ -29,7 +30,10 @@ GridManager::GridManager(Schedd& schedd, sim::Network& network,
       gram_(host_, network, user_, options.gram),
       submitting_(host_, "gridmanager.submitting"),
       contact_to_job_(host_, "gridmanager.contact_to_job"),
-      watched_(host_, "gridmanager.watched"),
+      probe_(host_, "gridmanager." + user_, "gridmanager.watched",
+             options.probe_interval, kRecoverRetry,
+             std::bind_front(&GridManager::probe_contact, this),
+             std::bind_front(&GridManager::probe_site, this)),
       restarting_(host_, "gridmanager.restarting"),
       gass_owed_(host_, "gridmanager.gass_owed"),
       pending_since_(host_, "gridmanager.pending_since"),
@@ -301,7 +305,7 @@ void GridManager::reattach(const Job& job) {
   schedd_.log().record(host_.now(), job.id, LogEventKind::kReconnected,
                        "release: reattaching to " + job.gram_contact);
   schedd_.with_job(job.id, [](Job& j) { j.status = JobStatus::kRunning; });
-  watch(job.id, job.gram_site, 1.0);
+  probe_.watch(job.id, job.gram_site, 1.0);
 }
 
 void GridManager::submit_to(std::uint64_t job_id,
@@ -359,7 +363,7 @@ void GridManager::submit_to(std::uint64_t job_id,
         if (host_.crash_point("gridmanager.submit_ack")) return;
         (*contact_to_job_)[*contact] = job_id;
         schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host, *contact);
-        watch(job_id, gatekeeper.host, options_.probe_interval);
+        probe_.watch(job_id, gatekeeper.host, options_.probe_interval);
       });
 }
 
@@ -393,6 +397,15 @@ void GridManager::handle_remote_state(std::uint64_t job_id,
       job->status == JobStatus::kRemoved) {
     pending_since_->erase(job_id);  // terminal: drop the queued-at-site watch
     end_pipeline(job_id);
+    return;
+  }
+  if (job->status == JobStatus::kHeld &&
+      (state == "PENDING" || state == "ACTIVE")) {
+    // Only a release changes a held job's status; until then the site's
+    // word is recorded, so a site copy that starts does not un-hold it.
+    if (job->remote_state != state) {
+      schedd_.with_job(job_id, [&state](Job& j) { j.remote_state = state; });
+    }
     return;
   }
   if (state == "ACTIVE" && job->remote_state != "ACTIVE") {
@@ -489,51 +502,35 @@ void GridManager::maybe_migrate_pending(std::uint64_t job_id) {
   });
 }
 
-void GridManager::watch(std::uint64_t job_id, const std::string& site,
-                        double delay) {
-  const auto [it, first] = watched_->try_emplace(site);
-  it->second.insert(job_id);
-  if (first) host_.post(delay, [this, site] { probe_site(site); });
+std::optional<std::string> GridManager::probe_contact(const std::string& site,
+                                                      std::uint64_t id) {
+  const Job* job = schedd_.find(id);
+  if (job && (job->gram_site != site || job->gram_contact.empty())) {
+    // Moved on (resubmitted, migrated): its slot and recovery window
+    // belong to its new attachment, not to this site.
+    return std::nullopt;
+  }
+  if (!job || job->status == JobStatus::kCompleted ||
+      job->status == JobStatus::kRemoved || job->status == JobStatus::kHeld) {
+    pending_since_->erase(id);  // backstop for lost terminal callbacks
+    end_pipeline(id);
+    return std::nullopt;
+  }
+  return job->gram_contact;
 }
 
-void GridManager::probe_site(const std::string& site) {
-  std::set<std::uint64_t>& watched = watched_->at(site);
-  std::vector<std::uint64_t> jobs;
-  std::vector<std::string> contacts;
-  for (auto it = watched.begin(); it != watched.end();) {
-    const std::uint64_t id = *it;
-    const Job* job = schedd_.find(id);
-    if (job && (job->gram_site != site || job->gram_contact.empty())) {
-      // Moved on (resubmitted, migrated): its slot and recovery window
-      // belong to its new attachment, not to this site.
-      it = watched.erase(it);
-      continue;
-    }
-    if (!job || job->status == JobStatus::kCompleted ||
-        job->status == JobStatus::kRemoved ||
-        job->status == JobStatus::kHeld) {
-      it = watched.erase(it);
-      pending_since_->erase(id);  // backstop for lost terminal callbacks
-      end_pipeline(id);
-      continue;
-    }
-    jobs.push_back(id);
-    contacts.push_back(job->gram_contact);
-    ++it;
-  }
-  if (jobs.empty()) {
-    watched_->erase(site);  // the loop ends; the next watch starts one
-    return;
-  }
-  ++probes_;
+void GridManager::probe_site(const std::string& site,
+                             std::vector<std::uint64_t> jobs,
+                             std::vector<std::string> contacts,
+                             sim::ProbeLoop::Answered answered) {
   count("gridmanager.probes");
   gram_.status_all(
       sim::Address{site, gram::kGatekeeperService}, contacts,
-      [this, site, jobs = std::move(jobs), contacts](
+      [this, site, jobs = std::move(jobs), contacts,
+       answered = std::move(answered)](
           std::optional<gram::GramClient::SiteReport> report) {
         on_site_report(site, jobs, contacts, report);
-        host_.post(report ? options_.probe_interval : kRecoverRetry,
-                   [this, site] { probe_site(site); });
+        answered(report.has_value());
       });
 }
 
@@ -603,7 +600,6 @@ void GridManager::recover_after_boot() {
   // F3 recovery: rebuild in-memory state from the persistent queue.
   submitting_->clear();
   contact_to_job_->clear();
-  watched_->clear();
   restarting_->clear();
   gass_owed_->clear();
   degraded_since_->clear();  // outage windows restart from the reboot
@@ -639,7 +635,7 @@ void GridManager::recover_after_boot() {
         begin_pipeline(id, job.gram_site);
       }
       gass_owed_->insert(job.gram_contact);
-      watch(id, job.gram_site, 0.0);
+      probe_.watch(id, job.gram_site, 0.0);
     } else if (job.gram_seq != 0) {
       // Crash hit between allocating the sequence number and learning the
       // contact: re-drive with the SAME seq to the SAME site; dedup at the
@@ -672,8 +668,7 @@ void GridManager::audit(std::vector<std::string>& out) const {
           job.status != JobStatus::kRunning || job.gram_contact.empty()) {
         continue;
       }
-      const auto watch = watched_->find(job.gram_site);
-      if (watch == watched_->end() || watch->second.count(id) == 0) {
+      if (!probe_.watching(job.gram_site, id)) {
         out.push_back("running job " + std::to_string(id) + " at " +
                       job.gram_site + " is not watched by its site probe");
       }
@@ -711,14 +706,12 @@ void GridManager::audit(std::vector<std::string>& out) const {
       out.push_back("in-flight submit for unknown job " + std::to_string(id));
     }
   }
-  for (const auto& [site, jobs] : *watched_) {
-    for (const std::uint64_t id : jobs) {
-      if (!schedd_.query(id)) {
-        out.push_back("site " + site + " watches unknown job " +
-                      std::to_string(id));
-      }
+  probe_.for_each([this, &out](const std::string& site, std::uint64_t id) {
+    if (!schedd_.query(id)) {
+      out.push_back("site " + site + " watches unknown job " +
+                    std::to_string(id));
     }
-  }
+  });
   // Pipeline conservation: the per-site depth counters must equal the
   // per-site cardinality of pipeline_site_of_, and every slot holder /
   // queued job must be a real queue entry.

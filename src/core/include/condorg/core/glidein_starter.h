@@ -3,14 +3,18 @@
 // site lives on the site's cluster host and owns its Startds there; the
 // GlideInManager on the submit host reaches it only by message:
 //
-//   glidein.start   manager -> starter when the glide-in's GRAM job goes
-//                   ACTIVE: fetch the binaries (if a repository is set),
-//                   then bring up the Startd.
-//   glidein.exited  starter -> manager when that Startd shuts down (idle
-//                   timeout, allocation end); the manager cancels the job.
+//   glidein.start      manager -> starter when the glide-in's GRAM job goes
+//                      ACTIVE: fetch the binaries (if a repository is set),
+//                      then bring up the Startd.
+//   glidein.exited     starter -> manager when that Startd shuts down (idle
+//                      timeout, allocation end); the manager cancels the job.
+//   startd.status_all  runner's ShadowMonitor -> starter: the starter is
+//                      its node's responder (its Startds' ads name it), so
+//                      one probe per interval covers every claim here.
 //
 // A node crash kills the daemons without a word, as it would real
-// processes; the manager learns of it from the GRAM job's terminal callback.
+// processes; the restarted starter answers MISSING for each of them, and
+// the manager learns of it from the GRAM job's terminal callback.
 #pragma once
 
 #include <map>
@@ -65,6 +69,8 @@ class GlideInStarter {
   sim::RpcClient rpc_;
   sim::Lifetime life_;
   det::HostLocal<std::map<std::string, Glidein>> glideins_;
+  // Startd service -> the running Startd, for startd.status_all.
+  det::HostLocal<std::map<std::string, const condor::Startd*>> startds_;
   int boot_id_ = 0;
   int crash_listener_ = 0;
 };

@@ -31,6 +31,7 @@
 #include "condorg/gass/file_service.h"
 #include "condorg/gram/client.h"
 #include "condorg/sim/network.h"
+#include "condorg/sim/probe_loop.h"
 
 namespace condorg::core {
 
@@ -115,7 +116,7 @@ class GridManager {
   std::uint64_t resubmissions() const { return resubmissions_; }
   std::uint64_t jobmanager_restarts() const { return jm_restarts_; }
   /// Site probes sent (one gram.status_all each).
-  std::uint64_t probes_sent() const { return probes_; }
+  std::uint64_t probes_sent() const { return probe_.probes_sent(); }
   /// Jobs currently counted against `site`'s pipeline cap.
   std::size_t pipeline_depth(const std::string& site) const;
   /// Jobs under the PENDING-at-site watch (bounded: entries are erased when
@@ -159,12 +160,15 @@ class GridManager {
   /// The only code that sends a job to a gatekeeper. A job that is no
   /// longer Idle is skipped and gives up its pipeline slot.
   void submit_to(std::uint64_t job_id, const sim::Address& gatekeeper);
-  /// Watch the job under `site`'s probe loop, starting the loop after
-  /// `delay` unless it is already running.
-  void watch(std::uint64_t job_id, const std::string& site, double delay);
-  /// One site probe: a gram.status_all for every contact watched at
-  /// `site`. Re-arms itself until the site has nothing left to watch.
-  void probe_site(const std::string& site);
+  /// The site probe's filter: a job stays watched at `site`, and the
+  /// probe asks about its contact, while the contact is there and the job
+  /// is neither held nor terminal.
+  std::optional<std::string> probe_contact(const std::string& site,
+                                           std::uint64_t job_id);
+  /// One site probe: a gram.status_all for `contacts`, those of `jobs`.
+  void probe_site(const std::string& site, std::vector<std::uint64_t> jobs,
+                  std::vector<std::string> contacts,
+                  sim::ProbeLoop::Answered answered);
   /// The §4.2 ladder on a site probe's answer (nullopt: silence).
   void on_site_report(
       const std::string& site, const std::vector<std::uint64_t>& jobs,
@@ -204,10 +208,11 @@ class GridManager {
   // jobs with an in-flight submit
   det::HostLocal<std::set<std::uint64_t>> submitting_;
   det::HostLocal<std::map<std::string, std::uint64_t>> contact_to_job_;
-  /// Per-site liveness watch: site -> jobs whose contact is there. A site
-  /// has an entry exactly while its probe loop is armed or in flight; a
-  /// job whose contact moved on is dropped by that site's next probe.
-  det::HostLocal<std::map<std::string, std::set<std::uint64_t>>> watched_;
+  /// Per-site liveness watch: jobs whose contact is at a site, one
+  /// gram.status_all per site per probe_interval (kRecoverRetry while the
+  /// site is silent); a job whose contact moved on is dropped by that
+  /// site's next probe.
+  sim::ProbeLoop probe_;
   // contacts whose JobManager restart is in flight
   det::HostLocal<std::set<std::string>> restarting_;
   // contacts a submit-host reboot left owed the GASS address (F3)
@@ -242,7 +247,6 @@ class GridManager {
   std::uint64_t submissions_ = 0;
   std::uint64_t resubmissions_ = 0;
   std::uint64_t jm_restarts_ = 0;
-  std::uint64_t probes_ = 0;
   std::uint64_t queued_migrations_ = 0;
 
  public:

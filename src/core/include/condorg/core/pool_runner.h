@@ -6,8 +6,9 @@
 // persisted dedup marker so redelivery is idempotent), publishes a window
 // of the user's idle jobs as *job ads* to the central Collector, and acts
 // on `negotiator.match` notifications from the pool Negotiator by spawning
-// a Shadow against the matched slot — the same claim protocol as
-// VanillaRunner, different matchmaking topology.
+// a Shadow against the matched slot — the same claim protocol and the same
+// per-host liveness probe (ShadowMonitor) as VanillaRunner, different
+// matchmaking topology.
 //
 // The publish window is one job ad at a time: the central pool sees one
 // pending ad per user (keeping the shared Collector proportional to the
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "condorg/condor/shadow.h"
+#include "condorg/condor/shadow_monitor.h"
 #include "condorg/core/schedd.h"
 #include "condorg/sim/host.h"
 #include "condorg/sim/lifetime.h"
@@ -87,6 +89,7 @@ class PoolRunner {
   Options options_;
   sim::RpcClient rpc_;
   sim::Lifetime life_;
+  condor::ShadowMonitor monitor_;  // outlives every Shadow below
 
   // det-local(shadows_): touched only from this host's own message and
   // timer events, same ownership story as VanillaRunner's shadow table.
@@ -94,6 +97,8 @@ class PoolRunner {
   /// Currently published job (0 = none). Volatile: a crash drops it and the
   /// ad ages out of the Collector by TTL; boot republishes.
   std::uint64_t published_id_ = 0;
+  /// published_id_'s serialized ad, re-sent while the window stands still.
+  std::string published_ad_;
   std::uint64_t claim_counter_ = 0;
 
   std::uint64_t duplicate_deliveries_ = 0;

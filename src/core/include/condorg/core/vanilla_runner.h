@@ -3,8 +3,9 @@
 // Bridges the Schedd queue to the Condor machinery: feeds idle vanilla jobs
 // to the Negotiator, and for each match spawns a Shadow that claims the
 // slot, activates the job, and reports completion / eviction (with
-// checkpoint) back into the queue. With GlideIn startds in the pool this is
-// exactly Fig. 2 of the paper.
+// checkpoint) back into the queue. The runner's ShadowMonitor probes each
+// execute host once per poll interval for all of its Shadows there. With
+// GlideIn startds in the pool this is exactly Fig. 2 of the paper.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "condorg/condor/collector.h"
 #include "condorg/condor/negotiator.h"
 #include "condorg/condor/shadow.h"
+#include "condorg/condor/shadow_monitor.h"
 #include "condorg/core/schedd.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/network.h"
@@ -53,6 +55,7 @@ class VanillaRunner {
   sim::Host& host_;
   VanillaRunnerOptions options_;
   std::unique_ptr<condor::Negotiator> negotiator_;
+  condor::ShadowMonitor monitor_;  // outlives every Shadow below
   // det-local(shadows_): touched only from this host's own match and
   // shadow-outcome events; each Shadow lives on this host too.
   std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;

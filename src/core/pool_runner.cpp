@@ -11,7 +11,8 @@ PoolRunner::PoolRunner(Schedd& schedd, sim::Network& network, Options options)
       network_(network),
       host_(schedd.host()),
       options_(std::move(options)),
-      rpc_(host_, network, std::string(kService) + ".rpc") {
+      rpc_(host_, network, std::string(kService) + ".rpc"),
+      monitor_(host_, network, options_.shadow) {
   install();
   boot_id_ = host_.add_boot([this] {
     install();
@@ -132,17 +133,20 @@ void PoolRunner::publish() {
     return;
   }
   if (published_id_ != 0 && published_id_ != next) invalidate_published();
-  const auto job = schedd_.query(next);
-  if (!job) return;
-  classad::ClassAd ad = broker_job_ad(*job);
-  ad.insert_string("Name", ad_name(next));
-  ad.insert_string("MyAddress", address().str());
-  ad.insert_string("User", job->desc.owner);
-  ad.insert_string("JobUniverse", "Vanilla");
-  ad.insert_string("JobStatus", "Idle");
+  if (published_id_ != next) {
+    const auto job = schedd_.query(next);
+    if (!job) return;
+    classad::ClassAd ad = broker_job_ad(*job);
+    ad.insert_string("Name", ad_name(next));
+    ad.insert_string("MyAddress", address().str());
+    ad.insert_string("User", job->desc.owner);
+    ad.insert_string("JobUniverse", "Vanilla");
+    ad.insert_string("JobStatus", "Idle");
+    published_ad_ = ad.unparse();
+  }
   sim::Payload payload;
   payload.set("name", ad_name(next));
-  payload.set("ad", ad.unparse());
+  payload.set("ad", published_ad_);
   payload.set_double("ttl",
                      options_.advertise_period * options_.ad_ttl_factor);
   rpc_.notify(options_.collector, "collector.advertise", std::move(payload));
@@ -185,9 +189,11 @@ void PoolRunner::on_match(const sim::Payload& body) {
   shadow_job.checkpointed_work = job->checkpointed_work;
 
   const std::string claim_id = name + "." + std::to_string(++claim_counter_);
+  // Every Startd answers startd.status_all for itself, so the slot's own
+  // address serves as its responder.
+  const sim::Address startd = sim::Address::parse(slot_address);
   auto shadow = std::make_unique<condor::Shadow>(
-      host_, network_, shadow_job, sim::Address::parse(slot_address), claim_id,
-      options_.shadow,
+      monitor_, shadow_job, startd, startd, claim_id, options_.shadow,
       /*on_done=*/
       [this, job_id](const std::string&) {
         schedd_.mark_completed(job_id);

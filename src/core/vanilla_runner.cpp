@@ -10,7 +10,8 @@ VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
     : schedd_(schedd),
       network_(network),
       host_(schedd.host()),
-      options_(options) {
+      options_(options),
+      monitor_(host_, network, options.shadow) {
   negotiator_ = std::make_unique<condor::Negotiator>(
       host_, collector, [this] { return idle_jobs(); },
       [this](const condor::Match& match) { on_match(match); },
@@ -53,6 +54,10 @@ void VanillaRunner::on_match(const condor::Match& match) {
   if (!job || job->status != JobStatus::kIdle) return;
   const auto slot_addr = match.slot_ad.eval_string("MyAddress");
   if (!slot_addr) return;
+  // A glide-in's slot ad names its node's responder; a standalone Startd
+  // answers for itself.
+  const std::string responder =
+      match.slot_ad.eval_string("Responder").value_or(*slot_addr);
 
   condor::ShadowJob shadow_job;
   shadow_job.job_id = match.job_id;
@@ -62,8 +67,8 @@ void VanillaRunner::on_match(const condor::Match& match) {
   const std::string claim_id =
       match.job_id + "." + std::to_string(++claim_counter_);
   auto shadow = std::make_unique<condor::Shadow>(
-      host_, network_, shadow_job, sim::Address::parse(*slot_addr), claim_id,
-      options_.shadow,
+      monitor_, shadow_job, sim::Address::parse(*slot_addr),
+      sim::Address::parse(responder), claim_id, options_.shadow,
       /*on_done=*/
       [this, job_id](const std::string&) {
         schedd_.mark_completed(job_id);

@@ -112,6 +112,10 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, const MetricLabels& labels = {});
   HistogramMetric& histogram(std::string_view name,
                              const MetricLabels& labels = {});
+  /// gauge() for a series that only its creator writes: nullptr, not the
+  /// family's shared `other` bucket, once the family is at its cap (gauges
+  /// are not synchronized across island workers).
+  Gauge* own_gauge(std::string_view name, const MetricLabels& labels);
 
   /// Adjust the per-family cap (takes effect for series created after the
   /// call; existing series are never evicted). A cap of 0 disables the

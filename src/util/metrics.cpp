@@ -128,6 +128,18 @@ Gauge& MetricsRegistry::gauge(std::string_view name,
   return gauges_[capped_key('g', name, labels, exists)];
 }
 
+Gauge* MetricsRegistry::own_gauge(std::string_view name,
+                                  const MetricLabels& labels) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::string key = metric_key(name, labels);
+  if (gauges_.count(key) == 0 && !labels.empty() && label_cap_ != 0) {
+    std::size_t& series = family_series_[std::string("g:").append(name)];
+    if (series >= label_cap_) return nullptr;
+    ++series;
+  }
+  return &gauges_[key];
+}
+
 HistogramMetric& MetricsRegistry::histogram(std::string_view name,
                                             const MetricLabels& labels) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -6,6 +6,7 @@
 #include "condorg/condor/collector.h"
 #include "condorg/condor/negotiator.h"
 #include "condorg/condor/shadow.h"
+#include "condorg/condor/shadow_monitor.h"
 #include "condorg/condor/startd.h"
 #include "condorg/sim/world.h"
 
@@ -20,7 +21,15 @@ struct PoolFixture : public ::testing::Test {
       : submit(world.add_host("submit.wisc.edu")),
         node1(world.add_host("node1")),
         node2(world.add_host("node2")),
-        collector(submit, world.net()) {}
+        collector(submit, world.net()),
+        monitor(submit, world.net(), shadow_options()) {}
+
+  /// The Shadows' options: each execute host is probed every 30 s.
+  static cc::ShadowOptions shadow_options() {
+    cc::ShadowOptions options;
+    options.poll_interval = 30.0;
+    return options;
+  }
 
   cc::StartdOptions slot_options(double advertise = 60.0) {
     cc::StartdOptions options;
@@ -40,10 +49,8 @@ struct PoolFixture : public ::testing::Test {
     job.job_id = job_id;
     job.total_work_seconds = work;
     job.checkpointed_work = checkpoint;
-    cc::ShadowOptions options;
-    options.poll_interval = 30.0;
     auto shadow = std::make_unique<cc::Shadow>(
-        submit, world.net(), job, startd, job_id + ".claim1", options,
+        monitor, job, startd, startd, job_id + ".claim1", shadow_options(),
         [done](const std::string& id) {
           if (done) *done = id;
         },
@@ -61,6 +68,8 @@ struct PoolFixture : public ::testing::Test {
   cs::Host& node1;
   cs::Host& node2;
   cc::Collector collector;
+  /// Probes the execute hosts for every Shadow the test runs.
+  cc::ShadowMonitor monitor;
 };
 
 }  // namespace
@@ -243,7 +252,7 @@ TEST_F(PoolFixture, MigrationConservesWork) {
   job.total_work_seconds = 600.0;
   job.checkpointed_work = ckpt;
   auto shadow3 = std::make_unique<cc::Shadow>(
-      submit, world.net(), job, startd2.address(), "job1.claim2",
+      monitor, job, startd2.address(), startd2.address(), "job1.claim2",
       cc::ShadowOptions{},
       [&](const std::string& id) {
         done = id;

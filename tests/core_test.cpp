@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "condorg/core/agent.h"
 #include "condorg/core/broker.h"
 #include "condorg/gsi/myproxy.h"
+#include "condorg/util/strings.h"
 #include "condorg/workloads/grid_builder.h"
 
 namespace core = condorg::core;
@@ -343,6 +348,28 @@ TEST_F(AgentFixture, SiteProbeIsOnePerSitePerInterval) {
   // one per interval: 9 by 1,200 s, where per-job probes would be ~180.
   EXPECT_EQ(agent->gridmanager().probes_sent(), 9u);
   EXPECT_EQ(status_all, agent->gridmanager().probes_sent());
+}
+
+TEST_F(AgentFixture, ActiveReportLeavesAHeldJobHeld) {
+  // 30 x 600 s jobs fill pbs's 8 CPUs; the 31st is held while PENDING.
+  core::JobDescription desc = grid_job(600.0);
+  desc.grid_site = "pbs.anl.gov";
+  for (int i = 0; i < 30; ++i) agent->submit(desc);
+  const auto id = agent->submit(desc);
+  cs::Simulation& sim = testbed.world().sim();
+  sim.run_until(100.0);
+  ASSERT_EQ(agent->query(id)->remote_state, "PENDING");
+  ASSERT_TRUE(agent->hold(id, "held by user"));
+  while (agent->query(id)->remote_state != "ACTIVE" && sim.now() < 3000.0) {
+    sim.run_until(sim.now() + 10.0);
+  }
+  // The site started its copy; only a release may make the job Running.
+  ASSERT_EQ(agent->query(id)->remote_state, "ACTIVE");
+  EXPECT_EQ(agent->query(id)->status, core::JobStatus::kHeld);
+  EXPECT_EQ(agent->query(id)->hold_reason, "held by user");
+  // A DONE report still completes it (DESIGN.md §12).
+  run_to_completion(6000.0);
+  EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted);
 }
 
 TEST_F(AgentFixture, SiteProbeRestartsAKilledJobManagerOnce) {
@@ -1213,4 +1240,147 @@ TEST_F(PipelineFixture, SubmitMachineCrashMidStormStaysExactlyOnce) {
   }
   EXPECT_EQ(total_site_executions(), 12u);
   EXPECT_EQ(agent->gridmanager().pending_watch_size(), 0u);
+}
+
+// ---------- per-host liveness probe of glide-in claims ----------
+
+namespace {
+
+/// A one-site personal pool whose glide-ins all land on pool.wisc.edu's
+/// cluster host; the runner's Shadows use the default 120 s probe.
+struct GlideInPool {
+  GlideInPool(int slots, double checkpoint_interval) : testbed(31) {
+    cw::SiteSpec site;
+    site.name = "pool.wisc.edu";
+    site.cpus = slots;
+    testbed.add_site(site);
+    testbed.add_submit_host("submit");
+    agent = std::make_unique<core::CondorGAgent>(testbed.world(), "submit");
+    core::GlideInOptions options;
+    options.tick_interval = 60.0;
+    options.checkpoint_interval = checkpoint_interval;
+    auto& glideins = agent->enable_glideins(options);
+    glideins.add_site(core::GlideInSite{"pool.wisc.edu",
+                                        testbed.site(0).gatekeeper_address(),
+                                        testbed.site(0).cluster, slots, 1});
+    agent->start();
+  }
+
+  /// Submit `n` vanilla jobs and step until every one of them runs.
+  std::vector<std::uint64_t> submit_and_run(int n, double runtime) {
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < n; ++i) {
+      core::JobDescription desc;
+      desc.universe = core::Universe::kVanilla;
+      desc.runtime_seconds = runtime;
+      ids.push_back(agent->submit(desc));
+    }
+    const auto running = [&] {
+      return std::all_of(ids.begin(), ids.end(), [&](std::uint64_t id) {
+        return agent->query(id)->status == core::JobStatus::kRunning;
+      });
+    };
+    while (!running() && testbed.world().now() < 3 * 3600.0) {
+      testbed.world().sim().run_until(testbed.world().now() + 10.0);
+    }
+    EXPECT_TRUE(running());
+    return ids;
+  }
+
+  cs::Host& cluster() { return *testbed.site(0).cluster; }
+
+  cw::GridTestbed testbed;
+  std::unique_ptr<core::CondorGAgent> agent;
+};
+
+}  // namespace
+
+TEST(GlideInProbe, ClaimsOnOneClusterHostShareOneProbePerInterval) {
+  GlideInPool pool(8, 600.0);
+  pool.submit_and_run(8, 3600.0);
+  std::size_t probes = 0;
+  std::size_t widest = 0;
+  std::set<std::string> responders;
+  pool.testbed.world().net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.type == "startd.status_all") {
+      ++probes;
+      responders.insert(m.to.str());
+      widest = std::max(
+          widest, condorg::util::split(m.body.get("startds"), ',').size());
+    }
+    EXPECT_NE(m.type, "startd.status");
+  });
+  cs::Simulation& sim = pool.testbed.world().sim();
+  sim.run_until(sim.now() + 1200.0);
+  // One probe per 120 s interval (plus its round trip) for all 8 claims,
+  // where per-claim polls would be 80.
+  EXPECT_GE(probes, 9u);
+  EXPECT_LE(probes, 10u);
+  EXPECT_EQ(widest, 8u);
+  EXPECT_EQ(responders,
+            std::set<std::string>{pool.cluster().name() + "/glidein.starter"});
+}
+
+TEST(GlideInProbe, RestartedStarterAnswersMissingAndTheClaimIsLost) {
+  GlideInPool pool(2, 600.0);
+  const auto ids = pool.submit_and_run(2, 3600.0);
+  cs::Simulation& sim = pool.testbed.world().sim();
+  // Crash the node just after a probe was answered, so every probe until
+  // the requeue reaches the restarted starter.
+  double answered_at = -1.0;
+  std::size_t missing = 0;
+  pool.testbed.world().net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.type != "startd.status_all.reply") return;
+    answered_at = sim.now();
+    for (const std::string& state :
+         condorg::util::split(m.body.get("states"), ',')) {
+      if (state == "MISSING") ++missing;
+    }
+  });
+  const double since = sim.now();
+  while (answered_at < since) sim.run_until(sim.now() + 1.0);
+  const double crashed_at = sim.now();
+  pool.cluster().crash_for(10.0);
+  while (pool.agent->log().count(core::LogEventKind::kEvicted) < 2 &&
+         sim.now() < crashed_at + 1800.0) {
+    sim.run_until(sim.now() + 10.0);
+  }
+  // Three MISSING answers per claim (max_missed_polls), one per interval.
+  EXPECT_EQ(missing, 6u);
+  EXPECT_LE(sim.now(), crashed_at + 3 * 121.0 + 20.0);
+  std::set<std::uint64_t> lost;
+  for (const auto& event : pool.agent->log().events()) {
+    if (event.kind != core::LogEventKind::kEvicted) continue;
+    EXPECT_EQ(event.detail, "claim lost");
+    lost.insert(event.job_id);
+  }
+  EXPECT_EQ(lost, std::set<std::uint64_t>(ids.begin(), ids.end()));
+}
+
+TEST(GlideInProbe, NodeCrashRequeuesFromTheLastProbedProgress) {
+  // No periodic checkpoints: the probe's work_done is the only progress
+  // the submit side learns before the node dies.
+  GlideInPool pool(1, 0.0);
+  const auto ids = pool.submit_and_run(1, 3600.0);
+  cs::Simulation& sim = pool.testbed.world().sim();
+  double last_work = 0.0;
+  pool.testbed.world().net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.type != "startd.status_all.reply") return;
+    last_work = std::max(last_work,
+                         std::strtod(m.body.get("work").c_str(), nullptr));
+  });
+  sim.run_until(sim.now() + 1000.0);
+  ASSERT_GT(last_work, 0.0);
+  const double probed = last_work;
+  pool.cluster().crash();
+  while (pool.agent->log().count(core::LogEventKind::kEvicted) == 0 &&
+         sim.now() < 20000.0) {
+    sim.run_until(sim.now() + 10.0);
+  }
+  EXPECT_GE(pool.agent->query(ids[0])->checkpointed_work, probed);
+  for (const auto& event : pool.agent->log().events()) {
+    if (event.kind != core::LogEventKind::kEvicted) continue;
+    EXPECT_EQ(event.detail, "execution machine lost");
+    break;
+  }
 }

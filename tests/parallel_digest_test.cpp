@@ -353,6 +353,7 @@ struct GlideInArtifacts {
   std::uint64_t exited = 0;
   std::size_t live = 0;
   std::size_t evictions = 0;
+  std::size_t claims_lost = 0;
   std::size_t detsan_violations = 0;
 };
 
@@ -360,7 +361,10 @@ struct GlideInArtifacts {
 /// fetching the binaries from a repository host), checkpointable vanilla
 /// jobs outlive one two-hour allocation and migrate, then idle daemons
 /// drain. Manager, node-side starters and Startds sit on different islands.
-GlideInArtifacts run_glidein_pool(unsigned threads) {
+/// With `crash_cluster`, pbs's cluster host goes down for 60 s mid-job: its
+/// restarted starter answers MISSING, and the Shadows there requeue.
+GlideInArtifacts run_glidein_pool(unsigned threads,
+                                  bool crash_cluster = false) {
   sim::World::ScopedParallelOverride force(static_cast<int>(threads));
   det::take_violations();
   det::set_enabled(true);
@@ -398,6 +402,10 @@ GlideInArtifacts run_glidein_pool(unsigned threads) {
     agent.submit(job);
   }
   sim::Simulation& s = testbed.world().sim();
+  if (crash_cluster) {
+    s.run_until(3000.0);
+    testbed.site(0).cluster->crash_for(60.0);
+  }
   while (!agent.schedd().all_terminal() && testbed.world().now() < 86400.0) {
     s.run_until(testbed.world().now() + 600.0);
   }
@@ -418,6 +426,12 @@ GlideInArtifacts run_glidein_pool(unsigned threads) {
   out.exited = glideins.glideins_exited();
   out.live = glideins.live_glideins();
   out.evictions = agent.log().count(core::LogEventKind::kEvicted);
+  for (const auto& event : agent.log().events()) {
+    if (event.kind == core::LogEventKind::kEvicted &&
+        event.detail == "claim lost") {
+      ++out.claims_lost;
+    }
+  }
   out.detsan_violations = det::take_violations().size();
   det::set_enabled(false);
   return out;
@@ -441,6 +455,21 @@ TEST(ParallelDigest, GlideInByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.exited, base.exited) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.live, base.live) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.evictions, base.evictions) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
+  }
+}
+
+TEST(ParallelDigest, GlideInClusterCrashByteIdenticalAcrossThreadCounts) {
+  const GlideInArtifacts base = run_glidein_pool(kThreadCounts[0], true);
+  EXPECT_EQ(base.completed, 8u);
+  EXPECT_GE(base.claims_lost, 1u);  // the restarted starter said MISSING
+  EXPECT_EQ(base.detsan_violations, 0u);
+  for (std::size_t i = 1; i < std::size(kThreadCounts); ++i) {
+    const GlideInArtifacts a = run_glidein_pool(kThreadCounts[i], true);
+    EXPECT_EQ(a.digest, base.digest) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.dispatched, base.dispatched) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.job_table, base.job_table) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.claims_lost, base.claims_lost) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
   }
 }

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "condorg/sim/failure.h"
 #include "condorg/sim/invariant_auditor.h"
+#include "condorg/sim/probe_loop.h"
 #include "condorg/sim/rpc.h"
 #include "condorg/sim/world.h"
 
@@ -877,4 +880,178 @@ TEST(FailureInjector, RecurringCrashesRespectWindow) {
     EXPECT_LE(incident.at, 5000.0 + 1e-6);
   }
   EXPECT_TRUE(world.host("site").alive());
+}
+
+// ---------- ProbeLoop ----------
+
+namespace {
+
+/// An owner of a ProbeLoop over the "probe" service of its peers: it keeps
+/// every key not in `done`, and records each probe it sends.
+struct LoopOwner {
+  struct Sent {
+    double at;
+    std::string peer;
+    std::vector<std::uint64_t> keys;
+  };
+
+  LoopOwner(cs::World& world, cs::Host& host, double interval, double retry)
+      : rpc(host, world.net(), "owner.rpc"),
+        loop(
+            host, "test.owner", "test.watched", interval, retry,
+            [this](const std::string&,
+                   std::uint64_t key) -> std::optional<std::string> {
+              if (done.count(key) != 0) return std::nullopt;
+              return "key" + std::to_string(key);
+            },
+            [this, &host](const std::string& peer,
+                          std::vector<std::uint64_t> keys,
+                          std::vector<std::string> asks,
+                          cs::ProbeLoop::Answered answered) {
+              EXPECT_EQ(asks.size(), keys.size());
+              EXPECT_EQ(asks.front(), "key" + std::to_string(keys.front()));
+              sent.push_back({host.now(), peer, std::move(keys)});
+              rpc.call(cs::Address{peer, "probe"}, "probe", {}, 10.0,
+                       [answered = std::move(answered)](
+                           bool ok, const cs::Payload&) { answered(ok); });
+            }) {}
+
+  cs::RpcClient rpc;
+  std::set<std::uint64_t> done;
+  std::vector<Sent> sent;
+  cs::ProbeLoop loop;
+};
+
+/// A world whose links take exactly 0.5 s each way, with one owner host
+/// and two peers that answer every probe.
+struct LoopWorld {
+  LoopWorld() {
+    cs::LinkConfig link;
+    link.latency = 0.5;
+    link.jitter = 0.0;
+    world.net().set_default_link(link);
+    for (const char* name : {"peer1", "peer2"}) {
+      cs::Host& peer = world.add_host(name);
+      peer.register_service("probe", [this, name](const cs::Message& m) {
+        cs::rpc_reply(world.net(), m, cs::Address{name, "probe"}, {});
+      });
+    }
+  }
+  cs::World world;
+  cs::Host& owner = world.add_host("owner");
+};
+
+}  // namespace
+
+TEST(ProbeLoop, StartsOnFirstWatchAndProbesEachPeerOncePerInterval) {
+  LoopWorld w;
+  LoopOwner owner(w.world, w.owner, 60.0, 200.0);
+  EXPECT_EQ(owner.loop.loops(), 0u);
+  owner.loop.watch(1, "peer1", 10.0);
+  owner.loop.watch(2, "peer1", 0.0);  // the loop is armed: no second timer
+  owner.loop.watch(3, "peer1", 5.0);
+  owner.loop.watch(7, "peer2", 30.0);
+  EXPECT_EQ(owner.loop.loops(), 2u);
+  w.world.sim().run_until(9.0);
+  EXPECT_TRUE(owner.sent.empty());
+  // peer1 at 10, then one round trip (1 s) plus 60 s after each answer;
+  // peer2 at 30, 91, 152.
+  w.world.sim().run_until(200.0);
+  std::vector<double> peer1_at;
+  for (const auto& sent : owner.sent) {
+    if (sent.peer != "peer1") {
+      EXPECT_EQ(sent.keys, (std::vector<std::uint64_t>{7}));
+      continue;
+    }
+    peer1_at.push_back(sent.at);
+    EXPECT_EQ(sent.keys, (std::vector<std::uint64_t>{1, 2, 3}));
+  }
+  EXPECT_EQ(peer1_at, (std::vector<double>{10.0, 71.0, 132.0, 193.0}));
+  EXPECT_EQ(owner.sent.size(), 7u);
+  EXPECT_EQ(owner.loop.probes_sent(), 7u);
+  const auto* gauge =
+      w.world.sim().metrics().find_gauge("probe_keys_max{owner=test.owner}");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value(), 3.0);
+}
+
+TEST(ProbeLoop, EndsWhenTheOwnersFilterEmptiesTheSet) {
+  LoopWorld w;
+  LoopOwner owner(w.world, w.owner, 60.0, 200.0);
+  owner.loop.watch(1, "peer1", 10.0);
+  owner.loop.watch(2, "peer1", 10.0);
+  w.world.sim().run_until(50.0);
+  ASSERT_EQ(owner.sent.size(), 1u);
+  owner.done.insert(1);
+  w.world.sim().run_until(100.0);  // the 71 s probe asks for key 2 only
+  ASSERT_EQ(owner.sent.size(), 2u);
+  EXPECT_EQ(owner.sent[1].keys, (std::vector<std::uint64_t>{2}));
+  EXPECT_TRUE(owner.loop.watching("peer1", 2));
+  EXPECT_FALSE(owner.loop.watching("peer1", 1));
+  owner.done.insert(2);
+  w.world.sim().run_until(1000.0);  // the 132 s firing finds nothing left
+  EXPECT_EQ(owner.sent.size(), 2u);
+  EXPECT_EQ(owner.loop.loops(), 0u);
+  EXPECT_FALSE(w.world.sim().pending());
+  // The next watch starts a fresh loop after its own delay.
+  owner.loop.watch(3, "peer1", 5.0);
+  w.world.sim().run_until(1010.0);
+  ASSERT_EQ(owner.sent.size(), 3u);
+  EXPECT_EQ(owner.sent[2].at, 1005.0);
+}
+
+TEST(ProbeLoop, UnwatchingTheLastKeyEndsAnArmedLoop) {
+  LoopWorld w;
+  LoopOwner owner(w.world, w.owner, 60.0, 200.0);
+  owner.loop.watch(1, "peer1", 10.0);
+  owner.loop.watch(2, "peer1", 10.0);
+  owner.loop.unwatch(1, "peer1");
+  EXPECT_EQ(owner.loop.loops(), 1u);
+  owner.loop.unwatch(2, "peer1");
+  EXPECT_EQ(owner.loop.loops(), 0u);
+  w.world.sim().run_until(1000.0);
+  EXPECT_TRUE(owner.sent.empty());
+  // Unwatched while its probe is out: the loop ends when the answer lands.
+  owner.loop.watch(3, "peer1", 10.0);
+  w.world.sim().run_until(1010.2);
+  ASSERT_EQ(owner.sent.size(), 1u);
+  owner.loop.unwatch(3, "peer1");
+  EXPECT_EQ(owner.loop.loops(), 1u);
+  w.world.sim().run_until(2000.0);
+  EXPECT_EQ(owner.loop.loops(), 0u);
+  EXPECT_EQ(owner.sent.size(), 1u);
+}
+
+TEST(ProbeLoop, SilentPeerIsProbedAgainAfterTheRetryDelay) {
+  LoopWorld w;
+  LoopOwner owner(w.world, w.owner, 60.0, 200.0);
+  w.world.host("peer1").crash();
+  owner.loop.watch(1, "peer1", 10.0);
+  // Probe at 10 s, silence at its 10 s timeout, the next probe 200 s later.
+  w.world.sim().run_until(500.0);
+  ASSERT_EQ(owner.sent.size(), 3u);
+  EXPECT_EQ(owner.sent[0].at, 10.0);
+  EXPECT_EQ(owner.sent[1].at, 220.0);
+  EXPECT_EQ(owner.sent[2].at, 430.0);
+}
+
+TEST(ProbeLoop, OwnerCrashLeavesNoLoopArmed) {
+  LoopWorld w;
+  LoopOwner owner(w.world, w.owner, 60.0, 200.0);
+  owner.loop.watch(1, "peer1", 10.0);
+  owner.loop.watch(2, "peer2", 10.0);
+  w.world.sim().run_until(10.2);  // both probes are out
+  ASSERT_EQ(owner.sent.size(), 2u);
+  w.owner.crash();
+  EXPECT_EQ(owner.loop.loops(), 0u);
+  EXPECT_FALSE(owner.loop.watching("peer1", 1));
+  w.world.sim().run_until(1000.0);
+  EXPECT_EQ(owner.sent.size(), 2u);
+  EXPECT_FALSE(w.world.sim().pending());
+  // After the restart the first watch starts the loop again.
+  w.owner.restart();
+  owner.loop.watch(1, "peer1", 5.0);
+  w.world.sim().run_until(1010.0);
+  ASSERT_EQ(owner.sent.size(), 3u);
+  EXPECT_EQ(owner.sent[2].at, 1005.0);
 }

@@ -330,8 +330,9 @@ std::string metric_labels(const std::string& key) {
 }
 
 /// Submission-pipeline health at a glance: per-site staging-cache hit
-/// rates, pipeline-depth peaks against the configured cap, and the Schedd
-/// index footprint. Reads the same metrics JSON as the full tables.
+/// rates, pipeline-depth peaks against the configured cap, the Schedd
+/// index footprint, and the widest liveness probe per probing daemon.
+/// Reads the same metrics JSON as the full tables.
 int print_pipeline_overview(const std::string& path) {
   const std::optional<std::string> text = condorg::util::read_text_file(path);
   if (!text) {
@@ -378,8 +379,10 @@ int print_pipeline_overview(const std::string& path) {
 
   bool any_depth = false;
   bool any_index = false;
+  bool any_probe = false;
   Table depth({"pipeline", "now", "peak", "average"});
   Table index({"index", "size", "peak"});
+  Table probe({"owner", "largest probe (keys)"});
   if (const JsonValue* gauges = parsed->find("gauges");
       gauges != nullptr && gauges->is_object()) {
     for (const auto& [key, value] : gauges->members()) {
@@ -395,6 +398,10 @@ int print_pipeline_overview(const std::string& path) {
         index.add_row({metric_labels(key),
                        format_number(value.number_at("value")),
                        format_number(value.number_at("peak"))});
+      } else if (family == "probe_keys_max") {
+        any_probe = true;
+        probe.add_row({metric_labels(key),
+                       format_number(value.number_at("peak"))});
       }
     }
   }
@@ -403,6 +410,11 @@ int print_pipeline_overview(const std::string& path) {
   }
   if (any_index) {
     std::fputs(index.render("schedd secondary indexes").c_str(), stdout);
+  }
+  if (any_probe) {
+    // One liveness probe asks a peer for every key watched there, so its
+    // reply grows with them; the network does not model that size.
+    std::fputs(probe.render("liveness probe width").c_str(), stdout);
   }
   return 0;
 }
