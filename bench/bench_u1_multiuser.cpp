@@ -27,7 +27,7 @@
 //     {1, 2, 4}; the kernel's key-stream digest and the FNV outcome digest
 //     (every job's status and lifecycle times, every user's matched count)
 //     must be byte-identical across all three (exit 6).
-// The anti-entropy sweep runs throughout (full_sweep_every); any recorded
+// The negotiator's sweep runs throughout (full_sweep_every); any recorded
 // restricted-vs-full divergence fails the binary directly (exit 5). Its full
 // pass is reported on its own (sweep_cycle_ns_mean), outside the gate.
 #include <algorithm>
@@ -110,7 +110,6 @@ struct StormResult {
   std::uint64_t matches = 0;
   std::uint64_t skipped_cycles = 0;
   std::uint64_t sweeps = 0;
-  std::uint64_t full_resyncs = 0;
   std::uint64_t divergences = 0;
   std::uint64_t noop_updates = 0;
   std::uint64_t portal_busy = 0;
@@ -384,7 +383,6 @@ StormResult run_storm(int threads, const Shape& shape, bool timed) {
   result.matches = negotiator.matches_made();
   result.skipped_cycles = negotiator.skipped_cycles();
   result.sweeps = negotiator.sweeps();
-  result.full_resyncs = negotiator.full_resyncs();
   result.divergences = negotiator.divergences();
   result.noop_updates = collector.noop_updates();
   result.portal_busy = portal.busy_rejections();
@@ -508,7 +506,6 @@ int main() {
   section["matches"] = static_cast<double>(storm.matches);
   section["skipped_cycles"] = static_cast<double>(storm.skipped_cycles);
   section["sweeps"] = static_cast<double>(storm.sweeps);
-  section["full_resyncs"] = static_cast<double>(storm.full_resyncs);
   section["divergences"] = static_cast<double>(storm.divergences);
   section["collector_noop_updates"] = static_cast<double>(storm.noop_updates);
   section["portal_busy_rejections"] = static_cast<double>(storm.portal_busy);
@@ -526,8 +523,8 @@ int main() {
 
   if (storm.divergences > 0 || !storm.audit.empty()) {
     std::fprintf(stderr,
-                 "U1: anti-entropy recorded %llu divergence(s); delta state "
-                 "does not equal full-scan state\n",
+                 "U1: the sweep recorded %llu divergence(s); restricted "
+                 "matches do not equal full-scan matches\n",
                  static_cast<unsigned long long>(storm.divergences));
     for (const std::string& line : storm.audit) {
       std::fprintf(stderr, "  %s\n", line.c_str());

@@ -178,7 +178,10 @@ stage_begin "TSan island kernel (racy-by-construction suite)"
 # case at 8 workers covers the lock-free window completion count and the
 # list of filled inboxes that senders append to; the glide-in cluster-crash
 # case covers the per-host probe loop across a node crash and restart
-# (ProbeLoop, ShadowMonitor, the restarted GlideInStarter's MISSING).
+# (ProbeLoop, ShadowMonitor, the restarted GlideInStarter's MISSING); the
+# Schedds-past-the-label-cap case runs 72 user hosts, more than the metrics
+# registry's 64 series per family, whose Schedds write their per-host gauges
+# from several islands in one window.
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "${jobs}" \
   --target island_test parallel_digest_test

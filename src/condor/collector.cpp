@@ -13,7 +13,6 @@ Collector::Collector(sim::Host& host, sim::Network& network)
       network_(network),
       entries_(host, "collector.entries"),
       expiry_heap_(host, "collector.expiry_heap"),
-      delta_log_(host, "collector.delta_log"),
       change_seq_(host, "collector.change_seq", 0),
       noop_updates_(host, "collector.noop_updates", 0),
       noop_counter_(host.metrics().counter("collector_noop_updates",
@@ -23,10 +22,8 @@ Collector::Collector(sim::Host& host, sim::Network& network)
   crash_listener_ = host_.add_crash_listener([this] {
     entries_->clear();
     expiry_heap_->clear();
-    delta_log_->clear();
-    // Sequence resets with the incarnation: a subscriber holding a larger
-    // sequence number learns it must resync instead of trusting "no new
-    // deltas" from an empty reborn pool.
+    // The sequence resets with the incarnation, as does the colocated
+    // PoolNegotiator's last-seen one.
     *change_seq_ = 0;
   });
 }
@@ -40,18 +37,6 @@ Collector::~Collector() {
 void Collector::install() {
   host_.register_service(kService,
                          [this](const sim::Message& m) { on_message(m); });
-}
-
-void Collector::record_delta(const std::string& name, AdPtr ad,
-                             std::uint64_t checksum) const {
-  ++*change_seq_;
-  delta_log_->push_back(Delta{*change_seq_, name, std::move(ad), checksum});
-  if (delta_log_->size() > kDeltaLogCap) {
-    // Drop the older half in one move; readers that fall behind the floor
-    // resync from a full query.
-    delta_log_->erase(delta_log_->begin(),
-                      delta_log_->begin() + kDeltaLogCap / 2);
-  }
 }
 
 void Collector::on_message(const sim::Message& message) {
@@ -84,9 +69,9 @@ void Collector::on_message(const sim::Message& message) {
       Entry entry;
       entry.ad = std::make_shared<const classad::ClassAd>(
           classad::parse_ad(raw));
+      entry.seq = ++*change_seq_;
       entry.expires_at = expires_at;
       entry.checksum = checksum;
-      record_delta(name, entry.ad, entry.checksum);
       push_deadline(expires_at, name);
       (*entries_)[name] = std::move(entry);
       ++ads_received_;
@@ -120,7 +105,7 @@ void Collector::prune() const {
     // Stale node if the name was re-advertised with a later deadline (the
     // newer node is still in the heap) or explicitly invalidated.
     if (it != entries_->end() && it->second.expires_at <= now) {
-      record_delta(it->first, nullptr, 0);
+      ++*change_seq_;
       entries_->erase(it);
     }
   }
@@ -141,31 +126,10 @@ std::vector<Collector::AdPtr> Collector::query(
   return out;
 }
 
-bool Collector::query_delta(std::uint64_t since,
-                            std::vector<Delta>& out) const {
-  prune();  // expiries become tombstone deltas before the replay
-  if (since > *change_seq_) return false;  // a previous incarnation's seq
-  if (since == *change_seq_) return true;  // fully caught up
-  if (delta_log_->empty() || delta_log_->front().seq > since + 1) {
-    return false;  // log truncated past the subscriber's position
-  }
-  for (const Delta& delta : *delta_log_) {
-    if (delta.seq > since) out.push_back(delta);
-  }
-  return true;
-}
-
-std::map<std::string, std::uint64_t> Collector::checksums() const {
+const std::map<std::string, Collector::Entry>& Collector::live_ads()
+    const {
   prune();
-  std::map<std::string, std::uint64_t> out;
-  for (const auto& [name, entry] : *entries_) out[name] = entry.checksum;
-  return out;
-}
-
-Collector::AdPtr Collector::lookup(const std::string& name) const {
-  prune();
-  const auto it = entries_->find(name);
-  return it == entries_->end() ? nullptr : it->second.ad;
+  return *entries_;
 }
 
 std::size_t Collector::live_count() const {
@@ -176,7 +140,7 @@ std::size_t Collector::live_count() const {
 void Collector::invalidate(const std::string& name) {
   const auto it = entries_->find(name);
   if (it == entries_->end()) return;
-  record_delta(it->first, nullptr, 0);
+  ++*change_seq_;
   entries_->erase(it);
 }
 

@@ -56,50 +56,35 @@ class Collector {
 
   std::uint64_t ads_received() const { return ads_received_; }
 
-  // --- incremental (delta) subscription ---
+  // --- change sequence ---
   //
   // Every content change (new ad, changed ad, invalidation, TTL expiry)
-  // bumps a monotone change sequence and appends to a bounded delta log.
-  // A subscriber (the pool Negotiator) replays deltas since its last seen
-  // sequence instead of re-reading the whole pool; when the log no longer
-  // reaches back far enough — or the collector restarted and the sequence
-  // reset — query_delta() reports a resync and the subscriber falls back to
-  // a full query(). A re-publish whose ad text is byte-identical to the
-  // stored one only refreshes the TTL: no sequence bump, no delta (counted in
-  // `collector_noop_updates`).
+  // bumps a monotone change sequence, and each live ad records the sequence
+  // its content was stored at. The colocated PoolNegotiator reads the ads in
+  // place each cycle and takes an ad whose sequence is past its last cycle's
+  // as changed. A re-publish whose ad text is byte-identical to the stored
+  // one only refreshes the TTL: no sequence bump (counted in
+  // `collector_noop_updates`). A crash resets the sequence to 0.
 
-  /// One change. `ad == nullptr` is a tombstone (invalidated or expired).
-  struct Delta {
-    std::uint64_t seq = 0;
-    std::string name;
+  /// One live ad.
+  struct Entry {
     AdPtr ad;
-    std::uint64_t checksum = 0;  // content checksum; 0 for tombstones
+    std::uint64_t seq = 0;  // change_seq() when this content was stored
+    sim::Time expires_at = 0;
+    std::uint64_t checksum = 0;  // FNV-1a of the advertised ad text
   };
 
   /// Sequence number of the latest recorded change (0 = none yet).
   std::uint64_t change_seq() const { return *change_seq_; }
 
-  /// Append every delta with seq > `since` (in sequence order) to `out`.
-  /// Returns false — with `out` untouched — when the log cannot serve
-  /// `since` (truncated past it, or `since` is from a previous incarnation);
-  /// the caller must resync from query().
-  bool query_delta(std::uint64_t since, std::vector<Delta>& out) const;
-
-  /// name -> content checksum of every live ad (prunes first). The
-  /// anti-entropy sweep compares a subscriber's mirror against this.
-  std::map<std::string, std::uint64_t> checksums() const;
-
-  /// The live ad with this name, or nullptr.
-  AdPtr lookup(const std::string& name) const;
+  /// Every live ad by name, after pruning the expired ones. Same-host read
+  /// for the colocated PoolNegotiator: the entries stay as returned until
+  /// the Collector next handles a message or an invalidate().
+  const std::map<std::string, Entry>& live_ads() const;
 
   std::uint64_t noop_updates() const { return *noop_updates_; }
 
  private:
-  struct Entry {
-    AdPtr ad;
-    sim::Time expires_at = 0;
-    std::uint64_t checksum = 0;  // FNV-1a of the advertised ad text
-  };
   // Lazily-deleted expiry heap node. An entry's live deadline always has a
   // matching node (advertise pushes one); nodes for superseded deadlines or
   // invalidated names are discarded when popped.
@@ -114,14 +99,6 @@ class Collector {
   /// Pop expired deadlines and erase entries whose TTL has lapsed. O(expired
   /// log n) instead of a full-pool scan per query.
   void prune() const;
-  /// Bump the change sequence and append to the (bounded) delta log.
-  void record_delta(const std::string& name, AdPtr ad,
-                    std::uint64_t checksum) const;
-
-  /// Delta-log retention: enough to bridge many negotiation cycles at
-  /// steady state, small enough that a storm degrades to one resync
-  /// instead of unbounded memory.
-  static constexpr std::size_t kDeltaLogCap = 8192;
 
   sim::Host& host_;
   sim::Network& network_;
@@ -129,7 +106,6 @@ class Collector {
   // determinism, lazily-deleted min-heap on `when`.
   mutable det::HostLocal<std::map<std::string, Entry>> entries_;
   mutable det::HostLocal<std::vector<Deadline>> expiry_heap_;
-  mutable det::HostLocal<std::vector<Delta>> delta_log_;
   mutable det::HostLocal<std::uint64_t> change_seq_;
   det::HostLocal<std::uint64_t> noop_updates_;
   util::Counter& noop_counter_;

@@ -1,23 +1,23 @@
 // Pool-wide incremental (delta) Negotiator.
 //
-// The personal Negotiator (negotiator.h) re-reads the whole pool every
-// cycle — fine for one user's private Collector, fatal at the portal scale
-// of ROADMAP item 1 (thousands of agents sharing one central pool). This
-// daemon colocates with the central Collector and subscribes to its change
-// sequence instead: each cycle replays only the ads that changed since the
-// last cycle, so the steady-state cost tracks churn, not pool size. Jobs
-// enter the pool as *job ads* published by each user's PoolRunner; matches
-// go back to the owning runner as a `negotiator.match` notify.
+// The personal Negotiator (negotiator.h) matches every job against every
+// slot each cycle: fine for one user's private Collector, too slow for the
+// thousands of users who share one central pool through the portal
+// (DESIGN.md §17). This daemon colocates with the central Collector and
+// reads its ads in place each cycle. Every ad carries the change sequence
+// its content was stored at, so a cycle knows which ads changed since the
+// last one, and the steady-state matching cost tracks churn, not pool size.
+// Jobs enter the pool as *job ads* published by each user's PoolRunner;
+// matches go back to the owning runner as a `negotiator.match` notify.
 //
 // Soundness of the restriction: a pending job that failed against every
 // then-eligible slot can, while both sides stay unchanged, never start
 // matching — so a *clean* job need only be retried against slots that
 // changed, while a *dirty* job (its ad changed) retries everything. Both
 // negotiators share one matcher (match_jobs_to_slots); this one passes the
-// restriction in. A periodic anti-entropy sweep proves it: the mirror is
-// checksum-compared against a full Collector read, and the restricted pass
-// is compared against an unrestricted pass of the same matcher over the
-// same candidates. Divergence surfaces through audit() as an invariant
+// restriction in. A periodic sweep proves it: the restricted pass is
+// compared against an unrestricted pass of the same matcher over the same
+// candidates. Divergence surfaces through audit() as an invariant
 // violation.
 //
 // Cross-user fairness is enforced here, at negotiation time: candidate
@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -46,11 +45,10 @@ namespace condorg::condor {
 
 struct PoolNegotiatorOptions {
   double cycle_period = 60.0;
-  /// Selects negotiable machine ads out of the mirror.
+  /// Selects negotiable machine ads among the Collector's.
   std::string slot_constraint = "State == \"Unclaimed\"";
-  /// Anti-entropy: every Nth cycle checksum-audits the mirror against the
-  /// Collector and cross-checks the restricted match pass against an
-  /// unrestricted one. 0 disables (tests only).
+  /// Every Nth cycle is a sweep: it cross-checks the restricted match pass
+  /// against an unrestricted one. 0 disables (tests only).
   int full_sweep_every = 16;
   /// A match puts a local hold on both sides until the claim shows up as an
   /// ad change; a lost claim lapses after this long and both sides re-enter
@@ -88,21 +86,19 @@ class PoolNegotiator {
   std::uint64_t cycles() const { return *cycles_; }
   std::uint64_t matches_made() const { return *matches_; }
   std::uint64_t skipped_cycles() const { return *skipped_cycles_; }
-  std::uint64_t full_resyncs() const { return *full_resyncs_; }
   std::uint64_t sweeps() const { return *sweeps_; }
   std::uint64_t divergences() const { return *divergences_; }
   const std::map<std::string, std::uint64_t>& matched_by_user() const {
     return *matched_by_user_;
   }
-  std::size_t mirror_size() const { return mirror_->size(); }
 
-  /// Invariant-audit hook: appends one line per recorded anti-entropy
-  /// divergence or restricted-vs-full match disagreement.
+  /// Invariant-audit hook: appends one line per recorded restricted-vs-full
+  /// match disagreement.
   void audit(std::vector<std::string>& out) const;
 
   // --- benchmark timing (inert unless a clock is injected) ---
-  // delta_cycle_ns: each cycle's ingest + restricted pass; reference_cycle_ns:
-  // each sweep's unrestricted pass.
+  // delta_cycle_ns: each cycle's Collector walk + restricted pass;
+  // reference_cycle_ns: each sweep's unrestricted pass.
   void set_clock(Clock clock) { clock_ = std::move(clock); }
   const std::vector<std::uint64_t>& delta_cycle_ns() const {
     return delta_cycle_ns_;
@@ -112,32 +108,7 @@ class PoolNegotiator {
   }
 
  private:
-  struct MirrorEntry {
-    Collector::AdPtr ad;
-    std::uint64_t checksum = 0;
-    bool is_job = false;
-    std::string user;         // job ads only
-    double hold_until = -1.0;  // >= now: matched, claim in flight
-  };
-
   void cycle();
-  /// Throw away the mirror and rebuild it from a full Collector read.
-  void resync();
-  /// Apply this cycle's deltas; returns the set of changed ad names.
-  /// Sets `resynced` when the log could not serve us and a full rebuild
-  /// happened instead.
-  std::vector<std::string> ingest_deltas(bool& resynced);
-  static bool classify_job(const classad::ClassAd& ad, std::string& user);
-  bool slot_eligible(const MirrorEntry& entry, double now) const;
-  bool job_pending(const MirrorEntry& entry, double now) const;
-  /// Pending jobs in FairShareTable user order, then ad name, each flagged
-  /// changed or clean; `users` collects every user with a pending job.
-  std::vector<MatchInput> ordered_pending_jobs(
-      const std::vector<std::string>& changed, bool all_changed, double now,
-      std::set<std::string>& users);
-  std::vector<MatchInput> eligible_slots(
-      const std::vector<std::string>& changed, bool all_changed,
-      double now) const;
   void record_violation(const std::string& text);
   void run_sweep(const std::vector<Match>& delta_matches,
                  const std::vector<MatchInput>& jobs,
@@ -150,11 +121,10 @@ class PoolNegotiator {
   sim::RpcClient rpc_;
   Clock clock_;
 
-  det::HostLocal<std::map<std::string, MirrorEntry>> mirror_;
-  /// Names (jobs and slots) with an active match hold: exactly the mirror
-  /// entries whose hold_until >= 0. Indexed separately so the per-cycle
-  /// lapse check costs O(active holds), not O(pool).
+  /// Ad name (job or slot) -> hold deadline: matched, claim in flight. A
+  /// held ad is no candidate until its hold ends.
   det::HostLocal<std::map<std::string, double>> holds_;
+  /// The Collector's change_seq() at the last cycle that read it.
   det::HostLocal<std::uint64_t> last_seq_;
   det::HostLocal<batch::FairShareTable> fair_share_;
   det::HostLocal<std::map<std::string, std::uint64_t>> matched_by_user_;
@@ -163,7 +133,6 @@ class PoolNegotiator {
   det::HostLocal<std::uint64_t> cycles_;
   det::HostLocal<std::uint64_t> matches_;
   det::HostLocal<std::uint64_t> skipped_cycles_;
-  det::HostLocal<std::uint64_t> full_resyncs_;
   det::HostLocal<std::uint64_t> sweeps_;
   det::HostLocal<std::uint64_t> divergences_;
 

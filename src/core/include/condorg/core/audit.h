@@ -65,8 +65,8 @@ class StandardAuditor {
   void attach_credential_manager(CredentialManager& credentials);
   void attach_gatekeeper(gram::Gatekeeper& gatekeeper);
   /// Registers the delta-negotiation soundness hook: every recorded
-  /// anti-entropy divergence or delta-vs-reference matcher disagreement
-  /// becomes an invariant violation.
+  /// restricted-vs-full matcher disagreement becomes an invariant
+  /// violation.
   void attach_pool_negotiator(condor::PoolNegotiator& negotiator);
   /// Schedd + GridManager + CredentialManager in one call.
   void attach_agent(CondorGAgent& agent);

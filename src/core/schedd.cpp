@@ -58,10 +58,14 @@ void Schedd::reindex(const Job& job, JobStatus previous, bool is_new) {
   row[status_index(job.status)].insert(job.id);
   if (is_new) {
     // Total indexed ids only grows at submit/reload (jobs are never erased
-    // from the queue), so the gauge is refreshed on the insert edge.
-    host_.metrics()
-        .gauge("schedd_index_size", {{"host", host_.name()}})
-        .set(host_.now(), static_cast<double>(jobs_->size()));
+    // from the queue), so the gauge is refreshed on the insert edge. Past
+    // the family's label cap there is no series for this host: the shared
+    // `other` gauge would be written from every Schedd's island.
+    util::Gauge* gauge = host_.metrics().own_gauge(
+        "schedd_index_size", {{"host", host_.name()}});
+    if (gauge != nullptr) {
+      gauge->set(host_.now(), static_cast<double>(jobs_->size()));
+    }
   }
 }
 
@@ -75,11 +79,14 @@ void Schedd::notify(const Job& job) {
 }
 
 void Schedd::set_depth_gauge(JobStatus status) {
-  host_.metrics()
-      .gauge("schedd.queue_depth",
-             {{"host", host_.name()}, {"status", to_string(status)}})
-      .set(host_.now(),
-           static_cast<double>((*status_counts_)[status_index(status)]));
+  // Host-owned series only, as for schedd_index_size.
+  util::Gauge* gauge = host_.metrics().own_gauge(
+      "schedd.queue_depth",
+      {{"host", host_.name()}, {"status", to_string(status)}});
+  if (gauge != nullptr) {
+    gauge->set(host_.now(),
+               static_cast<double>((*status_counts_)[status_index(status)]));
+  }
 }
 
 void Schedd::on_status_change(const Job& job, JobStatus previous,

@@ -364,7 +364,6 @@ struct PortalWorld {
     h = util::fnv1a_mix(h, portal->queue_depth());
     h = util::fnv1a_mix(h, portal->jobs_admitted());
     h = util::fnv1a_mix(h, collector->change_seq());
-    h = util::fnv1a_mix(h, negotiator->mirror_size());
     h = util::fnv1a_mix(h, central->epoch());
     h = util::fnv1a_mix(h, central->alive() ? 1 : 0);
     h = util::fnv1a_mix(h, central->disk().size());

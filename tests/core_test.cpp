@@ -132,6 +132,24 @@ TEST(Schedd, QueueSurvivesCrash) {
   EXPECT_GT(schedd.submit({}), id);
 }
 
+// Per-host Schedd gauges stay host-owned: past the registry's label cap a
+// host gets no series, never the family's shared `other` gauge, which
+// Schedds on different islands would write unsynchronized.
+TEST(Schedd, GaugesPastTheLabelCapMintNoOtherSeries) {
+  cs::World world;
+  std::vector<std::unique_ptr<core::Schedd>> schedds;
+  for (int i = 0; i < 70; ++i) {
+    schedds.push_back(std::make_unique<core::Schedd>(
+        world.add_host("submit" + std::to_string(i))));
+    schedds.back()->submit({});
+  }
+  const auto& metrics = world.sim().metrics();
+  EXPECT_NE(metrics.find_gauge("schedd_index_size{host=submit0}"), nullptr);
+  EXPECT_EQ(metrics.find_gauge("schedd_index_size{host=other}"), nullptr);
+  EXPECT_EQ(metrics.find_gauge("schedd.queue_depth{host=other,status=other}"),
+            nullptr);
+}
+
 TEST(Schedd, HoldReleaseRemoveLifecycle) {
   cs::World world;
   core::Schedd schedd(world.add_host("submit"));

@@ -1,14 +1,16 @@
-// Collector delta subscription + incremental (delta) negotiation.
+// Collector change sequence + incremental (delta) negotiation.
 //
-// The Collector half pins the delta-subscription contract: every content
-// change appends to the bounded log under a monotone sequence, identical
-// re-publishes are checksum no-ops, truncation and restarts force a resync.
-// The PoolNegotiator half pins delta-negotiation *soundness*: with the
-// anti-entropy sweep running every cycle, the restricted match pass must
-// stay byte-equivalent to an unrestricted pass of the same matcher across
-// randomized churn — zero recorded divergences.
+// The Collector half pins the change-sequence contract: every content
+// change bumps a monotone sequence that the changed ad records, identical
+// re-publishes are checksum no-ops, a restart resets the sequence, and a
+// replaced or removed ad version is freed. The PoolNegotiator half pins the
+// cycle rules and delta-negotiation *soundness*: with the sweep running
+// every cycle, the restricted match pass must stay byte-equivalent to an
+// unrestricted pass of the same matcher across randomized churn — zero
+// recorded divergences.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -78,38 +80,28 @@ struct CentralFixture : public ::testing::Test {
   cc::Collector collector;
 };
 
-TEST_F(CentralFixture, DeltaLogReplaysChangesAndTombstones) {
-  // Settle between sends: WAN jitter may reorder messages in flight, and
-  // this test pins the exact log order.
+TEST_F(CentralFixture, ChangesBumpTheSequence) {
   advertise("m1", machine_ad("m1", 512));
-  settle();
   advertise("m2", machine_ad("m2", 256));
   settle();
-  invalidate("m1");
+  EXPECT_EQ(collector.change_seq(), 2u);
+
+  // A content change bumps the sequence, and the ad records it.
+  advertise("m1", machine_ad("m1", 1024));
   settle();
-
   EXPECT_EQ(collector.change_seq(), 3u);
-  std::vector<cc::Collector::Delta> deltas;
-  ASSERT_TRUE(collector.query_delta(0, deltas));
-  ASSERT_EQ(deltas.size(), 3u);
-  EXPECT_EQ(deltas[0].name, "m1");
-  EXPECT_EQ(deltas[0].seq, 1u);
-  ASSERT_NE(deltas[0].ad, nullptr);
-  EXPECT_NE(deltas[0].checksum, 0u);
-  EXPECT_EQ(deltas[2].name, "m1");
-  EXPECT_EQ(deltas[2].ad, nullptr);  // tombstone
-  EXPECT_EQ(deltas[2].checksum, 0u);
+  EXPECT_EQ(collector.live_ads().at("m1").seq, 3u);
+  EXPECT_LT(collector.live_ads().at("m2").seq, 3u);
 
-  // Caught-up subscriber: true, nothing to replay.
-  deltas.clear();
-  EXPECT_TRUE(collector.query_delta(collector.change_seq(), deltas));
-  EXPECT_TRUE(deltas.empty());
-
-  // Partial replay from the middle.
-  deltas.clear();
-  ASSERT_TRUE(collector.query_delta(1, deltas));
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(deltas[0].name, "m2");
+  // So does an invalidation; a second one of the same name changes nothing.
+  invalidate("m2");
+  settle();
+  EXPECT_EQ(collector.change_seq(), 4u);
+  invalidate("m2");
+  settle();
+  EXPECT_EQ(collector.change_seq(), 4u);
+  ASSERT_EQ(collector.live_ads().size(), 1u);
+  EXPECT_EQ(collector.live_ads().begin()->first, "m1");
 }
 
 TEST_F(CentralFixture, IdenticalRepublishIsANoopButRefreshesTtl) {
@@ -127,51 +119,70 @@ TEST_F(CentralFixture, IdenticalRepublishIsANoopButRefreshesTtl) {
   // Alive past the original deadline (lease was refreshed)...
   world.sim().run_until(120.0);
   EXPECT_EQ(collector.live_count(), 1u);
-  // ...gone after the refreshed one, with a tombstone delta.
+  // ...gone after the refreshed one, and the expiry is a change.
   world.sim().run_until(200.0);
   EXPECT_EQ(collector.live_count(), 0u);
-  std::vector<cc::Collector::Delta> deltas;
-  ASSERT_TRUE(collector.query_delta(seq, deltas));
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_EQ(deltas[0].ad, nullptr);
+  EXPECT_EQ(collector.change_seq(), seq + 1);
 }
 
-TEST_F(CentralFixture, TruncatedLogForcesResync) {
-  // Blast enough content-distinct changes through one name to overflow the
-  // bounded log; a subscriber still at the beginning can no longer be
-  // served and must fall back to a full read.
-  for (int i = 0; i < 9000; ++i) {
+TEST_F(CentralFixture, ManyChangesToOneAdLeaveOneEntry) {
+  // Content-distinct changes through one name: each bumps the sequence, and
+  // the entry holds only the last version, stored at the last sequence.
+  // (The last one goes alone: WAN jitter may reorder messages in flight.)
+  for (int i = 0; i < 8999; ++i) {
     advertise("m1", machine_ad("m1", i + 1));
   }
   settle();
+  advertise("m1", machine_ad("m1", 9000));
+  settle();
   EXPECT_EQ(collector.change_seq(), 9000u);
-
-  std::vector<cc::Collector::Delta> deltas;
-  EXPECT_FALSE(collector.query_delta(0, deltas));
-  EXPECT_TRUE(deltas.empty());
-  // The recent tail is still servable.
-  EXPECT_TRUE(collector.query_delta(collector.change_seq() - 1, deltas));
-  ASSERT_EQ(deltas.size(), 1u);
-  EXPECT_EQ(deltas[0].seq, 9000u);
+  ASSERT_EQ(collector.live_ads().size(), 1u);
+  const cc::Collector::Entry& entry = collector.live_ads().at("m1");
+  EXPECT_EQ(entry.seq, 9000u);
+  EXPECT_EQ(entry.ad->eval_int("Memory"), 9000);
 }
 
 TEST_F(CentralFixture, RestartResetsTheSequence) {
   advertise("m1", machine_ad("m1", 512));
   advertise("m2", machine_ad("m2", 256));
   settle();
-  const std::uint64_t old_seq = collector.change_seq();
-  ASSERT_EQ(old_seq, 2u);
+  ASSERT_EQ(collector.change_seq(), 2u);
 
   central.crash_for(10.0);
   world.sim().run_until(world.now() + 20.0);
 
-  // Ads and log died with the host; the sequence restarted from zero, so a
-  // subscriber holding a pre-crash sequence learns it must resync.
+  // Ads died with the host and the sequence restarted from zero, as the
+  // colocated PoolNegotiator's last-seen sequence does in the same crash.
   EXPECT_EQ(collector.change_seq(), 0u);
   EXPECT_EQ(collector.live_count(), 0u);
-  std::vector<cc::Collector::Delta> deltas;
-  EXPECT_FALSE(collector.query_delta(old_seq, deltas));
-  EXPECT_TRUE(collector.query_delta(0, deltas));
+  advertise("m1", machine_ad("m1", 512));
+  settle();
+  EXPECT_EQ(collector.change_seq(), 1u);
+  EXPECT_EQ(collector.live_ads().at("m1").seq, 1u);
+}
+
+// The Collector holds only the current version of each ad: once it is
+// replaced or removed, the last outside reference frees it.
+TEST_F(CentralFixture, ReplacedAdVersionIsFreed) {
+  advertise("m1", machine_ad("m1", 512));
+  settle();
+  std::weak_ptr<const ca::ClassAd> old_version = collector.query().at(0);
+  EXPECT_FALSE(old_version.expired());
+
+  advertise("m1", machine_ad("m1", 1024));
+  settle();
+  EXPECT_TRUE(old_version.expired());
+}
+
+TEST_F(CentralFixture, InvalidatedAdIsFreed) {
+  advertise("m1", machine_ad("m1", 512));
+  settle();
+  std::weak_ptr<const ca::ClassAd> old_version = collector.query().at(0);
+  EXPECT_FALSE(old_version.expired());
+
+  invalidate("m1");
+  settle();
+  EXPECT_TRUE(old_version.expired());
 }
 
 struct NegotiatorFixture : public CentralFixture {
@@ -193,7 +204,7 @@ TEST_F(NegotiatorFixture, MatchesJobToSlotAndHoldsBothSides) {
   settle();
 
   EXPECT_EQ(negotiator.negotiate_once(), 1u);
-  EXPECT_EQ(negotiator.mirror_size(), 2u);
+  EXPECT_EQ(collector.change_seq(), 2u);
   EXPECT_EQ(negotiator.matches_made(), 1u);
   EXPECT_EQ(negotiator.matched_by_user().at("ada"), 1u);
   EXPECT_EQ(negotiator.divergences(), 0u);
@@ -269,27 +280,77 @@ TEST_F(NegotiatorFixture, FairShareRotatesUsersAcrossRounds) {
   EXPECT_TRUE(audit.empty());
 }
 
-TEST_F(NegotiatorFixture, TruncationTriggersFullResync) {
+TEST_F(NegotiatorFixture, ChangedAdsDropTheirHolds) {
   advertise("m1", machine_ad("m1", 512));
+  advertise("ada#job1", job_ad("ada#job1", "ada"));
+  settle();
+  EXPECT_EQ(negotiator.negotiate_once(), 1u);
+
+  // Well inside hold_timeout. The slot's new content ends its hold, but
+  // the job is still held.
+  advertise("m1", machine_ad("m1", 1024));
   settle();
   EXPECT_EQ(negotiator.negotiate_once(), 0u);
-  EXPECT_EQ(negotiator.full_resyncs(), 0u);  // the log serves from zero
 
-  for (int i = 0; i < 9000; ++i) {
+  // The job's new content ends its hold too, and the pair matches again.
+  advertise("ada#job1", job_ad("ada#job1", "ada", 128));
+  settle();
+  EXPECT_EQ(negotiator.negotiate_once(), 1u);
+  EXPECT_EQ(negotiator.matches_made(), 2u);
+  EXPECT_EQ(negotiator.divergences(), 0u);
+}
+
+TEST_F(NegotiatorFixture, ReadvertisedAdsDropTheirHolds) {
+  advertise("m1", machine_ad("m1", 512));
+  advertise("ada#job1", job_ad("ada#job1", "ada"));
+  settle();
+  EXPECT_EQ(negotiator.negotiate_once(), 1u);
+
+  // Invalidated, then advertised again with the same content: a new
+  // version, so both holds end before hold_timeout.
+  invalidate("m1");
+  invalidate("ada#job1");
+  settle();
+  advertise("m1", machine_ad("m1", 512));
+  advertise("ada#job1", job_ad("ada#job1", "ada"));
+  settle();
+  EXPECT_EQ(negotiator.negotiate_once(), 1u);
+  EXPECT_EQ(negotiator.matches_made(), 2u);
+  EXPECT_EQ(negotiator.divergences(), 0u);
+}
+
+TEST_F(NegotiatorFixture, ManyChangesBetweenCyclesAreOneChangedAd) {
+  // The job only fits the last version of "hot". It fails against m1 in
+  // the first cycle, so it is clean from then on and is tried only against
+  // changed slots.
+  advertise("m1", machine_ad("m1", 512));
+  advertise("ada#job1",
+            "[Name = \"ada#job1\"; JobUniverse = \"Vanilla\"; "
+            "User = \"ada\"; MyAddress = \"ada.grid/pool_runner\"; "
+            "Requirements = other.Memory == 9000]");
+  settle();
+  EXPECT_EQ(negotiator.negotiate_once(), 0u);
+  const std::uint64_t seq = collector.change_seq();
+
+  for (int i = 0; i < 8999; ++i) {
     advertise("hot", machine_ad("hot", i + 1));
   }
   settle();
-  EXPECT_EQ(negotiator.negotiate_once(), 0u);
-  EXPECT_EQ(negotiator.full_resyncs(), 1u);
-  EXPECT_EQ(negotiator.mirror_size(), 2u);
+  advertise("hot", machine_ad("hot", 9000));
+  settle();
+  std::size_t changed = 0;
+  for (const auto& [name, entry] : collector.live_ads()) {
+    if (entry.seq > seq) ++changed;
+  }
+  EXPECT_EQ(changed, 1u);
+  EXPECT_EQ(negotiator.negotiate_once(), 1u);
   EXPECT_EQ(negotiator.divergences(), 0u);
 }
 
 // The soundness gate: randomized churn (ads appearing, mutating, dying;
-// jobs and machines mixed; holds lapsing mid-stream) with the anti-entropy
-// sweep auditing *every* cycle. Any divergence between the restricted and
-// the unrestricted match pass — or between the mirror and a full collector
-// read — fails the test.
+// jobs and machines mixed; holds lapsing mid-stream) with the sweep
+// auditing *every* cycle. Any divergence between the restricted and the
+// unrestricted match pass fails the test.
 TEST_F(NegotiatorFixture, RandomizedChurnNeverDiverges) {
   std::mt19937 rng(2001);
   const char* users[] = {"ada", "bob", "eve"};

@@ -193,7 +193,7 @@ def check_multiuser(root: pathlib.Path) -> int:
     delta negotiator must stay >= speedup_floor times faster per cycle
     than the retained full-requery reference, fairness (Jain's index over
     per-user matched jobs) must hold the floor, the campaign must drain,
-    the anti-entropy sweep must record zero divergences, and both the
+    the negotiator's sweep must record zero divergences, and both the
     kernel digest and the outcome digest must be identical across the
     worker counts of the digest runs. Returns the failure count; a tree
     without a multiuser section passes vacuously.
@@ -231,7 +231,7 @@ def check_multiuser(root: pathlib.Path) -> int:
             failures += 1
         divergences = storm.get("divergences")
         if divergences != 0:
-            print(f"  FAILED    {path.name}:multiuser anti-entropy sweep "
+            print(f"  FAILED    {path.name}:multiuser negotiator sweep "
                   f"recorded {divergences} divergence(s)")
             failures += 1
         runs = [run for run in storm.get("digest_runs", [])
