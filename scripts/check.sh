@@ -24,23 +24,24 @@ python3 tools/lint/condorg_lint.py --root .
 python3 tools/lint/condorg_lint.py --root . --self-test
 stage_end
 
-stage_begin "analyze.partition (island-cut report + rule self-test)"
+stage_begin "analyze.partition (ownership report + rule self-test)"
 # The static half of the partition-safety story: zero violations in the
-# tree, every fixture mutation caught, and an island-cut report covering
-# the GRAM/GASS/MDS/GSI message boundaries.
-python3 tools/analyze/condorg_partition.py --root . --build-dir build \
+# tree, every fixture mutation caught, and the ownership inventory
+# (partitions, HostLocal fields, audited globals) written to the report.
+python3 tools/analyze/condorg_partition.py --root . \
   --report build/partition_report.json
 python3 tools/analyze/condorg_partition.py --self-test
 stage_end
 
 stage_begin "analyze.proto (protocol-conformance report + rule self-test)"
-# The spec-checked message graph: every island-cut message type must carry
-# a spec entry (sender, receiver, reply, timeout owner, durability), every
-# handler must reply on all paths, every durable transition's crash points
-# must exist in code AND in the Explorer's enumerated table, and every
-# protocol timer must re-arm. Zero unallowlisted findings; the report is
-# archived next to the partition report for the three-way profile gate.
-python3 tools/analyze/condorg_proto.py --root . --build-dir build \
+# The spec-checked message graph, the one source of the island cut: every
+# spec entry must have send sites in its declared senders and handler arms
+# in its declared receivers, every typed send site and arm must have a spec
+# entry, every handler must reply on all paths, every durable transition's
+# crash points must exist in code AND in the Explorer's enumerated table,
+# and every protocol timer must re-arm. Zero unallowlisted findings; the
+# report's cut types feed the profile gate.
+python3 tools/analyze/condorg_proto.py --root . \
   --report build/proto_report.json
 python3 tools/analyze/condorg_proto.py --self-test
 stage_end
@@ -54,7 +55,7 @@ ctest --preset dev -j "${jobs}"
 stage_end
 
 stage_begin "clang-tidy (skips when not installed)"
-bash scripts/tidy.sh --build-dir build
+bash scripts/tidy.sh
 stage_end
 
 stage_begin "detsan.smoke (determinism sanitizer armed)"
@@ -139,13 +140,11 @@ cmp "${trace_dir}/cp1.json" "${trace_dir}/cp2.json"
 cmp "${trace_dir}/cp1.folded" "${trace_dir}/cp2.folded"
 stage_end
 
-stage_begin "profile.traffic_matrix (spec == static cut ⊇ dynamic)"
-# The three-way gate: the protocol spec's cut types must equal the
-# partition analyzer's static classification, the kernel profiler's
-# measured cross-partition traffic must stay inside the spec, and the
-# dumped profile must render through the report CLI.
-./build/tools/condorg_profile_check build/partition_report.json \
-  --proto build/proto_report.json \
+stage_begin "profile.traffic_matrix (spec cut == dynamic)"
+# The protocol spec's cut types must equal the kernel profiler's measured
+# cross-partition traffic, in both directions, and the dumped profile must
+# render through the report CLI.
+./build/tools/condorg_profile_check build/proto_report.json \
   --dump build/profile.json
 ./build/tools/condorg_report --profile build/profile.json \
   --traffic-matrix >/dev/null

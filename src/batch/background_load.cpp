@@ -1,6 +1,12 @@
 #include "condorg/batch/background_load.h"
 
+#include <string>
+
 namespace condorg::batch {
+namespace {
+constexpr const char* kOwnerPrefix = "local";
+constexpr int kOwnerCount = 5;  // local jobs rotate among this many accounts
+}  // namespace
 
 BackgroundLoad::BackgroundLoad(sim::Simulation& sim,
                                LocalScheduler& scheduler,
@@ -20,9 +26,8 @@ void BackgroundLoad::next_arrival() {
     if (!running_) return;
     JobRequest request;
     request.owner =
-        options_.owner_prefix +
-        std::to_string(rng_.below(static_cast<std::uint64_t>(
-            options_.owner_count)));
+        kOwnerPrefix +
+        std::to_string(rng_.below(static_cast<std::uint64_t>(kOwnerCount)));
     request.runtime_seconds =
         rng_.heavy_tailed(options_.mean_runtime_seconds);
     request.cpus = static_cast<int>(

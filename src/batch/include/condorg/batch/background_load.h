@@ -6,8 +6,6 @@
 // Condor-G's brokering and GlideIn mechanisms are designed around.
 #pragma once
 
-#include <string>
-
 #include "condorg/batch/local_scheduler.h"
 #include "condorg/sim/simulation.h"
 #include "condorg/util/rng.h"
@@ -18,8 +16,6 @@ struct BackgroundLoadOptions {
   double mean_interarrival_seconds = 120.0;
   double mean_runtime_seconds = 1800.0;
   int max_cpus_per_job = 4;
-  std::string owner_prefix = "local";
-  int owner_count = 5;  // local jobs rotate among this many accounts
 };
 
 class BackgroundLoad {

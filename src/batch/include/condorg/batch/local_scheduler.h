@@ -105,7 +105,6 @@ class LocalScheduler {
   int busy_cpus() const { return busy_cpus_; }
   int free_cpus() const { return total_cpus_ - busy_cpus_; }
   std::size_t queue_length() const { return queue_.size(); }
-  std::size_t running_count() const { return completion_events_.size(); }
 
   /// Completed-job history (terminal records, in completion order).
   const std::vector<JobRecord>& history() const { return history_; }

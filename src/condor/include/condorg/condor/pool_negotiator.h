@@ -54,7 +54,6 @@ struct PoolNegotiatorOptions {
   /// ad change; a lost claim lapses after this long and both sides re-enter
   /// negotiation as changed.
   double hold_timeout = 180.0;
-  batch::FairShareTable::Options fair_share;
 };
 
 class PoolNegotiator {

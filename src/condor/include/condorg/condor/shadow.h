@@ -30,8 +30,6 @@ struct ShadowJob {
 
 struct ShadowOptions {
   double poll_interval = 120.0;  // liveness probe cadence per execute host
-  int max_missed_polls = 3;      // bad answers or silences before requeue
-  double rpc_timeout = 30.0;
 };
 
 /// One Startd's line in its responder's startd.status_all reply.
@@ -57,7 +55,7 @@ class Shadow {
   /// (eviction, slot death, claim failure); the job should run again
   /// elsewhere starting from `checkpointed_work`.
   Shadow(ShadowMonitor& monitor, ShadowJob job, sim::Address startd,
-         sim::Address responder, std::string claim_id, ShadowOptions options,
+         sim::Address responder, std::string claim_id,
          std::function<void(const std::string&)> on_done,
          std::function<void(const std::string&, double, const std::string&)>
              on_requeue);
@@ -71,7 +69,7 @@ class Shadow {
 
   /// One probe's word on this claim; nullptr when the responder was silent.
   /// Our job Running folds its progress in and resets the count; anything
-  /// else (MISSING, another claim, silence) counts toward max_missed_polls.
+  /// else (MISSING, another claim, silence) counts toward kMaxMissedPolls.
   void observe(const SlotStatus* status);
 
   Outcome outcome() const { return outcome_; }
@@ -85,6 +83,9 @@ class Shadow {
  private:
   friend class ShadowMonitor;
 
+  /// Timeout of every Shadow and ShadowMonitor request to a Startd.
+  static constexpr double kRpcTimeout = 30.0;
+
   void on_message(const sim::Message& message);
   void finish(Outcome outcome, const std::string& reason);
   void release_slot();
@@ -97,7 +98,6 @@ class Shadow {
   sim::Address responder_;
   std::string claim_id_;
   std::string service_;
-  ShadowOptions options_;
   std::function<void(const std::string&)> on_done_;
   std::function<void(const std::string&, double, const std::string&)>
       on_requeue_;

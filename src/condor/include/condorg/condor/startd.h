@@ -34,7 +34,6 @@ namespace condorg::condor {
 struct StartdOptions {
   sim::Address collector;
   double advertise_period = 300.0;
-  double ad_ttl_factor = 3.0;
   /// Periodic checkpoint interval while running a job; 0 disables. Eviction
   /// always takes a final checkpoint (graceful preemption); a host *crash*
   /// loses work back to the last periodic checkpoint.
@@ -88,10 +87,8 @@ class Startd {
   void shutdown(const std::string& reason);
 
   // --- statistics ---
-  std::uint64_t jobs_started() const { return jobs_started_; }
   std::uint64_t jobs_completed() const { return jobs_completed_; }
   std::uint64_t evictions() const { return evictions_; }
-  std::uint64_t checkpoints_taken() const { return checkpoints_; }
 
   static const char* to_string(State state);
 
@@ -151,10 +148,8 @@ class Startd {
   double last_activity_ = 0;
   int crash_listener_ = 0;
 
-  std::uint64_t jobs_started_ = 0;
   std::uint64_t jobs_completed_ = 0;
   std::uint64_t evictions_ = 0;
-  std::uint64_t checkpoints_ = 0;
 };
 
 }  // namespace condorg::condor

@@ -27,7 +27,7 @@ PoolNegotiator::PoolNegotiator(sim::Host& host, sim::Network& network,
       rpc_(host, network, kService),
       holds_(host, "pool_negotiator.holds"),
       last_seq_(host, "pool_negotiator.last_seq", 0),
-      fair_share_(host, "pool_negotiator.fair_share", options_.fair_share),
+      fair_share_(host, "pool_negotiator.fair_share"),
       matched_by_user_(host, "pool_negotiator.matched_by_user"),
       violations_(host, "pool_negotiator.violations"),
       cycles_(host, "pool_negotiator.cycles", 0),

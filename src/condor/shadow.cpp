@@ -6,10 +6,14 @@
 #include "condorg/condor/shadow_monitor.h"
 
 namespace condorg::condor {
+namespace {
+// Bad answers or silences in a row before the execution counts as lost.
+constexpr int kMaxMissedPolls = 3;
+}  // namespace
 
 Shadow::Shadow(
     ShadowMonitor& monitor, ShadowJob job, sim::Address startd,
-    sim::Address responder, std::string claim_id, ShadowOptions options,
+    sim::Address responder, std::string claim_id,
     std::function<void(const std::string&)> on_done,
     std::function<void(const std::string&, double, const std::string&)>
         on_requeue)
@@ -21,7 +25,6 @@ Shadow::Shadow(
       responder_(std::move(responder)),
       claim_id_(std::move(claim_id)),
       service_("shadow." + claim_id_),
-      options_(options),
       on_done_(std::move(on_done)),
       on_requeue_(std::move(on_requeue)),
       rpc_(host_, network_, service_ + ".rpc") {
@@ -39,7 +42,7 @@ void Shadow::start() {
   claim.set("claim_id", claim_id_);
   claim.set("job_id", job_.job_id);
   claim.set("shadow", address().str());
-  rpc_.call(startd_, "startd.claim", std::move(claim), options_.rpc_timeout,
+  rpc_.call(startd_, "startd.claim", std::move(claim), kRpcTimeout,
             [this](bool ok, const sim::Payload& reply) {
               if (outcome_ != Outcome::kPending) return;
               if (!ok || !reply.get_bool("ok")) {
@@ -52,7 +55,7 @@ void Shadow::start() {
               activate.set_double("total_work", job_.total_work_seconds);
               activate.set_double("work_done", job_.checkpointed_work);
               rpc_.call(startd_, "startd.activate", std::move(activate),
-                        options_.rpc_timeout,
+                        kRpcTimeout,
                         [this](bool ok2, const sim::Payload& reply2) {
                           if (outcome_ != Outcome::kPending) return;
                           if (!ok2 || !reply2.get_bool("ok")) {
@@ -80,7 +83,7 @@ void Shadow::observe(const SlotStatus* status) {
   // not our job running (MISSING, a claim broken by the owner): the
   // definitive done/evict may still be in flight, so wait the same number
   // of rounds before declaring the execution lost.
-  if (++missed_polls_ >= options_.max_missed_polls) {
+  if (++missed_polls_ >= kMaxMissedPolls) {
     finish(Outcome::kRequeued,
            status != nullptr ? "claim lost" : "execution machine lost");
   }
@@ -134,7 +137,7 @@ void Shadow::release_slot() {
   sim::Payload release;
   release.set("claim_id", claim_id_);
   rpc_.call(startd_, "startd.release", std::move(release),
-            options_.rpc_timeout, [](bool, const sim::Payload&) {});
+            kRpcTimeout, [](bool, const sim::Payload&) {});
 }
 
 void Shadow::finish(Outcome outcome, const std::string& reason) {

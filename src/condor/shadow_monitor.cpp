@@ -52,7 +52,7 @@ void ShadowMonitor::probe(const std::string& responder,
   request.set("startds", util::join(startds, ","));
   rpc_.call(
       sim::Address::parse(responder), "startd.status_all", std::move(request),
-      options_.rpc_timeout,
+      Shadow::kRpcTimeout,
       [this, keys = std::move(keys), answered = std::move(answered)](
           bool ok, const sim::Payload& reply) {
         const auto states = util::split(reply.get("states"), ',');

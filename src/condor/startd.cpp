@@ -7,6 +7,8 @@
 
 namespace condorg::condor {
 namespace {
+// An ad outlives this many missed advertise periods at the Collector.
+constexpr double kAdTtlFactor = 3.0;
 constexpr double kNotifyTimeout = 30.0;
 constexpr int kNotifyRetries = 10;
 // startd.status_all's state for a Startd the responder does not run (a
@@ -93,8 +95,7 @@ void Startd::send_ad() {
   sim::Payload payload;
   payload.set("name", slot_name_);
   payload.set("ad", ad_text_);
-  payload.set_double("ttl",
-                     options_.advertise_period * options_.ad_ttl_factor);
+  payload.set_double("ttl", options_.advertise_period * kAdTtlFactor);
   rpc_.notify(options_.collector, "collector.advertise", std::move(payload));
 }
 
@@ -234,7 +235,6 @@ void Startd::activate(const sim::Message& message) {
   work_remaining_ =
       message.body.get_double("total_work") - base_work_done_;
   if (work_remaining_ < 0) work_remaining_ = 0;
-  ++jobs_started_;
   send_ad();
 
   completion_event_ =
@@ -246,7 +246,6 @@ void Startd::activate(const sim::Message& message) {
       if (state_ != State::kRunning) return;
       const auto self = weak.lock();
       if (!self) return;
-      ++checkpoints_;
       sim::Payload ckpt;
       ckpt.set_double("work_done", work_done_now());
       notify_shadow("shadow.checkpoint", std::move(ckpt));

@@ -3,6 +3,11 @@
 #include <limits>
 
 namespace condorg::core {
+namespace {
+// MdsBroker: repeated choices within this window reuse the last query
+// result instead of hammering the directory.
+constexpr double kCacheTtl = 60.0;
+}  // namespace
 
 SiteChooser make_static_chooser(std::vector<sim::Address> gatekeepers) {
   auto index = std::make_shared<std::size_t>(0);
@@ -71,7 +76,7 @@ std::shared_ptr<const classad::ClassAd> MdsBroker::job_ad_for(const Job& job) {
 void MdsBroker::choose(
     const Job& job, std::function<void(std::optional<sim::Address>)> done) {
   std::shared_ptr<const classad::ClassAd> job_ad = job_ad_for(job);
-  if (host_.now() - cache_time_ <= cache_ttl_) {
+  if (host_.now() - cache_time_ <= kCacheTtl) {
     pick_from(cache_, *job_ad, done);
     return;
   }

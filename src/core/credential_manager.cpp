@@ -1,6 +1,11 @@
 #include "condorg/core/credential_manager.h"
 
 namespace condorg::core {
+namespace {
+// Send a reminder e-mail when less than this lifetime remains (the
+// "credential alarm").
+constexpr double kAlarmThreshold = 7200.0;
+}  // namespace
 
 CredentialManager::CredentialManager(Schedd& schedd, GridManager& gridmanager,
                                      sim::Network& network,
@@ -40,8 +45,8 @@ void CredentialManager::scan() {
   if (*credential_ && have_active_jobs) {
     const double remaining = (*credential_)->expires_at() - now;
 
-    if (options_.alarm_threshold > 0 && remaining > options_.refresh_threshold &&
-        remaining <= options_.alarm_threshold && !alarm_sent_for_current_) {
+    if (remaining > options_.refresh_threshold &&
+        remaining <= kAlarmThreshold && !alarm_sent_for_current_) {
       // "it can be configured to email a reminder when less than a
       // specified time remains before a credential expires."
       alarm_sent_for_current_ = true;

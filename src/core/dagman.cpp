@@ -130,7 +130,6 @@ void DagMan::on_queue_event(const Job& job) {
     --in_flight_;
     by_job_.erase(it);
     if (node.attempts <= node.spec.max_retries) {
-      ++retries_;
       if (job.status == JobStatus::kHeld) schedd_.remove(job.id);
       node.state = NodeState::kReady;
       pump();

@@ -92,7 +92,6 @@ void GlideInStarter::launch(const std::string& contact, const std::string& slot,
     so.mean_owner_away_seconds = options_.mean_slot_available_seconds;
     so.mean_owner_busy_seconds = options_.mean_slot_reclaimed_seconds;
   }
-  so.base_ad = options_.slot_base_ad;
   so.base_ad.insert_string("GlideIn", "true");
   so.base_ad.insert_string("Site", site_);
   so.base_ad.insert_string("Responder",

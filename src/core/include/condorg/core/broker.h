@@ -44,10 +44,6 @@ class MdsBroker {
   /// The SiteChooser interface for GridManager.
   SiteChooser chooser();
 
-  /// Cache TTL: repeated choices within this window reuse the last query
-  /// result instead of hammering the directory.
-  void set_cache_ttl(double seconds) { cache_ttl_ = seconds; }
-
   std::uint64_t queries_sent() const { return queries_; }
 
  private:
@@ -64,7 +60,6 @@ class MdsBroker {
   sim::Host& host_;
   mds::MdsClient client_;
   sim::Address giis_;
-  double cache_ttl_ = 60.0;
   double cache_time_ = -1e18;
   std::vector<mds::ResourceRecord> cache_;
   std::uint64_t queries_ = 0;

@@ -23,9 +23,6 @@ struct CredentialManagerOptions {
   double scan_interval = 600.0;
   /// Hold jobs / refresh when less than this much lifetime remains.
   double refresh_threshold = 1800.0;
-  /// Send a reminder e-mail when less than this remains (the "credential
-  /// alarm"); 0 disables.
-  double alarm_threshold = 7200.0;
   /// Lifetime requested for refreshed proxies.
   double refresh_lifetime = 43200.0;
   bool use_myproxy = false;

@@ -70,7 +70,6 @@ class DagMan {
   std::optional<std::uint64_t> node_job(const std::string& name) const;
 
   std::size_t nodes_done() const;
-  std::uint64_t retries_performed() const { return retries_; }
 
   /// Invoked once when the DAG completes or fails.
   void on_finished(std::function<void(bool success)> callback) {
@@ -101,7 +100,6 @@ class DagMan {
   std::size_t in_flight_ = 0;
   bool started_ = false;
   bool finished_ = false;
-  std::uint64_t retries_ = 0;
   std::function<void(bool)> finished_callback_;
 };
 

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "condorg/classad/classad.h"
 #include "condorg/core/schedd.h"
 #include "condorg/gass/file_service.h"
 #include "condorg/gram/client.h"
@@ -63,7 +62,6 @@ struct GlideInOptions {
   /// det-local(binary_repository): configuration, copied and never mutated.
   std::optional<sim::Address> binary_repository;
   std::string binary_path = "condor/startd-bundle";
-  classad::ClassAd slot_base_ad;
 };
 
 class GlideInManager {

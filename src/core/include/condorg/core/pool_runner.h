@@ -39,7 +39,6 @@ struct PoolRunnerOptions {
   /// TTL-refresh period for the published ad; an unchanged re-publish is a
   /// no-op at the Collector (checksum match), so this is cheap.
   double advertise_period = 300.0;
-  double ad_ttl_factor = 3.0;
   /// Schedd admission cap: deliveries that would exceed this many live
   /// (idle+running+held) jobs are rejected "busy" back to the portal.
   std::size_t max_active = 8;

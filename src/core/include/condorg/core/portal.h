@@ -39,7 +39,6 @@ struct PortalOptions {
   double flush_period = 1.0;
   /// Deliveries started per flush tick.
   std::size_t flush_batch = 64;
-  double deliver_timeout = 10.0;
 };
 
 class Portal {

@@ -33,7 +33,6 @@ struct PortalClientOptions {
   /// Extra job-ad attributes carried through to the delivered jobs.
   std::string requirements;
   std::string rank;
-  double submit_timeout = 10.0;
   /// Backoff after a "busy" rejection or a lost ack.
   double retry_backoff = 5.0;
 };
@@ -57,7 +56,6 @@ class PortalClient {
 
   bool drained() const { return remaining_ == 0; }
   std::uint64_t remaining_jobs() const { return remaining_; }
-  std::uint64_t batches_sent() const { return batches_sent_; }
   std::uint64_t retries() const { return retries_; }
 
  private:
@@ -74,7 +72,6 @@ class PortalClient {
   std::uint64_t next_seq_ = 1;
   std::uint64_t remaining_ = 0;
   bool in_flight_ = false;
-  std::uint64_t batches_sent_ = 0;
   std::uint64_t retries_ = 0;
 
   bool started_ = false;

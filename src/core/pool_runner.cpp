@@ -5,6 +5,10 @@
 #include "condorg/core/broker.h"
 
 namespace condorg::core {
+namespace {
+// The published ad outlives this many missed advertise periods.
+constexpr double kAdTtlFactor = 3.0;
+}  // namespace
 
 PoolRunner::PoolRunner(Schedd& schedd, sim::Network& network, Options options)
     : schedd_(schedd),
@@ -147,8 +151,7 @@ void PoolRunner::publish() {
   sim::Payload payload;
   payload.set("name", ad_name(next));
   payload.set("ad", published_ad_);
-  payload.set_double("ttl",
-                     options_.advertise_period * options_.ad_ttl_factor);
+  payload.set_double("ttl", options_.advertise_period * kAdTtlFactor);
   rpc_.notify(options_.collector, "collector.advertise", std::move(payload));
   published_id_ = next;
 }
@@ -193,7 +196,7 @@ void PoolRunner::on_match(const sim::Payload& body) {
   // address serves as its responder.
   const sim::Address startd = sim::Address::parse(slot_address);
   auto shadow = std::make_unique<condor::Shadow>(
-      monitor_, shadow_job, startd, startd, claim_id, options_.shadow,
+      monitor_, shadow_job, startd, startd, claim_id,
       /*on_done=*/
       [this, job_id](const std::string&) {
         schedd_.mark_completed(job_id);

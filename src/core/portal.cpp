@@ -4,6 +4,9 @@
 #include <utility>
 
 namespace condorg::core {
+namespace {
+constexpr double kDeliverTimeout = 10.0;
+}  // namespace
 
 Portal::Portal(sim::Host& host, sim::Network& network, Options options)
     : host_(host),
@@ -149,8 +152,7 @@ void Portal::deliver(Admission& admission) {
   const std::uint64_t seq = admission.seq;
   const sim::Address to = sim::Address::parse(admission.body.get("deliver_to"));
   sim::Payload payload = admission.body;
-  rpc_.call(to, "portal.deliver", std::move(payload),
-            options_.deliver_timeout,
+  rpc_.call(to, "portal.deliver", std::move(payload), kDeliverTimeout,
             [this, user, seq](bool ok, const sim::Payload& reply) {
               const auto it = std::find_if(
                   queue_->begin(), queue_->end(), [&](const Admission& a) {

@@ -7,6 +7,7 @@ namespace condorg::core {
 
 namespace {
 constexpr const char* kProgressKey = "portal_client/progress";
+constexpr double kSubmitTimeout = 10.0;
 }  // namespace
 
 PortalClient::PortalClient(sim::Host& host, sim::Network& network,
@@ -74,9 +75,8 @@ void PortalClient::submit_next() {
     payload.set("requirements", options_.requirements);
   }
   if (!options_.rank.empty()) payload.set("rank", options_.rank);
-  ++batches_sent_;
   rpc_.call(options_.portal, "portal.submit", std::move(payload),
-            options_.submit_timeout,
+            kSubmitTimeout,
             [this, count](bool ok, const sim::Payload& reply) {
               in_flight_ = false;
               if (ok && reply.get("status") == "ok") {

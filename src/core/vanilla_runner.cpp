@@ -68,7 +68,7 @@ void VanillaRunner::on_match(const condor::Match& match) {
       match.job_id + "." + std::to_string(++claim_counter_);
   auto shadow = std::make_unique<condor::Shadow>(
       monitor_, shadow_job, sim::Address::parse(*slot_addr),
-      sim::Address::parse(responder), claim_id, options_.shadow,
+      sim::Address::parse(responder), claim_id,
       /*on_done=*/
       [this, job_id](const std::string&) {
         schedd_.mark_completed(job_id);

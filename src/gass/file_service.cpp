@@ -102,7 +102,6 @@ void FileService::on_message(const sim::Message& message) {
   if (message.type == "file.put") {
     const std::uint64_t size = message.body.get_uint("size");
     store_->put(path, message.body.get("content"), size);
-    ++puts_;
     puts_counter_.inc();
     reply.set_bool("ok", true);
     reply_after_transfer(message, std::move(reply),

@@ -31,7 +31,6 @@ class FileClient {
   void set_credential_text(std::string serialized) {
     credential_ = std::move(serialized);
   }
-  void clear_credential() { credential_.clear(); }
 
   using GetCallback = std::function<void(std::optional<FileInfo>)>;
   using AckCallback = std::function<void(bool ok)>;

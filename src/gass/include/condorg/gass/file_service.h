@@ -55,7 +55,6 @@ class FileService {
 
   // --- statistics ---
   std::uint64_t gets_served() const { return gets_; }
-  std::uint64_t puts_served() const { return puts_; }
   std::uint64_t appends_served() const { return appends_; }
   std::uint64_t auth_failures() const { return auth_failures_; }
   std::uint64_t bytes_served() const { return bytes_served_; }
@@ -91,7 +90,6 @@ class FileService {
   util::Counter& puts_counter_;
   util::Counter& appends_counter_;
   std::uint64_t gets_ = 0;
-  std::uint64_t puts_ = 0;
   std::uint64_t appends_ = 0;
   std::uint64_t auth_failures_ = 0;
   std::uint64_t bytes_served_ = 0;

@@ -5,6 +5,8 @@
 
 namespace condorg::gram {
 namespace {
+constexpr double kRpcTimeout = 30.0;
+
 // Referenced only from CONDORG_LOG_TRACE sites (discarded-if-constexpr).
 [[maybe_unused]] const util::Logger& gram_logger() {
   static const util::Logger logger("gram");
@@ -101,7 +103,7 @@ void GramClient::drive_submit(std::uint64_t seq,
   CONDORG_LOG_TRACE(gram_logger(), client_id_, " submit seq=", seq, " to ",
                     gatekeeper.host, " attempts_left=", attempts_left);
   rpc_.call(
-      gatekeeper, "gram.submit", std::move(payload), options_.rpc_timeout,
+      gatekeeper, "gram.submit", std::move(payload), kRpcTimeout,
       [this, seq, gatekeeper, spec, callback, done = std::move(done),
        attempts_left](bool ok, const sim::Payload& reply) mutable {
         if (!ok) {
@@ -149,7 +151,7 @@ void GramClient::drive_commit(const std::string& contact, SubmitCallback done,
   CONDORG_LOG_TRACE(gram_logger(), client_id_, " commit ", contact,
                     " attempts_left=", attempts_left);
   rpc_.call(jobmanager_address(contact), "jm.commit", std::move(payload),
-            options_.rpc_timeout,
+            kRpcTimeout,
             [this, contact, done = std::move(done),
              attempts_left](bool ok, const sim::Payload& reply) mutable {
               if (ok && reply.get_bool("ok")) {
@@ -171,7 +173,7 @@ void GramClient::status_all(const sim::Address& gatekeeper,
   sim::Payload payload = base_payload();
   payload.set("contacts", util::join(contacts, ","));
   rpc_.call(gatekeeper, "gram.status_all", std::move(payload),
-            options_.rpc_timeout,
+            kRpcTimeout,
             [asked = contacts.size(), done = std::move(done)](
                 bool ok, const sim::Payload& reply) {
               if (!ok || !reply.get_bool("ok")) {
@@ -201,7 +203,7 @@ void GramClient::restart_jobmanager(const std::string& contact,
   sim::Payload payload = base_payload();
   payload.set("contact", contact);
   rpc_.call(gatekeeper_address_for(contact), "gram.restart_jobmanager",
-            std::move(payload), options_.rpc_timeout,
+            std::move(payload), kRpcTimeout,
             [done = std::move(done)](bool ok, const sim::Payload& reply) {
               if (!ok || !reply.get_bool("ok")) {
                 done(std::nullopt);
@@ -215,7 +217,7 @@ void GramClient::cancel(const std::string& contact, BoolCallback done) {
   sim::Payload payload = base_payload();
   payload.set("contact", contact);
   rpc_.call(jobmanager_address(contact), "jm.cancel", std::move(payload),
-            options_.rpc_timeout,
+            kRpcTimeout,
             [done = std::move(done)](bool ok, const sim::Payload& reply) {
               done(ok && reply.get_bool("ok"));
             });
@@ -227,7 +229,7 @@ void GramClient::update_gass(const std::string& contact,
   payload.set("contact", contact);
   payload.set("gass_url", gass.str());
   rpc_.call(jobmanager_address(contact), "jm.update_gass", std::move(payload),
-            options_.rpc_timeout,
+            kRpcTimeout,
             [done = std::move(done)](bool ok, const sim::Payload& reply) {
               done(ok && reply.get_bool("ok"));
             });
@@ -238,7 +240,7 @@ void GramClient::refresh_remote_credential(const std::string& contact,
   sim::Payload payload = base_payload();
   payload.set("contact", contact);
   rpc_.call(jobmanager_address(contact), "jm.refresh_credential",
-            std::move(payload), options_.rpc_timeout,
+            std::move(payload), kRpcTimeout,
             [done = std::move(done)](bool ok, const sim::Payload& reply) {
               done(ok && reply.get_bool("ok"));
             });

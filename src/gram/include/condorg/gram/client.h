@@ -25,7 +25,6 @@
 namespace condorg::gram {
 
 struct GramClientOptions {
-  double rpc_timeout = 30.0;
   double retry_delay = 30.0;
   int max_attempts = 40;  // per phase
   /// false = one-phase ablation mode: no commit phase; combined with a

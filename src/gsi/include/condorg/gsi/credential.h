@@ -34,7 +34,6 @@ struct Certificate {
   bool valid_at(sim::Time now) const {
     return now >= not_before && now <= not_after;
   }
-  double seconds_until_expiry(sim::Time now) const { return not_after - now; }
 
   /// Flat serialization (for network payloads / stable storage).
   std::string serialize() const;

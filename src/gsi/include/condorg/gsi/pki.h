@@ -38,8 +38,6 @@ class Pki {
   bool verify(const std::string& content, std::uint64_t signature,
               std::uint64_t public_key) const;
 
-  std::size_t keypairs_issued() const { return pub_to_priv_.size(); }
-
  private:
   util::Rng rng_;
   std::unordered_map<std::uint64_t, std::uint64_t> pub_to_priv_;

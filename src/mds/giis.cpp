@@ -72,7 +72,6 @@ void GiisServer::on_message(const sim::Message& message) {
       try {
         (void)classad::parse_ad(ad_text);
         (*entries_)[name] = Entry{ad_text, host_.now() + ttl};
-        ++registrations_;
         reply.set_bool("ok", true);
       } catch (const classad::ParseError& e) {
         reply.set("why", std::string("malformed ad: ") + e.what());

@@ -43,7 +43,6 @@ class GiisServer {
   /// Registered entries that have not expired at `now`.
   std::size_t live_count() const;
 
-  std::uint64_t registrations() const { return registrations_; }
   std::uint64_t queries() const { return queries_; }
   std::uint64_t auth_failures() const { return auth_failures_; }
 
@@ -63,7 +62,6 @@ class GiisServer {
   det::HostLocal<std::map<std::string, Entry>> entries_;  // by name
   int boot_id_ = 0;
   int crash_listener_ = 0;
-  std::uint64_t registrations_ = 0;
   std::uint64_t queries_ = 0;
   std::uint64_t auth_failures_ = 0;
 };

@@ -22,7 +22,6 @@ namespace condorg::mds {
 
 struct ProviderOptions {
   double period_seconds = 60.0;
-  double ttl_factor = 2.5;  // TTL = period * factor
 };
 
 class InfoProvider {
@@ -58,8 +57,6 @@ class InfoProvider {
   /// expiry still removes it after a bounded delay.
   void stop();
 
-  std::uint64_t registrations_sent() const { return sent_; }
-
  private:
   void tick();
 
@@ -74,7 +71,6 @@ class InfoProvider {
   std::string credential_;
   bool started_ = false;
   int boot_id_ = 0;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace condorg::mds

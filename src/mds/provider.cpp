@@ -1,6 +1,10 @@
 #include "condorg/mds/provider.h"
 
 namespace condorg::mds {
+namespace {
+// A registration's TTL is this many periods.
+constexpr double kTtlFactor = 2.5;
+}  // namespace
 
 InfoProvider::InfoProvider(sim::Host& host, sim::Network& network,
                            std::string resource_name, Snapshot snapshot,
@@ -48,9 +52,8 @@ void InfoProvider::tick() {
     sim::Payload payload;
     payload.set("name", name_);
     payload.set("ad", ad.unparse());
-    payload.set_double("ttl", options_.period_seconds * options_.ttl_factor);
+    payload.set_double("ttl", options_.period_seconds * kTtlFactor);
     if (!credential_.empty()) payload.set("credential", credential_);
-    ++sent_;
     // Fire-and-forget with a short timeout: a missed registration is
     // repaired by the next tick; the TTL covers the gap.
     rpc_.call(giis, "grrp.register", std::move(payload), 30.0,

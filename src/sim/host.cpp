@@ -1,6 +1,5 @@
 #include "condorg/sim/host.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,14 +8,6 @@
 #include "condorg/sim/schedule_controller.h"
 
 namespace condorg::sim {
-namespace {
-/// post_coalesced grid: status polls, lease renewals and credential
-/// refreshes land on 25 ms edges so herd timers share calendar buckets and
-/// windows stay fat. Two orders of magnitude below every
-/// protocol interval in the system, so rounding is observable only as a
-/// (deterministic) sub-grid phase shift.
-constexpr Time kCoalesceGrid = 0.025;
-}  // namespace
 
 Host::Host(Simulation& sim, std::string name, std::uint32_t queue)
     : sim_(sim), name_(std::move(name)), queue_(queue) {}
@@ -35,12 +26,6 @@ EventId Host::post_at(Time when, std::function<void()> fn) {
 
 EventId Host::post(Time delay, std::function<void()> fn) {
   return post_at(sim_.now() + delay, std::move(fn));
-}
-
-EventId Host::post_coalesced(Time delay, std::function<void()> fn) {
-  const Time when = sim_.now() + delay;
-  return post_at(std::ceil(when / kCoalesceGrid) * kCoalesceGrid,
-                 std::move(fn));
 }
 
 EventId Host::post_any_epoch(Time delay, std::function<void()> fn) {

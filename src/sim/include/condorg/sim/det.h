@@ -29,7 +29,7 @@
 // The static side of the same contract lives in
 // tools/analyze/condorg_partition.py, which reads the
 // CONDORG_HOST_LOCAL() class annotations below to build the
-// state-ownership map and the island-cut graph (partition_report.json).
+// state-ownership map (partition_report.json).
 #pragma once
 
 #include <cstddef>

@@ -55,16 +55,6 @@ class Host {
   /// hardware-ish events.
   EventId post_any_epoch(Time delay, std::function<void()> fn);
 
-  /// post() for periodic herd timers (status polls, lease renewals,
-  /// credential refreshes) whose exact phase carries no protocol meaning.
-  /// The fire time is rounded up to a coarse grid (25 ms) so herd members
-  /// share calendar buckets — fewer distinct timestamps means denser
-  /// buckets and fewer, fatter synchronization windows, which is where the
-  /// profiler showed the parallel kernel's overhead to live. The rounding
-  /// is a pure function of the due time, so it is identical for every
-  /// CONDORG_PARALLEL worker count.
-  EventId post_coalesced(Time delay, std::function<void()> fn);
-
   /// Crash the host: epoch bumps, pending post() callbacks are fenced,
   /// message handlers are dropped, crash listeners run. No-op if down.
   void crash();

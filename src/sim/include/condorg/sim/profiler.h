@@ -1,16 +1,16 @@
 // Kernel profiler: measured dispatch counts, handler cost, and the
 // cross-host traffic matrix.
 //
-// PR 6's partition analyzer classifies the island-cut message types
-// *statically*; the Profiler measures the same boundary dynamically. When
+// The protocol spec (src/proto/protocols.json) declares which message types
+// cross the island cut; the Profiler measures that boundary dynamically. When
 // armed it counts every Network delivery per (destination host, daemon,
 // message type) and every Host::post timer fire per host, accumulating the
 // real (wall-clock) nanoseconds each handler burned — the only place in
 // src/ allowed to read the host clock, because it measures the simulator
 // itself, never simulated behavior. The per-(from host, to host, type)
 // aggregation is the traffic matrix an island partitioning would cut;
-// tools/condorg_profile_check cross-checks it against the GRAM/GASS/MDS/GSI
-// classification in build/partition_report.json.
+// tools/condorg_profile_check compares it with the spec's cut types in
+// build/proto_report.json.
 //
 // Like the Tracer and DetSan, the machinery is always compiled in and costs
 // one predictable branch when disarmed; sim::World arms it from the
@@ -83,7 +83,6 @@ class Profiler {
     std::uint64_t busy_ns = 0;
   };
   void set_island_rows(std::vector<IslandRow> rows);
-  const std::vector<IslandRow>& island_rows() const { return island_rows_; }
 
   /// Full export: dispatch table per (host, daemon, type), timer table per
   /// host, and the from->to traffic matrix. Deterministic unless

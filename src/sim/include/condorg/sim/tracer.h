@@ -134,7 +134,6 @@ class Tracer {
 
   const std::vector<TraceRecord>& records() const { return records_; }
   std::size_t open_span_count() const { return open_spans_.size(); }
-  bool span_open(SpanId span) const { return open_spans_.count(span) > 0; }
 
   /// Latency (end.t - begin.t) of each begin/end event pair, matched per job
   /// id in record order. Unmatched begins are dropped.

@@ -3,6 +3,9 @@
 #include <memory>
 
 namespace condorg::workloads {
+namespace {
+constexpr double kRpcTimeout = 120.0;
+}  // namespace
 
 GCat::GCat(sim::Host& host, sim::Network& network, sim::Address mss,
            std::string remote_path, GCatOptions options)
@@ -28,7 +31,6 @@ void GCat::on_output(const std::string& content, std::uint64_t bytes) {
   buffer_bytes_ += bytes;
   produced_ += bytes;
   peak_buffer_ = std::max(peak_buffer_, buffer_bytes_);
-  staleness_.add(static_cast<double>(staleness_bytes()));
   if (buffer_bytes_ >= options_.chunk_bytes) maybe_flush();
 }
 
@@ -77,7 +79,7 @@ void GCat::send_chunk() {
             done_();
           }
         },
-        options_.rpc_timeout, remote_path_ + ".gcat", chunks_);
+        kRpcTimeout, remote_path_ + ".gcat", chunks_);
   };
   (*attempt)();
 }

@@ -19,14 +19,12 @@
 
 #include "condorg/gass/client.h"
 #include "condorg/sim/host.h"
-#include "condorg/util/stats.h"
 
 namespace condorg::workloads {
 
 struct GCatOptions {
   std::uint64_t chunk_bytes = 4 << 20;  // flush threshold
   double flush_interval = 60.0;         // also flush on a timer
-  double rpc_timeout = 120.0;
   double retry_delay = 30.0;
 };
 
@@ -50,7 +48,6 @@ class GCat {
   std::uint64_t staleness_bytes() const { return produced_ - acked_; }
   std::uint64_t chunks_sent() const { return chunks_; }
   std::uint64_t peak_buffer_bytes() const { return peak_buffer_; }
-  util::Summary& staleness_samples() { return staleness_; }
 
  private:
   void maybe_flush();
@@ -70,7 +67,6 @@ class GCat {
   std::uint64_t acked_ = 0;
   std::uint64_t chunks_ = 0;
   std::uint64_t peak_buffer_ = 0;
-  util::Summary staleness_;
 };
 
 /// Synchronous baseline: on_output delivers the record to the MSS and

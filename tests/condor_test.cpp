@@ -50,7 +50,7 @@ struct PoolFixture : public ::testing::Test {
     job.total_work_seconds = work;
     job.checkpointed_work = checkpoint;
     auto shadow = std::make_unique<cc::Shadow>(
-        monitor, job, startd, startd, job_id + ".claim1", shadow_options(),
+        monitor, job, startd, startd, job_id + ".claim1",
         [done](const std::string& id) {
           if (done) *done = id;
         },
@@ -253,7 +253,6 @@ TEST_F(PoolFixture, MigrationConservesWork) {
   job.checkpointed_work = ckpt;
   auto shadow3 = std::make_unique<cc::Shadow>(
       monitor, job, startd2.address(), startd2.address(), "job1.claim2",
-      cc::ShadowOptions{},
       [&](const std::string& id) {
         done = id;
         done_at = world.now();

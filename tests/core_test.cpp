@@ -1363,7 +1363,7 @@ TEST(GlideInProbe, RestartedStarterAnswersMissingAndTheClaimIsLost) {
          sim.now() < crashed_at + 1800.0) {
     sim.run_until(sim.now() + 10.0);
   }
-  // Three MISSING answers per claim (max_missed_polls), one per interval.
+  // Three MISSING answers per claim (kMaxMissedPolls), one per interval.
   EXPECT_EQ(missing, 6u);
   EXPECT_LE(sim.now(), crashed_at + 3 * 121.0 + 20.0);
   std::set<std::uint64_t> lost;

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Partition-safety analyzer: prove the kernel is island-parallel-ready.
 
-ROADMAP item 2 wants to shard the calendar-queue kernel into
-conservatively-synchronized islands (one per host group). That is only
-legal if daemon state is host-local and every cross-host interaction goes
-through a message boundary (sim::Network / sim::Rpc) that an island
-scheduler can turn into a cross-island event. This tool is the static half
-of that proof (the dynamic half is DetSan, src/sim/include/condorg/sim/det.h):
+The island kernel runs conservatively-synchronized islands (host groups)
+in parallel. That is only legal if daemon state is host-local and every
+cross-host interaction goes through a message boundary (sim::Network /
+sim::Rpc) that the kernel turns into a cross-island event. This tool is the
+static half of that proof (the dynamic half is DetSan,
+src/sim/include/condorg/sim/det.h):
 
   1. Inventory mutable global/static state in src/ — anything a second
      island worker could race on (rule: mutable-global).
@@ -19,20 +19,14 @@ of that proof (the dynamic half is DetSan, src/sim/include/condorg/sim/det.h):
      *different* partition (rules: cross-partition-ref,
      cross-partition-call) unless the line is a declared message boundary
      (sim::Network, sim::Rpc, sim::Address endpoint naming).
-  5. Re-run the determinism lint's rule engine over src/ so wall-clock,
-     ambient-RNG, and unordered-iteration-into-trace escapes fail this
-     gate too (one rule engine: tools/lint/condorg_lint.py is imported,
-     not reimplemented).
-  6. Emit partition_report.json: the island-cut graph of legal cross-host
-     edges (protocol -> from/to partition, with the message types and
-     client/server call sites discovered in the tree as evidence). The
-     report fails the run if any of GRAM/GASS/MDS/GSI has no discovered
-     message boundary — a partition claim with no evidence is a bug.
+  5. Emit partition_report.json: the ownership inventory (partitions,
+     HostLocal fields, audited mutable globals).
 
-Engines: when python bindings for libclang and a compile_commands.json are
-available, an AST pass adds precise cross-TU call checking; the regex
-engine always runs and is the binding gate (the CI container has no
-libclang, so the fallback is the default path, not a degraded one).
+Which message types cross the island cut is not this tool's business: the
+protocol spec (src/proto/protocols.json) is the one source of the cut,
+condorg_proto.py binds it to the send sites and handler arms in the tree,
+and condorg_profile_check compares it with the measured traffic. The
+determinism lint (tools/lint/condorg_lint.py) is its own gate.
 
 Suppressions use the lint's format (one allowlist grammar everywhere):
   inline:      // lint-allow(<rule>): <why>
@@ -43,7 +37,7 @@ for a partition rule that no longer suppresses anything is itself an error
 (rule: stale-suppression) — tidy.sh's burn-down policy, shared with the
 lint and the proto analyzer.
 
-Exit status: 0 = clean, 1 = violations or missing coverage, 2 = usage.
+Exit status: 0 = clean, 1 = violations, 2 = usage.
 """
 
 import argparse
@@ -65,23 +59,6 @@ def _load_lint():
 
 
 lint = _load_lint()
-
-# ---------------------------------------------------------------------------
-# The island-cut model: every legal cross-host interaction in the paper's
-# deployment, keyed by the message-type prefix each protocol module uses.
-# The scan below must find real client call sites and server dispatch sites
-# for every entry — the table is the claim, the tree is the evidence.
-# ---------------------------------------------------------------------------
-PROTOCOLS = {
-    "GRAM": {"prefixes": ("gram", "jm"), "from": "user", "to": "site"},
-    "GASS": {"prefixes": ("file",), "from": "site", "to": "user"},
-    "MDS": {"prefixes": ("grip", "grrp"), "from": "user", "to": "central"},
-    "GSI": {"prefixes": ("myproxy",), "from": "user", "to": "central"},
-    "GLIDEIN": {"prefixes": ("glidein",), "from": "user", "to": "site"},
-    "CONDOR": {"prefixes": ("startd", "shadow", "collector"),
-               "from": "user", "to": "user"},
-}
-REQUIRED_PROTOCOLS = ("GRAM", "GASS", "MDS", "GSI")
 
 # The rules this analyzer owns (stale-suppression detection judges only
 # these: tools/analyze/allowlist.txt is shared with condorg_proto.py).
@@ -112,9 +89,6 @@ STATE_FIELD = re.compile(
     r"([A-Za-z_]\w*)\s*(?:;|\{\})")
 DET_LOCAL = re.compile(r"det-local\(([A-Za-z_]\w*)\)")
 FWD_DECL = re.compile(r"^\s*class\s+[A-Za-z_]\w*\s*;")
-MESSAGE_LITERAL = re.compile(r'"([a-z_]+)\.([a-z_.]+)"')
-CLIENT_SITE = re.compile(r"(?:\.|->)(?:call|notify)\s*\(|rpc_notify\s*\(")
-SERVER_SITE = re.compile(r"message\.type\s*==|\.type\s*==")
 # A line that is a declared message boundary: endpoint naming or kernel
 # messaging API. Calls THROUGH these are the legal island cut.
 BOUNDARY = re.compile(r"sim::Address|sim::Network|sim::Rpc|rpc_reply|"
@@ -130,21 +104,7 @@ class Analysis:
         self.host_local_fields = []  # dicts: class/field/type/file/line
         self.violations = []        # lint.Violation
         self.mutable_globals = []   # dicts for the report
-        self.edges = {}             # protocol -> edge dict
         self.used_allows = set()    # (relpath, rule) file-level suppressions
-
-
-def iter_src_files(root):
-    src = os.path.join(root, "src")
-    for dirpath, _, names in os.walk(src):
-        for name in sorted(names):
-            if name.endswith(lint.SRC_EXTENSIONS):
-                yield os.path.join(dirpath, name)
-
-
-def read_lines(path):
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return fh.read().splitlines()
 
 
 def collect_ownership(analysis):
@@ -152,9 +112,9 @@ def collect_ownership(analysis):
     the CONDORG_HOST_LOCAL annotations and det::HostLocal declarations in
     headers. A .cpp inherits the partition of the single annotated class
     declared in its paired header (gram/gatekeeper.cpp -> site, ...)."""
-    for path in iter_src_files(analysis.root):
+    for path in lint.iter_src_files(analysis.root):
         rel = os.path.relpath(path, analysis.root)
-        lines = read_lines(path)
+        lines = lint.read_lines(path)
         current_class = []
         for idx, raw in enumerate(lines):
             if lint.COMMENT_LINE.match(raw):
@@ -192,7 +152,7 @@ def collect_ownership(analysis):
 def scan_file(analysis, path, allows):
     """Pass 2: partition rules over one file."""
     rel = os.path.relpath(path, analysis.root)
-    lines = read_lines(path)
+    lines = lint.read_lines(path)
     file_allows = allows.get(rel, set())
     home = analysis.file_partition.get(rel)
 
@@ -283,62 +243,11 @@ def scan_file(analysis, path, allows):
                            f"det-local({field}) comment")
 
 
-def scan_edges(analysis):
-    """Pass 3: harvest the island-cut evidence — message-type literals at
-    client call sites and server dispatch sites, grouped by protocol."""
-    for name, spec in PROTOCOLS.items():
-        analysis.edges[name] = {
-            "from": spec["from"], "to": spec["to"],
-            "messages": set(), "clients": set(), "servers": set(),
-            "client_partitions": set(),
-        }
-    prefix_to_protocol = {}
-    for name, spec in PROTOCOLS.items():
-        for prefix in spec["prefixes"]:
-            prefix_to_protocol[prefix] = name
-    for path in iter_src_files(analysis.root):
-        rel = os.path.relpath(path, analysis.root)
-        for raw in read_lines(path):
-            if lint.COMMENT_LINE.match(raw):
-                continue
-            for m in MESSAGE_LITERAL.finditer(raw):
-                protocol = prefix_to_protocol.get(m.group(1))
-                if protocol is None:
-                    continue
-                edge = analysis.edges[protocol]
-                message = f"{m.group(1)}.{m.group(2)}"
-                bare = lint.strip_noise(raw)
-                # strip_noise drops the literal itself; classify on the
-                # raw line's call shape.
-                if CLIENT_SITE.search(raw):
-                    edge["messages"].add(message)
-                    edge["clients"].add(rel)
-                    home = analysis.file_partition.get(rel)
-                    if home:
-                        edge["client_partitions"].add(home)
-                elif SERVER_SITE.search(bare) or "register_service" in bare:
-                    edge["messages"].add(message)
-                    edge["servers"].add(rel)
-
-
 def build_report(analysis, diagnostics):
-    edges = []
-    for name in sorted(analysis.edges):
-        edge = analysis.edges[name]
-        edges.append({
-            "protocol": name,
-            "from": edge["from"],
-            "to": edge["to"],
-            "observed_client_partitions": sorted(edge["client_partitions"]),
-            "messages": sorted(edge["messages"]),
-            "client_files": sorted(edge["clients"]),
-            "server_files": sorted(edge["servers"]),
-        })
     partitions = {}
     for cls, partition in sorted(analysis.partitions.items()):
         partitions.setdefault(partition, []).append(cls)
     return {
-        "engine": "regex",
         "partitions": partitions,
         "host_local_fields": sorted(
             analysis.host_local_fields,
@@ -346,112 +255,18 @@ def build_report(analysis, diagnostics):
         "mutable_globals": sorted(
             analysis.mutable_globals,
             key=lambda g: (g["file"], g["line"])),
-        "cross_host_edges": edges,
         "diagnostics": diagnostics,
     }
 
 
-def check_coverage(analysis):
-    """The required protocols must each have discovered messages AND both
-    a client and a server site: an island cut with no evidence fails."""
-    problems = []
-    for name in REQUIRED_PROTOCOLS:
-        edge = analysis.edges[name]
-        if not edge["messages"]:
-            problems.append(f"{name}: no message types discovered")
-        if not edge["clients"]:
-            problems.append(f"{name}: no client call sites discovered")
-        if not edge["servers"]:
-            problems.append(f"{name}: no server dispatch sites discovered")
-    return problems
-
-
-def run_lint_rules(analysis, root):
-    """Pass 4: the determinism lint's own engine over src/, same rules and
-    allowlist as the lint.determinism gate — subsumed here so one command
-    gives the full static story."""
-    allows = lint.load_allowlist(os.path.join(root, "tools", "lint",
-                                              "allowlist.txt"))
-    header_cache = {}
-    for path in iter_src_files(root):
-        rel = os.path.relpath(path, root)
-        analysis.violations.extend(
-            lint.lint_file(path, rel, allows.get(rel, set()), root,
-                           header_cache))
-
-
-def try_libclang_pass(analysis, root, build_dir):
-    """Optional precision pass: with python-clang + compile_commands.json,
-    verify cross-TU member calls against the partition map. Absent either
-    (the CI container has neither), the regex engine stands alone."""
-    try:
-        import clang.cindex as cindex  # noqa: F401
-    except ImportError:
-        return "regex"
-    db_path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(db_path):
-        return "regex"
-    try:
-        index = cindex.Index.create()
-        with open(db_path, encoding="utf-8") as fh:
-            commands = json.load(fh)
-        for entry in commands:
-            if "/src/" not in entry["file"].replace(os.sep, "/"):
-                continue
-            args = [a for a in entry["command"].split()[1:]
-                    if a != entry["file"] and a not in ("-c", "-o")]
-            tu = index.parse(entry["file"], args=args)
-            _walk_calls(analysis, root, tu.cursor, cindex)
-        return "libclang"
-    except Exception as error:  # pragma: no cover - depends on local clang
-        print(f"condorg_partition: libclang pass skipped ({error})",
-              file=sys.stderr)
-        return "regex"
-
-
-def _walk_calls(analysis, root, cursor, cindex):  # pragma: no cover
-    """AST walk: a CALL_EXPR whose callee's semantic parent class is
-    annotated to a different partition than the caller's class."""
-    from clang.cindex import CursorKind
-
-    def class_partition(cur):
-        while cur is not None and cur.kind != CursorKind.TRANSLATION_UNIT:
-            if cur.kind in (CursorKind.CLASS_DECL, CursorKind.STRUCT_DECL):
-                return analysis.partitions.get(cur.spelling)
-            cur = cur.semantic_parent
-        return None
-
-    def visit(cur, enclosing):
-        if cur.kind in (CursorKind.CXX_METHOD, CursorKind.CONSTRUCTOR,
-                        CursorKind.DESTRUCTOR):
-            enclosing = class_partition(cur)
-        if cur.kind == CursorKind.CALL_EXPR and enclosing is not None:
-            ref = cur.referenced
-            if ref is not None:
-                callee = class_partition(ref)
-                if callee is not None and callee != enclosing:
-                    loc = cur.location
-                    rel = os.path.relpath(loc.file.name, root) \
-                        if loc.file else "<unknown>"
-                    analysis.violations.append(lint.Violation(
-                        rel, loc.line, "cross-partition-call",
-                        f"AST: {enclosing}-partition code calls "
-                        f"{callee}-partition method "
-                        f"'{ref.spelling}'"))
-        for child in cur.get_children():
-            visit(child, enclosing)
-
-    visit(cursor, None)
-
-
-def self_test(root):
+def self_test():
     """Analyze the bundled fixture tree: every seeded violation must be
     caught with the right rule id, and the clean fixture must stay clean."""
     fixture_root = os.path.join(_HERE, "testdata")
     analysis = Analysis(fixture_root)
     # The fixture ships its own src/ tree mirroring the real layout.
     collect_ownership(analysis)
-    for path in iter_src_files(fixture_root):
+    for path in lint.iter_src_files(fixture_root):
         scan_file(analysis, path, {})
     want = {
         "cross-partition-ref", "cross-partition-call",
@@ -484,9 +299,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=".",
                         help="repository root (contains src/ and tools/)")
-    parser.add_argument("--build-dir", default="build",
-                        help="build dir holding compile_commands.json "
-                             "(for the optional libclang pass)")
     parser.add_argument("--allowlist", default=None,
                         help="override allowlist path (default: "
                              "tools/analyze/allowlist.txt under root)")
@@ -500,7 +312,7 @@ def main():
     args = parser.parse_args()
 
     if args.self_test:
-        return self_test(os.path.abspath(args.root))
+        return self_test()
 
     root = os.path.abspath(args.root)
     if not os.path.isdir(os.path.join(root, "src")):
@@ -512,13 +324,8 @@ def main():
 
     analysis = Analysis(root)
     collect_ownership(analysis)
-    for path in iter_src_files(root):
+    for path in lint.iter_src_files(root):
         scan_file(analysis, path, allows)
-    scan_edges(analysis)
-    run_lint_rules(analysis, root)
-    build_dir = args.build_dir if os.path.isabs(args.build_dir) \
-        else os.path.join(root, args.build_dir)
-    engine = try_libclang_pass(analysis, root, build_dir)
     # tidy.sh's burn-down policy: a partition-rule entry in the (shared)
     # allowlist that suppressed nothing must be deleted. Proto-rule entries
     # in the same file are condorg_proto.py's to police.
@@ -526,10 +333,8 @@ def main():
         allowlist_path, root, analysis.used_allows, PARTITION_RULES))
 
     analysis.violations.sort(key=lambda v: (v.path, v.line_no, v.rule))
-    coverage_problems = check_coverage(analysis)
 
     report = build_report(analysis, len(analysis.violations))
-    report["engine"] = engine
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=False)
@@ -537,25 +342,17 @@ def main():
 
     if args.json:
         print(lint.diagnostics_json(analysis.violations))
-    else:
-        for v in analysis.violations:
-            print(v)
+        return 1 if analysis.violations else 0
 
-    for problem in coverage_problems:
-        print(f"condorg_partition: island-cut coverage: {problem}",
-              file=sys.stderr)
-    if analysis.violations or coverage_problems:
-        if not args.json:
-            print(f"\ncondorg_partition: {len(analysis.violations)} "
-                  f"violation(s), {len(coverage_problems)} coverage "
-                  "problem(s)")
+    for v in analysis.violations:
+        print(v)
+    if analysis.violations:
+        print(f"\ncondorg_partition: {len(analysis.violations)} "
+              "violation(s)")
         return 1
-    if not args.json:
-        print(f"condorg_partition: clean — {len(analysis.partitions)} "
-              f"annotated classes, {len(analysis.host_local_fields)} "
-              f"HostLocal fields, "
-              f"{sum(len(e['messages']) for e in analysis.edges.values())} "
-              "cross-host message types")
+    print(f"condorg_partition: clean — {len(analysis.partitions)} "
+          f"annotated classes, {len(analysis.host_local_fields)} "
+          "HostLocal fields")
     return 0
 
 

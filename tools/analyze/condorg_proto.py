@@ -8,11 +8,11 @@ and partition — yet the protocol is encoded as stringly-typed
 `message.type == "jm.commit"` if-chains scattered across the daemons, so a
 missing handler arm, a request path that forgets to reply, or a timer that
 fails to re-arm compiles clean and surfaces only as a timeout the RPC layer
-politely retries around. This tool is the third side of the triangle started
-by the partition analyzer (static island cut) and the kernel profiler
-(dynamic traffic matrix): a machine-readable spec the code is checked
-against, with condorg_profile_check closing the loop
-(spec == static extraction >= dynamic matrix).
+politely retries around. The spec is the one source of the message graph,
+the island cut included (each message's `protocol` and `cut`); this tool
+checks the code against it, and condorg_profile_check compares its cut
+with the kernel profiler's measured cross-partition traffic
+(spec cut == dynamic matrix).
 
 Rules:
 
@@ -24,7 +24,7 @@ Rules:
                          sent as an awaited RPC).
   ghost-message          a typed send site or handler arm whose message type
                          has no spec entry at all — undocumented protocol
-                         surface that PR-6/PR-7 gates cannot see.
+                         surface that no cut or crash-point gate can see.
   reply-on-all-paths     a request handler path that returns without
                          replying and without recording a deferred
                          continuation (a nested call/post whose callback
@@ -49,11 +49,6 @@ Rules:
                          body) nor is declared lease-bounded with a reason;
                          also a timers entry whose function no longer exists
                          (spec drift).
-
-Engines: the regex extractor is the binding gate (the CI container has no
-libclang); when python bindings for libclang plus compile_commands.json are
-available, an AST pass re-verifies send sites for extra precision, exactly
-like condorg_partition.py.
 
 Suppressions use the lint's grammar (one allowlist everywhere):
   inline:      // lint-allow(<rule>): <why>
@@ -158,19 +153,6 @@ def _strip_one(line, in_block):
         mask_chars.append(ch)
         i += 1
     return "".join(code_chars), "".join(mask_chars), in_block
-
-
-def read_lines(path):
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return fh.read().splitlines()
-
-
-def iter_src_files(root):
-    src = os.path.join(root, "src")
-    for dirpath, _, names in os.walk(src):
-        for name in sorted(names):
-            if name.endswith(lint.SRC_EXTENSIONS):
-                yield os.path.join(dirpath, name)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +336,9 @@ def load_spec(path):
 
 def scan_tree(analysis):
     """Extract send sites, handler arms, and crash-point sites from src/."""
-    for path in iter_src_files(analysis.root):
+    for path in lint.iter_src_files(analysis.root):
         rel = os.path.relpath(path, analysis.root)
-        raw = read_lines(path)
+        raw = lint.read_lines(path)
         analysis.file_lines[rel] = raw
         code, mask = split_code_lines(raw)
         functions = find_functions(mask)
@@ -687,7 +669,7 @@ def check_timers(analysis):
                             f"{timer['file']} — spec drift")
             continue
         body = "\n".join(code[fn.body_start:fn.end + 1])
-        re_arms = bool(re.search(r"\bpost(?:_coalesced)?\s*\(", body) and
+        re_arms = bool(re.search(r"\bpost\s*\(", body) and
                        (re.search(rf"\b{re.escape(method)}\s*\(", body) or
                         REARM_SELF_CALL.search(body)))
         status["re_arms"] = re_arms
@@ -700,53 +682,6 @@ def check_timers(analysis):
                 "it drives silently stops")
 
 
-def try_libclang_pass(analysis, root, build_dir):
-    """Optional precision pass: with python-clang + compile_commands.json,
-    re-verify send sites from the AST (CALL_EXPRs on call/notify with a
-    string-literal type argument). Absent either, the regex engine stands
-    alone — same contract as condorg_partition.py."""
-    try:
-        import clang.cindex as cindex  # noqa: F401
-    except ImportError:
-        return "regex"
-    db_path = os.path.join(build_dir, "compile_commands.json")
-    if not os.path.isfile(db_path):
-        return "regex"
-    try:  # pragma: no cover - depends on local clang
-        from clang.cindex import CursorKind
-        index = cindex.Index.create()
-        with open(db_path, encoding="utf-8") as fh:
-            commands = json.load(fh)
-        ast_sends = set()
-
-        def visit(cur):
-            if cur.kind == CursorKind.CALL_EXPR and \
-                    cur.spelling in ("call", "notify"):
-                for arg in cur.get_arguments():
-                    for tok in arg.get_tokens():
-                        m = MESSAGE_LITERAL.match(tok.spelling)
-                        if m:
-                            ast_sends.add(m.group(1))
-            for child in cur.get_children():
-                visit(child)
-
-        for entry in commands:
-            if "/src/" not in entry["file"].replace(os.sep, "/"):
-                continue
-            args = [a for a in entry["command"].split()[1:]
-                    if a != entry["file"] and a not in ("-c", "-o")]
-            visit(index.parse(entry["file"], args=args).cursor)
-        for mtype in sorted(ast_sends - set(analysis.sends)):
-            analysis.report(analysis.spec_rel, 0, "spec-coverage",
-                            f"AST found a send of '{mtype}' the regex "
-                            "extractor missed")
-        return "libclang"
-    except Exception as error:  # pragma: no cover - depends on local clang
-        print(f"condorg_proto: libclang pass skipped ({error})",
-              file=sys.stderr)
-        return "regex"
-
-
 def check_stale_allows(analysis, allowlist_path):
     """Same burn-down policy as scripts/tidy.sh: a file-level suppression
     that no longer suppresses anything must be deleted. Only proto rules
@@ -756,7 +691,7 @@ def check_stale_allows(analysis, allowlist_path):
         allowlist_path, analysis.root, analysis.used_allows, PROTO_RULES))
 
 
-def build_report(analysis, engine):
+def build_report(analysis):
     messages = []
     for entry in analysis.spec["messages"]:
         mtype = entry["type"]
@@ -777,7 +712,6 @@ def build_report(analysis, engine):
                                     key=lambda s: (s["file"], s["line"])),
         })
     return {
-        "engine": engine,
         "spec": SPEC_REL.replace(os.sep, "/"),
         "cut_types": sorted(e["type"] for e in analysis.spec["messages"]
                             if e["cut"]),
@@ -794,30 +728,32 @@ def build_report(analysis, engine):
     }
 
 
-def run(root, spec_path, allowlist_path, build_dir, report_path,
-        as_json, check_stale=True):
-    spec_rel = os.path.relpath(spec_path, root)
+def analyze(root, spec, spec_path, allows):
+    """Every rule over the tree under root, against spec."""
+    analysis = Analysis(root, spec, os.path.relpath(spec_path, root))
+    analysis.allows = allows
+    analysis.file_lines[analysis.spec_rel] = lint.read_lines(spec_path)
+    scan_tree(analysis)
+    check_spec_coverage(analysis)
+    check_reply_paths(analysis)
+    check_crash_points(analysis)
+    check_timers(analysis)
+    return analysis
+
+
+def run(root, spec_path, allowlist_path, report_path, as_json):
     try:
         spec = load_spec(spec_path)
     except (OSError, ValueError, json.JSONDecodeError) as error:
         print(f"condorg_proto: bad spec {spec_path}: {error}",
               file=sys.stderr)
         return 2
-    analysis = Analysis(root, spec, spec_rel)
-    analysis.allows = lint.load_allowlist(allowlist_path)
-    analysis.file_lines[spec_rel] = read_lines(spec_path)
-
-    scan_tree(analysis)
-    check_spec_coverage(analysis)
-    check_reply_paths(analysis)
-    check_crash_points(analysis)
-    check_timers(analysis)
-    engine = try_libclang_pass(analysis, root, build_dir)
-    if check_stale:
-        check_stale_allows(analysis, allowlist_path)
+    analysis = analyze(root, spec, spec_path,
+                       lint.load_allowlist(allowlist_path))
+    check_stale_allows(analysis, allowlist_path)
 
     analysis.violations.sort(key=lambda v: (v.path, v.line_no, v.rule))
-    report = build_report(analysis, engine)
+    report = build_report(analysis)
     if report_path:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=False)
@@ -831,7 +767,7 @@ def run(root, spec_path, allowlist_path, build_dir, report_path,
         print(v)
     if analysis.violations:
         print(f"\ncondorg_proto: {len(analysis.violations)} violation(s) "
-              f"against {spec_rel} — fix the code, fix the spec, or "
+              f"against {analysis.spec_rel} — fix the code, fix the spec, or "
               "lint-allow with a reason")
         return 1
     n_msgs = len(spec["messages"])
@@ -848,15 +784,7 @@ def self_test():
     must contribute zero noise."""
     fixture_root = os.path.join(_HERE, "testdata", "proto")
     spec_path = os.path.join(fixture_root, SPEC_REL)
-    spec = load_spec(spec_path)
-    analysis = Analysis(fixture_root, spec,
-                        os.path.relpath(spec_path, fixture_root))
-    analysis.file_lines[analysis.spec_rel] = read_lines(spec_path)
-    scan_tree(analysis)
-    check_spec_coverage(analysis)
-    check_reply_paths(analysis)
-    check_crash_points(analysis)
-    check_timers(analysis)
+    analysis = analyze(fixture_root, load_spec(spec_path), spec_path, {})
     analysis.violations.sort(key=lambda v: (v.path, v.line_no, v.rule))
 
     want = {"spec-coverage", "ghost-message", "reply-on-all-paths",
@@ -888,9 +816,6 @@ def main():
     parser.add_argument("--spec", default=None,
                         help=f"protocol spec path (default: {SPEC_REL} "
                              "under root)")
-    parser.add_argument("--build-dir", default="build",
-                        help="build dir holding compile_commands.json "
-                             "(for the optional libclang pass)")
     parser.add_argument("--allowlist", default=None,
                         help="override allowlist path (default: "
                              "tools/analyze/allowlist.txt under root)")
@@ -914,10 +839,7 @@ def main():
     spec_path = args.spec or os.path.join(root, SPEC_REL)
     allowlist_path = args.allowlist or os.path.join(
         root, "tools", "analyze", "allowlist.txt")
-    build_dir = args.build_dir if os.path.isabs(args.build_dir) \
-        else os.path.join(root, args.build_dir)
-    return run(root, spec_path, allowlist_path, build_dir, args.report,
-               args.json)
+    return run(root, spec_path, allowlist_path, args.report, args.json)
 
 
 if __name__ == "__main__":

@@ -1,35 +1,26 @@
-// Dynamic/static cross-check of the island-cut message classification.
+// Dynamic check of the island cut against the protocol spec.
 //
-// PR 6's analyzer (tools/analyze/condorg_partition.py) classifies the
-// GRAM/GASS/MDS/GSI message types that cross the user/site/central
-// partition boundary *statically*, from the source. This tool measures the
-// same boundary *dynamically*: it arms sim::Profiler, runs one campaign
-// that exercises every protocol leg (two-phase submission, staging, site
-// probes, MyProxy refresh, MDS registration/query, and the rare recovery
-// RPCs no healthy campaign emits — restart_jobmanager, update_gass,
-// refresh_credential, cancel, the odd GASS verbs, grrp.unregister), then
-// compares the set of message types observed crossing partitions in the
-// profiler's traffic matrix against the report's cut classification.
+// The checked-in protocol spec (src/proto/protocols.json) is the one source
+// of the island cut: each message type says whether it crosses between the
+// user, site and central partitions. tools/analyze/condorg_proto.py binds
+// every spec entry to its send sites and handler arms and exports the cut
+// as proto_report.json's `cut_types`. This tool measures the same boundary
+// *dynamically*: it arms sim::Profiler, runs one campaign that exercises
+// every protocol leg (two-phase submission, staging, site probes, MyProxy
+// refresh, MDS registration/query, and the rare recovery RPCs no healthy
+// campaign emits — restart_jobmanager, update_gass, refresh_credential,
+// cancel, the odd GASS verbs, grrp.unregister), then compares the message
+// types observed crossing partitions in the profiler's traffic matrix with
+// the spec's cut.
 //
 // The two sets must agree exactly:
-//   * a type classified but never observed means the scenario (or the
-//     analyzer's notion of "cross-partition") has drifted from the code;
-//   * a type observed but never classified means the static analyzer
-//     missed a cut message — the exact bug it exists to prevent.
+//   * a type in the spec cut but never observed crossing means the scenario
+//     or the spec has drifted from the code;
+//   * a type observed crossing but not in the spec cut is protocol surface
+//     the spec does not describe.
 //
-// With --proto, the gate becomes three-way: the checked-in protocol spec
-// (src/proto/protocols.json, exported by tools/analyze/condorg_proto.py
-// into proto_report.json) must equal the static cut, and the dynamic
-// matrix must be a subset of the spec:
-//
-//     spec == static extraction ⊇ dynamic matrix
-//
-// so a message type cannot enter the island cut without a spec entry, and
-// a spec entry cannot outlive the code that sends it.
-//
-// Usage: condorg_profile_check <partition_report.json>
-//            [--proto proto_report.json] [--dump profile.json]
-// Exit:  0 = sets agree, 1 = mismatch (details on stderr),
+// Usage: condorg_profile_check <proto_report.json> [--dump profile.json]
+// Exit:  0 = sets agree, 1 = mismatch (details on stderr), 2 = usage,
 //        77 = report missing (ctest SKIP_RETURN_CODE).
 
 #include <fstream>
@@ -58,7 +49,7 @@ namespace util = condorg::util;
 
 namespace {
 
-/// Strip the RPC reply suffix: the cut is classified by request type.
+/// Strip the RPC reply suffix: the spec lists the cut by request type.
 std::string base_type(const std::string& type) {
   const std::string suffix = ".reply";
   if (type.size() > suffix.size() &&
@@ -66,30 +57,6 @@ std::string base_type(const std::string& type) {
     return type.substr(0, type.size() - suffix.size());
   }
   return type;
-}
-
-/// Union of "messages" over every cross_host_edges entry whose from/to
-/// partitions differ (the CONDOR shadow/startd protocol is user-internal
-/// and stays out of the cut).
-std::set<std::string> static_cut(const util::JsonValue& report,
-                                 std::vector<std::string>& problems) {
-  std::set<std::string> cut;
-  const util::JsonValue* edges = report.find("cross_host_edges");
-  if (edges == nullptr) {
-    problems.push_back("partition report has no cross_host_edges");
-    return cut;
-  }
-  for (const util::JsonValue& edge : edges->items()) {
-    const util::JsonValue* from = edge.find("from");
-    const util::JsonValue* to = edge.find("to");
-    const util::JsonValue* messages = edge.find("messages");
-    if (from == nullptr || to == nullptr || messages == nullptr) continue;
-    if (from->as_string() == to->as_string()) continue;
-    for (const util::JsonValue& message : messages->items()) {
-      cut.insert(message.as_string());
-    }
-  }
-  return cut;
 }
 
 struct Observation {
@@ -115,9 +82,9 @@ Observation run_scenario(std::vector<std::string>& problems) {
   cw::Site& site1 = testbed.add_site(pool);
   condorg::mds::GiisServer& giis = testbed.enable_mds("giis.grid.org");
 
-  // Host -> partition, mirroring the analyzer's classification: the agent
-  // machine is "user", site front-ends and clusters are "site", and the
-  // shared directory/credential services are "central".
+  // Host -> partition, as the CONDORG_HOST_LOCAL annotations place the
+  // daemons: the agent machine is "user", site front-ends and clusters are
+  // "site", and the shared directory/credential services are "central".
   const std::map<std::string, std::string> partition_of = {
       {"submit.wisc.edu", "user"},         {"pbs.anl.gov", "site"},
       {"pbs.anl.gov.cluster", "site"},     {"pool.wisc.edu", "site"},
@@ -156,7 +123,7 @@ Observation run_scenario(std::vector<std::string>& problems) {
   // and its GRAM job going ACTIVE sends glidein.start to the node. The
   // binaries fetch (from the agent's own GASS server) finds no bundle, so
   // no Startd comes up: its CONDOR traffic would cross the user <-> site
-  // link, which the partition model still files as user-internal.
+  // link, which the spec still files as off the cut.
   core::GlideInOptions glide;
   glide.binary_repository = agent.gridmanager().gass_address();
   glide.binary_path = "profile/no-such-bundle";
@@ -209,8 +176,8 @@ Observation run_scenario(std::vector<std::string>& problems) {
   testbed.world().sim().run_until(testbed.world().now() + 120.0);
 
   // GASS verbs the standard stage-in/stage-out path never uses, sent from
-  // the site front-end to the agent's GASS server (the classified site ->
-  // user direction).
+  // the site front-end to the agent's GASS server (the spec's site -> user
+  // direction).
   condorg::gass::FileClient files(*site0.frontend, testbed.world().net(),
                                   "profile.gass");
   files.set_credential(proxy);
@@ -272,33 +239,31 @@ Observation run_scenario(std::vector<std::string>& problems) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage =
+      "usage: condorg_profile_check <proto_report.json>"
+      " [--dump profile.json]\n";
   std::string report_path;
-  std::string proto_path;
   std::string dump_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--dump" && i + 1 < argc) {
       dump_path = argv[++i];
-    } else if (arg == "--proto" && i + 1 < argc) {
-      proto_path = argv[++i];
     } else if (report_path.empty()) {
       report_path = arg;
     } else {
-      std::cerr << "usage: condorg_profile_check <partition_report.json>"
-                   " [--proto proto_report.json] [--dump profile.json]\n";
+      std::cerr << kUsage;
       return 2;
     }
   }
   if (report_path.empty()) {
-    std::cerr << "usage: condorg_profile_check <partition_report.json>"
-                 " [--proto proto_report.json] [--dump profile.json]\n";
+    std::cerr << kUsage;
     return 2;
   }
 
   std::ifstream in(report_path);
   if (!in) {
     std::cout << "SKIP: " << report_path
-              << " not found (run the analyze.partition stage first)\n";
+              << " not found (run the analyze.proto stage first)\n";
     return 77;
   }
   std::stringstream buffer;
@@ -308,74 +273,28 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: " << report_path << " is not valid JSON\n";
     return 1;
   }
+  const util::JsonValue* cut_types = report->find("cut_types");
+  if (cut_types == nullptr) {
+    std::cerr << "FAIL: " << report_path << " has no cut_types\n";
+    return 1;
+  }
+  std::set<std::string> spec;
+  for (const util::JsonValue& type : cut_types->items()) {
+    spec.insert(type.as_string());
+  }
 
   std::vector<std::string> problems;
-  const std::set<std::string> classified = static_cut(*report, problems);
-
-  // Spec leg of the triangle (optional, third analyzer's report).
-  bool have_spec = false;
-  std::set<std::string> spec;
-  if (!proto_path.empty()) {
-    std::ifstream proto_in(proto_path);
-    if (!proto_in) {
-      std::cout << "SKIP: " << proto_path
-                << " not found (run the analyze.proto stage first)\n";
-      return 77;
-    }
-    std::stringstream proto_buffer;
-    proto_buffer << proto_in.rdbuf();
-    const auto proto = util::JsonValue::parse(proto_buffer.str());
-    if (!proto) {
-      std::cerr << "FAIL: " << proto_path << " is not valid JSON\n";
-      return 1;
-    }
-    const util::JsonValue* cut_types = proto->find("cut_types");
-    if (cut_types == nullptr) {
-      std::cerr << "FAIL: " << proto_path << " has no cut_types\n";
-      return 1;
-    }
-    have_spec = true;
-    for (const util::JsonValue& type : cut_types->items()) {
-      spec.insert(type.as_string());
-    }
-    // spec == static: every spec'd cut type must be classified as crossing
-    // by the partition analyzer, and vice versa.
-    for (const std::string& type : spec) {
-      if (classified.count(type) == 0) {
-        problems.push_back(
-            "in protocol spec but not in the static cut: " + type);
-      }
-    }
-    for (const std::string& type : classified) {
-      if (spec.count(type) == 0) {
-        problems.push_back(
-            "in the static cut but missing from the protocol spec: " + type);
-      }
-    }
-  }
-
   const Observation observed = run_scenario(problems);
-
-  // spec ⊇ dynamic: nothing may cross the cut without a spec entry. (The
-  // reverse is not required here — spec == static already ties the spec to
-  // the code, and static == dynamic is checked below.)
-  if (have_spec) {
-    for (const std::string& type : observed.cross_partition) {
-      if (spec.count(type) == 0) {
-        problems.push_back(
-            "observed crossing but missing from the protocol spec: " + type);
-      }
-    }
-  }
-
-  for (const std::string& type : classified) {
+  for (const std::string& type : spec) {
     if (observed.cross_partition.count(type) == 0) {
-      problems.push_back("classified but never observed crossing: " + type);
+      problems.push_back("in the spec cut but never observed crossing: " +
+                         type);
     }
   }
   for (const std::string& type : observed.cross_partition) {
-    if (classified.count(type) == 0) {
-      problems.push_back("observed crossing but not classified: " + type);
+    if (spec.count(type) == 0) {
+      problems.push_back("observed crossing but not in the spec cut: " +
+                         type);
     }
   }
 
@@ -384,19 +303,15 @@ int main(int argc, char** argv) {
     out << observed.profile_json << "\n";
   }
 
-  std::cout << "classified cut types: " << classified.size()
+  std::cout << "spec cut types: " << spec.size()
             << ", observed cross-partition types: "
-            << observed.cross_partition.size();
-  if (have_spec) std::cout << ", spec cut types: " << spec.size();
-  std::cout << "\n";
+            << observed.cross_partition.size() << "\n";
   if (!problems.empty()) {
     for (const std::string& problem : problems) {
       std::cerr << "FAIL: " << problem << "\n";
     }
     return 1;
   }
-  std::cout << (have_spec
-                    ? "OK: spec == static cut ⊇ dynamic traffic matrix\n"
-                    : "OK: traffic matrix agrees with the static cut\n");
+  std::cout << "OK: spec cut == dynamic traffic matrix\n";
   return 0;
 }

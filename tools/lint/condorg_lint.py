@@ -81,6 +81,19 @@ import sys
 
 SRC_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp")
 
+
+def iter_src_files(root):
+    """Every C++ source file under root/src (the analyzers' one file walk)."""
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for name in sorted(names):
+            if name.endswith(SRC_EXTENSIONS):
+                yield os.path.join(dirpath, name)
+
+
+def read_lines(path):
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return fh.read().splitlines()
+
 # Every rule this engine can emit (stale-suppression detection judges only
 # its own rules: the shared tools/analyze/allowlist.txt also carries
 # partition- and proto-rule entries policed by those analyzers).
@@ -222,9 +235,7 @@ def _project_header_decls(root, lines, cache):
                 candidate = os.path.join(root, "src", module, "include",
                                          header)
                 if os.path.isfile(candidate):
-                    with open(candidate, encoding="utf-8",
-                              errors="replace") as fh:
-                        names = _collect_decls(fh.read().splitlines())
+                    names = _collect_decls(read_lines(candidate))
                     break
             cache[header] = names
         unordered.update(cache[header][0])
@@ -250,8 +261,7 @@ def _collect_decls(lines):
 
 
 def lint_file(path, rel, file_allows, root, header_cache, used_allows=None):
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
 
     violations = []
 
@@ -556,7 +566,7 @@ def main():
         violations.extend(stale_allow_violations(
             allowlist_path, root, used_allows, LINT_RULES))
     # Deterministic output order regardless of scan order: diffable across
-    # runs and machines, and what the partition analyzer merges against.
+    # runs and machines.
     violations.sort(key=lambda v: (v.path, v.line_no, v.rule))
 
     if args.json:
