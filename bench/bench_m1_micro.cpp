@@ -6,7 +6,7 @@
 #include "bench_report.h"
 #include "condorg/batch/fifo_scheduler.h"
 #include "condorg/classad/parser.h"
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
 #include "condorg/gram/client.h"
 #include "condorg/gram/gatekeeper.h"
 #include "condorg/gass/file_service.h"

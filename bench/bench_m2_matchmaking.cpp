@@ -11,7 +11,7 @@
 #include "bench_phase_profile.h"
 #include "bench_report.h"
 #include "condorg/classad/parser.h"
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
 #include "condorg/oracles/match_oracle.h"
 #include "condorg/util/rng.h"
 

@@ -181,7 +181,7 @@ StormResult run_storm(int threads, const Shape& shape, bool timed) {
   cc::PoolNegotiator negotiator(central, world.net(), collector, nopt);
   if (timed) negotiator.set_clock(steady_ns);
   const condorg::classad::ExprPtr eligible =
-      condorg::classad::parse_expr(nopt.slot_constraint);
+      condorg::classad::parse_expr(cc::PoolNegotiator::kSlotConstraint);
   std::vector<std::uint64_t> naive_cycle_ns;
 
   co::Portal portal(central, world.net());

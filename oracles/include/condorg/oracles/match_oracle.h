@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "condorg/condor/collector.h"
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
 
 namespace condorg::oracles {
 

@@ -1,6 +1,7 @@
 #include "condorg/condor/collector.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "condorg/classad/parser.h"
@@ -135,6 +136,15 @@ const std::map<std::string, Collector::Entry>& Collector::live_ads()
 std::size_t Collector::live_count() const {
   prune();
   return entries_->size();
+}
+
+void Collector::put_local(const std::string& name, AdPtr ad) {
+  Entry& entry = (*entries_)[name];
+  entry.ad = std::move(ad);
+  entry.seq = ++*change_seq_;
+  // No deadline: prune() never expires it.
+  entry.expires_at = std::numeric_limits<sim::Time>::infinity();
+  entry.checksum = 0;
 }
 
 void Collector::invalidate(const std::string& name) {

@@ -1,10 +1,13 @@
 // Condor Collector: the pool's bulletin board.
 //
 // Every startd (including GlideIn daemons started on remote grid resources,
-// §5 of the paper) periodically advertises a machine ClassAd here; the
-// Negotiator queries the collector during each matchmaking cycle. Ads are
-// soft state with a TTL, so daemons that die — or glide-ins whose site
-// allocation expired — simply age out.
+// §5 of the paper) periodically advertises a machine ClassAd here, and so
+// does each PoolRunner for its pending job; the colocated Negotiator reads
+// the ads in place during each matchmaking cycle. Advertised ads are soft
+// state with a TTL, so daemons that die — or glide-ins whose site
+// allocation expired — simply age out. In the agent's personal pool the
+// VanillaRunner, on the same host, writes its idle jobs' ads in place
+// instead (put_local): no message and no lease.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +26,15 @@ namespace condorg::condor {
 
 class Collector {
  public:
-  /// Personal-pool daemon on the submit host; query() is a same-host local
-  /// API for the Negotiator.
+  /// Personal-pool daemon on the submit host; live_ads(), put_local() and
+  /// query() are same-host local APIs.
   CONDORG_HOST_LOCAL("user");
 
   static constexpr const char* kService = "condor.collector";
 
   /// Query results share ownership of the stored ads instead of deep-copying
-  /// them: a 10k-slot pool hands the Negotiator 10k refcount bumps, not 10k
-  /// attribute-map clones. Ads are immutable once advertised (re-advertising
+  /// them: a 10k-slot pool hands the caller 10k refcount bumps, not 10k
+  /// attribute-map clones. Ads are immutable once stored (re-advertising
   /// replaces the pointer), so the aliasing is safe.
   using AdPtr = std::shared_ptr<const classad::ClassAd>;
 
@@ -43,9 +46,8 @@ class Collector {
 
   sim::Address address() const { return {host_.name(), kService}; }
 
-  /// All live machine ads (TTL not yet lapsed) in ad-name order, optionally
-  /// filtered by a constraint evaluated against each ad. Local API — the
-  /// Negotiator runs in the same "personal Condor" on the same host.
+  /// All live ads (TTL not yet lapsed) in ad-name order, optionally
+  /// filtered by a constraint evaluated against each ad.
   std::vector<AdPtr> query(const classad::ExprPtr& constraint = nullptr) const;
 
   /// Live ad count.
@@ -53,6 +55,11 @@ class Collector {
 
   /// Remove an ad immediately (explicit invalidation on daemon shutdown).
   void invalidate(const std::string& name);
+
+  /// Store `ad` under `name` from the same host: no message, no lease (it
+  /// lives until invalidate() or a crash), not counted in ads_received().
+  /// A content change like any other: it takes the next change sequence.
+  void put_local(const std::string& name, AdPtr ad);
 
   std::uint64_t ads_received() const { return ads_received_; }
 

@@ -1,24 +1,27 @@
-// Pool-wide incremental (delta) Negotiator.
+// The Negotiator: the pool's incremental (delta) matchmaker.
 //
-// The personal Negotiator (negotiator.h) matches every job against every
-// slot each cycle: fine for one user's private Collector, too slow for the
-// thousands of users who share one central pool through the portal
-// (DESIGN.md §17). This daemon colocates with the central Collector and
-// reads its ads in place each cycle. Every ad carries the change sequence
-// its content was stored at, so a cycle knows which ads changed since the
-// last one, and the steady-state matching cost tracks churn, not pool size.
-// Jobs enter the pool as *job ads* published by each user's PoolRunner;
-// matches go back to the owning runner as a `negotiator.match` notify.
+// It colocates with its Collector and reads the Collector's ads in place
+// each cycle: machine ads that Startds advertise (glided-in ones included,
+// §5 of the paper) and job ads. Every ad carries the change sequence its
+// content was stored at, so a cycle knows which ads changed since the last
+// one, and the steady-state matching cost tracks churn, not pool size
+// (DESIGN.md §17).
+//
+// One daemon serves both pools. In the shared central pool each user's
+// PoolRunner publishes job ads to the central Collector, and a match goes
+// back to the ad's MyAddress as a `negotiator.match` notify. In the
+// agent's personal pool the VanillaRunner writes the job ads into the
+// colocated Collector from the sync hook at the top of each cycle, and
+// takes each match from the sink in place: no message either way.
 //
 // Soundness of the restriction: a pending job that failed against every
 // then-eligible slot can, while both sides stay unchanged, never start
 // matching — so a *clean* job need only be retried against slots that
-// changed, while a *dirty* job (its ad changed) retries everything. Both
-// negotiators share one matcher (match_jobs_to_slots); this one passes the
-// restriction in. A periodic sweep proves it: the restricted pass is
-// compared against an unrestricted pass of the same matcher over the same
-// candidates. Divergence surfaces through audit() as an invariant
-// violation.
+// changed, while a *dirty* job (its ad changed) retries everything. The
+// matcher (match_jobs_to_slots) takes the restriction as an argument. A
+// periodic sweep proves it: the restricted pass is compared against an
+// unrestricted pass of the same matcher over the same candidates.
+// Divergence surfaces through audit() as an invariant violation.
 //
 // Cross-user fairness is enforced here, at negotiation time: candidate
 // jobs are ordered by batch::FairShareTable (decayed effective usage,
@@ -34,19 +37,17 @@
 #include "condorg/batch/fair_share_scheduler.h"
 #include "condorg/classad/classad.h"
 #include "condorg/condor/collector.h"
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
 #include "condorg/sim/lifetime.h"
-#include "condorg/sim/rpc.h"
+#include "condorg/sim/network.h"
 #include "condorg/util/metrics.h"
 
 namespace condorg::condor {
 
 struct PoolNegotiatorOptions {
   double cycle_period = 60.0;
-  /// Selects negotiable machine ads among the Collector's.
-  std::string slot_constraint = "State == \"Unclaimed\"";
   /// Every Nth cycle is a sweep: it cross-checks the restricted match pass
   /// against an unrestricted one. 0 disables (tests only).
   int full_sweep_every = 16;
@@ -58,18 +59,32 @@ struct PoolNegotiatorOptions {
 
 class PoolNegotiator {
  public:
-  /// Central-manager daemon, same host as the pool Collector.
-  CONDORG_HOST_LOCAL("central");
+  /// Same host, and so same partition, as its Collector.
+  CONDORG_HOST_LOCAL("user");
 
   static constexpr const char* kService = "condor.pool_negotiator";
+  /// Selects negotiable machine ads among the Collector's.
+  static constexpr const char* kSlotConstraint = "State == \"Unclaimed\"";
 
   using Options = PoolNegotiatorOptions;
+  /// Runs at the top of each cycle, before the Collector read.
+  using Sync = std::function<void()>;
+  /// Takes each match with the matched job's ad, after the cycle's matching
+  /// pass. It runs while the cycle holds the Collector's entries, so it must
+  /// not write to the Collector; the sync hook is where job ads change.
+  using MatchSink =
+      std::function<void(const Match& match, const classad::ClassAd& job)>;
   /// Wall-clock source for benchmark timing; unset (the default) means no
   /// timing is taken — simulation behavior never depends on it.
   using Clock = std::function<std::uint64_t()>;
 
+  /// Central pool: each match is sent to the job ad's MyAddress as a
+  /// `negotiator.match` notify.
   PoolNegotiator(sim::Host& host, sim::Network& network, Collector& collector,
                  Options options = {});
+  /// Personal pool: `sync` keeps the job ads, `sink` takes the matches.
+  PoolNegotiator(sim::Host& host, Collector& collector, Sync sync,
+                 MatchSink sink, Options options = {});
   ~PoolNegotiator();
 
   PoolNegotiator(const PoolNegotiator&) = delete;
@@ -115,9 +130,10 @@ class PoolNegotiator {
 
   sim::Host& host_;
   Collector& collector_;
+  Sync sync_;
+  MatchSink sink_;
   Options options_;
   classad::ExprPtr slot_constraint_;
-  sim::RpcClient rpc_;
   Clock clock_;
 
   /// Ad name (job or slot) -> hold deadline: matched, claim in flight. A
@@ -151,5 +167,9 @@ class PoolNegotiator {
   int crash_listener_ = 0;
   sim::Lifetime life_;  // fences the cycle timer against destruction
 };
+
+/// The one negotiator under its Condor name, as the agent's personal pool
+/// exposes it (VanillaRunner::negotiator()).
+using Negotiator = PoolNegotiator;
 
 }  // namespace condorg::condor

@@ -1,12 +1,10 @@
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
 
 #include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
-
-#include "condorg/classad/parser.h"
 
 namespace condorg::condor {
 namespace {
@@ -469,55 +467,6 @@ std::vector<Match> match_jobs_to_slots(
     slot_inputs.push_back({nullptr, &slot});
   }
   return match_jobs_to_slots(job_inputs(jobs), slot_inputs);
-}
-
-Negotiator::Negotiator(sim::Host& host, Collector& collector, JobSource jobs,
-                       MatchSink sink, Options options)
-    : host_(host),
-      collector_(collector),
-      jobs_(std::move(jobs)),
-      sink_(std::move(sink)),
-      options_(std::move(options)),
-      slot_constraint_(options_.slot_constraint.empty()
-                           ? nullptr
-                           : classad::parse_expr(options_.slot_constraint)),
-      cycles_counter_(host_.metrics().counter("negotiator.cycles",
-                                              {{"host", host_.name()}})),
-      matches_counter_(host_.metrics().counter("negotiator.matches",
-                                               {{"host", host_.name()}})),
-      cycles_(host, "negotiator.cycles", 0),
-      matches_(host, "negotiator.matches", 0) {
-  boot_id_ = host_.add_boot([this] {
-    if (started_) cycle();
-  });
-}
-
-Negotiator::~Negotiator() { host_.remove_boot(boot_id_); }
-
-void Negotiator::start() {
-  if (started_) return;
-  started_ = true;
-  cycle();
-}
-
-std::size_t Negotiator::negotiate_once() {
-  ++*cycles_;
-  cycles_counter_.inc();
-  const std::vector<Collector::AdPtr> slots =
-      collector_.query(slot_constraint_);
-  const std::vector<IdleJob> jobs = jobs_();
-  const std::vector<Match> matches = match_jobs_to_slots(jobs, slots);
-  for (const Match& match : matches) {
-    ++*matches_;
-    matches_counter_.inc();
-    sink_(match);
-  }
-  return matches.size();
-}
-
-void Negotiator::cycle() {
-  negotiate_once();
-  host_.post(options_.cycle_period, life_.wrap([this] { cycle(); }));
 }
 
 }  // namespace condorg::condor

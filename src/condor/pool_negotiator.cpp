@@ -1,10 +1,12 @@
 #include "condorg/condor/pool_negotiator.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
 #include "condorg/classad/parser.h"
+#include "condorg/sim/rpc.h"
 
 namespace condorg::condor {
 
@@ -18,13 +20,31 @@ std::string user_of(const classad::ClassAd& job) {
 
 PoolNegotiator::PoolNegotiator(sim::Host& host, sim::Network& network,
                                Collector& collector, Options options)
+    : PoolNegotiator(host, collector, nullptr, nullptr, std::move(options)) {
+  // The owning PoolRunner named itself in the job ad.
+  sink_ = [rpc = std::make_shared<sim::RpcClient>(host, network, kService)](
+              const Match& match, const classad::ClassAd& job) {
+    const auto runner = job.eval_string("MyAddress");
+    if (!runner) return;
+    sim::Payload payload;
+    payload.set("job", match.job_id);
+    payload.set("user", user_of(job));
+    payload.set("slot_name", match.slot_ad.eval_string("Name").value_or(""));
+    payload.set("slot_address",
+                match.slot_ad.eval_string("MyAddress").value_or(""));
+    rpc->notify(sim::Address::parse(*runner), "negotiator.match",
+                std::move(payload));
+  };
+}
+
+PoolNegotiator::PoolNegotiator(sim::Host& host, Collector& collector,
+                               Sync sync, MatchSink sink, Options options)
     : host_(host),
       collector_(collector),
+      sync_(std::move(sync)),
+      sink_(std::move(sink)),
       options_(std::move(options)),
-      slot_constraint_(options_.slot_constraint.empty()
-                           ? nullptr
-                           : classad::parse_expr(options_.slot_constraint)),
-      rpc_(host, network, kService),
+      slot_constraint_(classad::parse_expr(kSlotConstraint)),
       holds_(host, "pool_negotiator.holds"),
       last_seq_(host, "pool_negotiator.last_seq", 0),
       fair_share_(host, "pool_negotiator.fair_share"),
@@ -113,6 +133,7 @@ std::size_t PoolNegotiator::negotiate_once() {
   const double now = host_.now();
   ++*cycles_;
   cycles_counter_.inc();
+  if (sync_) sync_();
   const std::uint64_t t0 = clock_ ? clock_() : 0;
 
   // The read prunes first, so TTL expiries have bumped the sequence.
@@ -166,10 +187,8 @@ std::size_t PoolNegotiator::negotiate_once() {
       by_user[user_of(ad)].push_back({&name, &ad, changed});
       continue;
     }
-    if (slot_constraint_) {
-      const classad::Value v = slot_constraint_->evaluate(&ad, nullptr);
-      if (!v.is_bool() || !v.as_bool()) continue;
-    }
+    const classad::Value v = slot_constraint_->evaluate(&ad, nullptr);
+    if (!v.is_bool() || !v.as_bool()) continue;
     slots.push_back({&name, &ad, changed});
   }
   std::vector<MatchInput> jobs;
@@ -185,7 +204,7 @@ std::size_t PoolNegotiator::negotiate_once() {
 
   if (sweep) run_sweep(matched, jobs, slots);
 
-  // Hold both sides of each match and hand it to its owning PoolRunner.
+  // Hold both sides of each match and hand it to the sink.
   std::set<std::string> matched_users;
   for (const Match& match : matched) {
     const classad::ClassAd& job = *ads.at(match.job_id).ad;
@@ -200,17 +219,7 @@ std::size_t PoolNegotiator::negotiate_once() {
     matched_users.insert(user);
     ++*matches_;
     matches_counter_.inc();
-    const auto runner = job.eval_string("MyAddress");
-    if (runner) {
-      sim::Payload payload;
-      payload.set("job", match.job_id);
-      payload.set("user", user);
-      payload.set("slot_name", slot_name.value_or(""));
-      payload.set("slot_address",
-                  match.slot_ad.eval_string("MyAddress").value_or(""));
-      rpc_.notify(sim::Address::parse(*runner), "negotiator.match",
-                  std::move(payload));
-    }
+    sink_(match, job);
   }
 
   // Starvation bookkeeping: a user whose pending jobs were candidates and

@@ -25,8 +25,8 @@ CondorGAgent::CondorGAgent(sim::World& world, const std::string& submit_host,
   credentials_ = std::make_unique<CredentialManager>(
       *schedd_, *gridmanager_, world.net(), options.credentials);
   collector_ = std::make_unique<condor::Collector>(host_, world.net());
-  vanilla_ = std::make_unique<VanillaRunner>(*schedd_, world.net(),
-                                             *collector_, options.vanilla);
+  vanilla_ = std::make_unique<VanillaRunner>(
+      *schedd_, world.net(), *collector_, options.user, options.vanilla);
 }
 
 GlideInManager& CondorGAgent::enable_glideins(GlideInOptions options) {

@@ -212,6 +212,7 @@ void StandardAuditor::attach_agent(CondorGAgent& agent) {
   attach_schedd(agent.schedd());
   attach_gridmanager(agent.gridmanager());
   attach_credential_manager(agent.credentials());
+  attach_pool_negotiator(agent.vanilla().negotiator());
 }
 
 }  // namespace condorg::core

@@ -1,8 +1,9 @@
 // The Condor-G agent: "a personal desktop agent" (§4.1) assembled from the
 // Schedd (persistent queue + user log), the GridManager (GRAM execution),
-// the CredentialManager (§4.3), a personal Collector/Negotiator pair with
-// the VanillaRunner (personal Condor pool), an optional GlideInManager
-// (§5), and a pluggable resource broker (§4.4).
+// the CredentialManager (§4.3), a personal Collector with the VanillaRunner
+// and its Negotiator (personal Condor pool; the user's idle vanilla jobs
+// are job ads in that Collector), an optional GlideInManager (§5), and a
+// pluggable resource broker (§4.4).
 //
 // "By providing the user with a familiar and reliable single access point
 // to all the resources he/she is authorized to use, Condor-G empowers

@@ -68,7 +68,8 @@ class StandardAuditor {
   /// restricted-vs-full matcher disagreement becomes an invariant
   /// violation.
   void attach_pool_negotiator(condor::PoolNegotiator& negotiator);
-  /// Schedd + GridManager + CredentialManager in one call.
+  /// Schedd + GridManager + CredentialManager + the personal pool's
+  /// negotiator in one call.
   void attach_agent(CondorGAgent& agent);
 
   sim::InvariantAuditor& auditor() { return auditor_; }

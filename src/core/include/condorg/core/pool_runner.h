@@ -1,12 +1,13 @@
 // Per-user pool runner: the agent-side half of the shared-pool scale-out.
 //
-// Where VanillaRunner runs a *personal* Negotiator against a *personal*
-// Collector, the PoolRunner participates in one shared central pool: it
-// accepts admitted job batches from the Portal (`portal.deliver`, with a
-// persisted dedup marker so redelivery is idempotent), publishes a window
-// of the user's idle jobs as *job ads* to the central Collector, and acts
-// on `negotiator.match` notifications from the pool Negotiator by spawning
-// a Shadow against the matched slot — the same claim protocol and the same
+// Both runners feed job ads to the same Negotiator daemon. The
+// VanillaRunner writes them in place into the agent's *personal* Collector;
+// the PoolRunner participates in one shared central pool: it accepts
+// admitted job batches from the Portal (`portal.deliver`, with a persisted
+// dedup marker so redelivery is idempotent), publishes a window of the
+// user's idle jobs as *job ads* to the central Collector, and acts on
+// `negotiator.match` notifications from the pool Negotiator by spawning a
+// Shadow against the matched slot — the same claim protocol and the same
 // per-host liveness probe (ShadowMonitor) as VanillaRunner, different
 // matchmaking topology.
 //

@@ -1,21 +1,40 @@
 #include "condorg/core/vanilla_runner.h"
 
+#include <utility>
+
 #include "condorg/core/broker.h"
 
 namespace condorg::core {
+namespace {
+
+/// Zero-padded to the width of any uint64, so the Collector's name order is
+/// job-id order: the order the negotiator tries one user's jobs in.
+std::string ad_name(std::uint64_t job_id) {
+  const std::string digits = std::to_string(job_id);
+  return std::string(20 - digits.size(), '0') + digits;
+}
+
+}  // namespace
 
 VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
-                             condor::Collector& collector,
+                             condor::Collector& collector, std::string user,
                              VanillaRunnerOptions options)
     : schedd_(schedd),
-      network_(network),
       host_(schedd.host()),
-      options_(options),
+      collector_(collector),
+      user_(std::move(user)),
       monitor_(host_, network, options.shadow) {
   negotiator_ = std::make_unique<condor::Negotiator>(
-      host_, collector, [this] { return idle_jobs(); },
-      [this](const condor::Match& match) { on_match(match); },
-      options_.negotiator);
+      host_, collector, [this] { sync_job_ads(); },
+      [this](const condor::Match& match, const classad::ClassAd&) {
+        on_match(match);
+      },
+      options.negotiator);
+  // The Schedd outlives the runner: the agent owns both and declares the
+  // Schedd first.
+  schedd_.add_queue_listener([this](const Job& job) {
+    if (job.desc.universe == Universe::kVanilla) changed_.insert(job.id);
+  });
   // Submit-machine crash kills all shadows; jobs are re-queued from their
   // persisted checkpoints when the queue reloads (their status snaps back
   // to Idle on recovery below).
@@ -28,6 +47,9 @@ VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
       });
     }
     shadows_.clear();
+    // The colocated Collector lost every job ad in the same crash.
+    changed_.clear();
+    resync_ = true;
   });
 }
 
@@ -37,21 +59,40 @@ VanillaRunner::~VanillaRunner() {
 
 void VanillaRunner::start() { negotiator_->start(); }
 
-std::vector<condor::IdleJob> VanillaRunner::idle_jobs() const {
-  std::vector<condor::IdleJob> out;
-  for (const std::uint64_t id : schedd_.idle_jobs(Universe::kVanilla)) {
-    if (shadows_.count(id)) continue;  // already being placed
-    const auto job = schedd_.query(id);
-    out.push_back(
-        condor::IdleJob{std::to_string(id), broker_job_ad(*job)});
+void VanillaRunner::sync_job_ads() {
+  if (resync_) {
+    resync_ = false;
+    for (const std::uint64_t id : schedd_.idle_jobs(Universe::kVanilla)) {
+      changed_.insert(id);
+    }
   }
-  return out;
+  for (const std::uint64_t id : changed_) {
+    const Job* job = schedd_.find(id);
+    if (job == nullptr || job->status != JobStatus::kIdle ||
+        shadows_.count(id) != 0) {
+      collector_.invalidate(ad_name(id));
+      continue;
+    }
+    classad::ClassAd ad = broker_job_ad(*job);
+    ad.insert_string("User", user_);
+    ad.insert_string("JobUniverse", "Vanilla");
+    collector_.put_local(
+        ad_name(id), std::make_shared<const classad::ClassAd>(std::move(ad)));
+  }
+  changed_.clear();
+}
+
+void VanillaRunner::drop_shadow(std::uint64_t job_id) {
+  host_.post(0.0, [this, job_id] {
+    shadows_.erase(job_id);
+    changed_.insert(job_id);
+  });
 }
 
 void VanillaRunner::on_match(const condor::Match& match) {
   const std::uint64_t job_id = std::stoull(match.job_id);
-  const auto job = schedd_.query(job_id);
-  if (!job || job->status != JobStatus::kIdle) return;
+  const Job* job = schedd_.find(job_id);
+  if (job == nullptr || job->status != JobStatus::kIdle) return;
   const auto slot_addr = match.slot_ad.eval_string("MyAddress");
   if (!slot_addr) return;
   // A glide-in's slot ad names its node's responder; a standalone Startd
@@ -60,25 +101,25 @@ void VanillaRunner::on_match(const condor::Match& match) {
       match.slot_ad.eval_string("Responder").value_or(*slot_addr);
 
   condor::ShadowJob shadow_job;
-  shadow_job.job_id = match.job_id;
+  shadow_job.job_id = std::to_string(job_id);
   shadow_job.total_work_seconds = job->desc.runtime_seconds;
   shadow_job.checkpointed_work = job->checkpointed_work;
 
   const std::string claim_id =
-      match.job_id + "." + std::to_string(++claim_counter_);
+      shadow_job.job_id + "." + std::to_string(++claim_counter_);
   auto shadow = std::make_unique<condor::Shadow>(
       monitor_, shadow_job, sim::Address::parse(*slot_addr),
       sim::Address::parse(responder), claim_id,
       /*on_done=*/
       [this, job_id](const std::string&) {
         schedd_.mark_completed(job_id);
-        host_.post(0.0, [this, job_id] { shadows_.erase(job_id); });
+        drop_shadow(job_id);
       },
       /*on_requeue=*/
       [this, job_id](const std::string&, double checkpoint,
                      const std::string& reason) {
         schedd_.mark_evicted(job_id, checkpoint, reason);
-        host_.post(0.0, [this, job_id] { shadows_.erase(job_id); });
+        drop_shadow(job_id);
       });
   shadow->start();
   schedd_.mark_executing(job_id,

@@ -143,6 +143,42 @@ TEST(StandardAuditor, SilentThroughCredentialExpiry) {
   EXPECT_TRUE(rig.auditor->ok()) << rig.auditor->report();
 }
 
+// attach_agent covers the personal pool too: the negotiator's periodic
+// sweep re-runs its restricted match pass unrestricted, and a disagreement
+// would be a violation.
+TEST(StandardAuditor, SilentThroughGlideInPool) {
+  cw::GridTestbed testbed(17);
+  cw::SiteSpec site;
+  site.name = "pool.wisc.edu";
+  site.cpus = 4;
+  testbed.add_site(site);
+  testbed.add_submit_host("submit.wisc.edu");
+  core::CondorGAgent agent(testbed.world(), "submit.wisc.edu");
+  core::GlideInOptions glidein;
+  glidein.tick_interval = 60.0;
+  agent.enable_glideins(glidein).add_site(core::GlideInSite{
+      "pool.wisc.edu", testbed.site(0).gatekeeper_address(),
+      testbed.site(0).cluster, 4, 1});
+  agent.start();
+  core::StandardAuditor auditor(testbed.world().sim(), /*period=*/32);
+  auditor.attach_agent(agent);
+  for (int i = 0; i < 12; ++i) {
+    core::JobDescription desc;
+    desc.universe = core::Universe::kVanilla;
+    desc.runtime_seconds = 1800.0;
+    agent.submit(desc);
+  }
+  cs::Simulation& sim = testbed.world().sim();
+  while (!agent.schedd().all_terminal() && sim.now() < 86400.0) {
+    sim.run_until(sim.now() + 60.0);
+  }
+  EXPECT_TRUE(agent.schedd().all_terminal());
+  EXPECT_EQ(agent.schedd().count(core::JobStatus::kCompleted), 12u);
+  EXPECT_TRUE(auditor.ok()) << auditor.report();
+  EXPECT_GT(agent.vanilla().negotiator().sweeps(), 0u);
+  EXPECT_EQ(agent.vanilla().negotiator().divergences(), 0u);
+}
+
 TEST(StandardAuditor, FiresOnCorruptedHoldReason) {
   cs::World world;
   cs::Host& host = world.add_host("submit");

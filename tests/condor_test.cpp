@@ -4,7 +4,8 @@
 
 #include "condorg/classad/parser.h"
 #include "condorg/condor/collector.h"
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
+#include "condorg/condor/pool_negotiator.h"
 #include "condorg/condor/shadow.h"
 #include "condorg/condor/shadow_monitor.h"
 #include "condorg/condor/startd.h"
@@ -371,24 +372,31 @@ TEST_F(PoolFixture, NegotiatorCyclesMatchIdleJobs) {
   cc::Startd s1(node1, world.net(), "s1@node1", slot_options());
   cc::Startd s2(node2, world.net(), "s2@node2", slot_options());
 
-  std::vector<cc::IdleJob> queue = {
-      {"j1", ca::parse_ad("[Requirements = other.Arch == \"X86_64\"]")},
-      {"j2", ca::parse_ad("[Requirements = other.Arch == \"X86_64\"]")}};
-  std::vector<cc::Match> matched;
-  cc::Negotiator negotiator(
+  const auto job = std::make_shared<const ca::ClassAd>(ca::parse_ad(
+      "[JobUniverse = \"Vanilla\"; User = \"u\"; "
+      "Requirements = other.Arch == \"X86_64\"]"));
+  // The sync hook runs before the cycle reads the Collector, so the job
+  // ads it writes are matched in that same cycle.
+  int syncs = 0;
+  std::vector<std::string> matched;
+  cc::PoolNegotiator negotiator(
       submit, collector,
-      [&] { return queue; },
-      [&](const cc::Match& m) {
-        matched.push_back(m);
-        std::erase_if(queue, [&](const cc::IdleJob& j) {
-          return j.job_id == m.job_id;
-        });
+      [&] {
+        if (syncs++ > 0) return;
+        collector.put_local("j1", job);
+        collector.put_local("j2", job);
+      },
+      [&](const cc::Match& m, const ca::ClassAd& ad) {
+        EXPECT_EQ(ad.eval_string("User"), "u");
+        matched.push_back(m.job_id);
       });
-  world.sim().run_until(5.0);  // let ads arrive
-  negotiator.negotiate_once();
-  EXPECT_EQ(matched.size(), 2u);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_GE(negotiator.matches_made(), 2u);
+  world.sim().run_until(5.0);  // let the slot ads arrive
+  EXPECT_EQ(negotiator.negotiate_once(), 2u);
+  EXPECT_EQ(matched, (std::vector<std::string>{"j1", "j2"}));
+  EXPECT_EQ(negotiator.matches_made(), 2u);
+  // Both sides are held until the claims show up: no second match.
+  EXPECT_EQ(negotiator.negotiate_once(), 0u);
+  EXPECT_EQ(syncs, 2);
 }
 
 TEST_F(PoolFixture, NegotiatorSkipsClaimedSlots) {
@@ -396,56 +404,31 @@ TEST_F(PoolFixture, NegotiatorSkipsClaimedSlots) {
   std::string done;
   auto shadow = run_shadow("running", 1000.0, 0.0, startd.address(), &done);
   world.sim().run_until(70.0);  // job running; fresh ad says "Running"
-  std::vector<cc::IdleJob> queue = {{"idle", ca::ClassAd{}}};
+  collector.put_local("idle", std::make_shared<const ca::ClassAd>(
+                                  ca::parse_ad("[JobUniverse = \"Vanilla\"]")));
   std::vector<cc::Match> matched;
-  cc::Negotiator negotiator(
-      submit, collector, [&] { return queue; },
-      [&](const cc::Match& m) { matched.push_back(m); });
+  cc::PoolNegotiator negotiator(
+      submit, collector, nullptr,
+      [&](const cc::Match& m, const ca::ClassAd&) { matched.push_back(m); });
   negotiator.negotiate_once();
   EXPECT_TRUE(matched.empty());
 }
 
-TEST_F(PoolFixture, NegotiatorSlotConstraintIsConfigurable) {
-  cc::Startd startd(node1, world.net(), "s1@node1", slot_options());
-  std::string done;
-  auto shadow = run_shadow("running", 1000.0, 0.0, startd.address(), &done);
-  world.sim().run_until(70.0);  // job running; fresh ad says "Running"
-  std::vector<cc::IdleJob> queue = {{"idle", ca::ClassAd{}}};
-  std::vector<cc::Match> matched;
-  cc::Negotiator::Options options;
-  options.slot_constraint = "State == \"Running\"";  // deliberately inverted
-  cc::Negotiator negotiator(
-      submit, collector, [&] { return queue; },
-      [&](const cc::Match& m) { matched.push_back(m); }, options);
-  negotiator.negotiate_once();
-  // The default constraint would skip the busy slot; the configured one
-  // selects it instead.
-  ASSERT_EQ(matched.size(), 1u);
-  EXPECT_EQ(matched[0].slot_ad.eval_string("State"), "Running");
-}
-
-// A negotiator destroyed while its host lives must leave neither its cycle
-// timer nor its boot hook behind: either would run a cycle on a dead object.
-TEST_F(PoolFixture, DestroyedNegotiatorLeavesNoTimerOrBootHook) {
-  int job_source_calls = 0;
-  {
-    cc::Negotiator negotiator(
-        submit, collector,
-        [&] {
-          ++job_source_calls;
-          return std::vector<cc::IdleJob>{};
-        },
-        [](const cc::Match&) {});
-    negotiator.start();  // first cycle now, the next at t = 60
-  }
-  world.sim().run_until(200.0);
-  submit.crash_for(10.0);  // the restart runs the host's boot hooks
-  world.sim().run_until(300.0);
-  EXPECT_EQ(job_source_calls, 1);
-  EXPECT_EQ(submit.metrics()
-                .counter("negotiator.cycles", {{"host", submit.name()}})
-                .value(),
-            1u);
+// A job ad written in place has no lease and is no advertisement: it
+// outlives every TTL, ads_received() does not count it, and it changes the
+// sequence like any other content change.
+TEST_F(PoolFixture, LocalAdHasNoLeaseAndIsNotCounted) {
+  const std::uint64_t seq = collector.change_seq();
+  collector.put_local("job", std::make_shared<const ca::ClassAd>(
+                                 ca::parse_ad("[JobUniverse = \"Vanilla\"]")));
+  EXPECT_EQ(collector.change_seq(), seq + 1);
+  world.sim().run_until(10 * 3600.0);
+  ASSERT_EQ(collector.live_count(), 1u);
+  EXPECT_EQ(collector.live_ads().at("job").seq, seq + 1);
+  EXPECT_EQ(collector.ads_received(), 0u);
+  collector.invalidate("job");
+  EXPECT_EQ(collector.live_count(), 0u);
+  EXPECT_EQ(collector.change_seq(), seq + 2);
 }
 
 // ---------- explicit shutdown request ----------

@@ -1307,6 +1307,16 @@ struct GlideInPool {
 
   cs::Host& cluster() { return *testbed.site(0).cluster; }
 
+  /// The job ids of the job ads in the agent's Collector.
+  std::set<std::uint64_t> job_ad_ids() {
+    std::set<std::uint64_t> ids;
+    for (const auto& [name, entry] : agent->collector().live_ads()) {
+      if (!entry.ad->contains("JobUniverse")) continue;
+      ids.insert(static_cast<std::uint64_t>(*entry.ad->eval_int("JobId")));
+    }
+    return ids;
+  }
+
   cw::GridTestbed testbed;
   std::unique_ptr<core::CondorGAgent> agent;
 };
@@ -1400,5 +1410,53 @@ TEST(GlideInProbe, NodeCrashRequeuesFromTheLastProbedProgress) {
     if (event.kind != core::LogEventKind::kEvicted) continue;
     EXPECT_EQ(event.detail, "execution machine lost");
     break;
+  }
+}
+
+// A submit-host crash kills every Shadow, and the Collector loses the job
+// ads with it. The first cycle after the restart writes one job ad for each
+// Idle vanilla job and no other, and every job still terminates once.
+TEST(GlideIn, SubmitHostCrashRequeuesVanillaJobsOnce) {
+  GlideInPool pool(8, 600.0);
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 12; ++i) {
+    core::JobDescription desc;
+    desc.universe = core::Universe::kVanilla;
+    desc.runtime_seconds = 3600.0;
+    ids.push_back(pool.agent->submit(desc));
+  }
+  cs::Simulation& sim = pool.testbed.world().sim();
+  core::Schedd& schedd = pool.agent->schedd();
+  sim.run_until(1500.0);
+  ASSERT_EQ(schedd.count(core::Universe::kVanilla, core::JobStatus::kRunning),
+            8u);
+  ASSERT_EQ(schedd.count(core::Universe::kVanilla, core::JobStatus::kIdle),
+            4u);
+
+  condorg::condor::Negotiator& negotiator = pool.agent->vanilla().negotiator();
+  const std::uint64_t cycles = negotiator.cycles();
+  pool.agent->host().crash_for(120.0);
+  while (negotiator.cycles() == cycles && sim.now() < 2000.0) {
+    sim.run_until(sim.now() + 1.0);
+  }
+  const std::vector<std::uint64_t> idle =
+      schedd.idle_jobs(core::Universe::kVanilla);
+  EXPECT_EQ(idle.size(), 12u);
+  EXPECT_EQ(pool.job_ad_ids(),
+            std::set<std::uint64_t>(idle.begin(), idle.end()));
+
+  while (!schedd.all_terminal() && sim.now() < 6 * 3600.0) {
+    sim.run_until(sim.now() + 60.0);
+  }
+  std::map<std::uint64_t, int> terminated;
+  for (const auto& event : pool.agent->log().events()) {
+    if (event.kind == core::LogEventKind::kTerminated) {
+      ++terminated[event.job_id];
+    }
+  }
+  for (const std::uint64_t id : ids) {
+    EXPECT_EQ(pool.agent->query(id)->status, core::JobStatus::kCompleted)
+        << "job " << id;
+    EXPECT_EQ(terminated[id], 1) << "job " << id;
   }
 }

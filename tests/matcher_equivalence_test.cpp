@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "condorg/classad/parser.h"
-#include "condorg/condor/negotiator.h"
+#include "condorg/condor/matcher.h"
 #include "condorg/oracles/match_oracle.h"
 #include "condorg/util/rng.h"
 

@@ -126,10 +126,27 @@ TEST(VanillaOps, HoldPreventsMatching) {
   job.runtime_seconds = 600.0;
   const auto id = agent.submit(job);
   ASSERT_TRUE(agent.hold(id, "user hold"));
+  // The personal pool's job ads: a job has one while it is Idle.
+  const auto job_ads = [&agent] {
+    std::size_t n = 0;
+    for (const auto& [name, entry] : agent.collector().live_ads()) {
+      if (entry.ad->contains("JobUniverse")) ++n;
+    }
+    return n;
+  };
   testbed.world().sim().run_until(3 * 3600.0);
-  // Held: never matched, never ran.
+  // Held: never matched, never ran, and no job ad.
   EXPECT_EQ(agent.query(id)->status, core::JobStatus::kHeld);
+  EXPECT_EQ(job_ads(), 0u);
   agent.release(id);
+  // The first cycle after the release writes the job's ad.
+  auto& negotiator = agent.vanilla().negotiator();
+  const std::uint64_t cycles = negotiator.cycles();
+  while (negotiator.cycles() == cycles &&
+         testbed.world().now() < 4 * 3600.0) {
+    testbed.world().sim().run_until(testbed.world().now() + 1.0);
+  }
+  EXPECT_EQ(job_ads(), 1u);
   while (!agent.schedd().all_terminal() &&
          testbed.world().now() < 10 * 3600.0) {
     testbed.world().sim().run_until(testbed.world().now() + 120.0);
