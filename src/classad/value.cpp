@@ -1,5 +1,6 @@
 #include "condorg/classad/value.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "condorg/util/strings.h"
@@ -68,12 +69,19 @@ std::string Value::unparse() const {
     case Type::kBool: return as_bool() ? "true" : "false";
     case Type::kInt: return std::to_string(as_int());
     case Type::kReal: {
-      // Keep reals recognizably real on round-trip.
+      // Keep reals recognizably real on round-trip: an integral real keeps
+      // its ".0", and the non-finite ones are spelled as ClassAd
+      // expressions (a bare "inf" would read back as an attribute name).
       const double d = as_real();
-      if (d == std::floor(d) && std::isfinite(d) && std::abs(d) < 1e15) {
-        return util::format("%.1f", d);
+      if (std::isinf(d)) return d > 0 ? "real(\"INF\")" : "-real(\"INF\")";
+      if (std::isnan(d)) return "real(\"NaN\")";
+      if (d == std::floor(d) && std::abs(d) < 1e15) {
+        char buf[24];
+        const auto result = std::to_chars(buf, buf + sizeof buf, d,
+                                          std::chars_format::fixed);
+        return std::string(buf, result.ptr) + ".0";
       }
-      return util::format("%.17g", d);
+      return util::format_double(d);
     }
     case Type::kString: return escape_string(as_string());
     case Type::kList: {

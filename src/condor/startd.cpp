@@ -218,7 +218,7 @@ void Startd::answer_status_all(
     states.emplace_back(to_string(startd->state_));
     jobs.emplace_back(startd->claim_ ? startd->claim_->job_id : "");
     work.emplace_back(
-        running ? util::format("%.17g", startd->work_done_now()) : "0");
+        running ? util::format_double(startd->work_done_now()) : "0");
   }
   sim::Payload reply;
   reply.set_bool("ok", true);

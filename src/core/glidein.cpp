@@ -92,25 +92,29 @@ void GlideInManager::submit_glidein(SiteState& state) {
   spec.runtime_seconds = options_.walltime;  // occupies the slot until exit
   spec.walltime_limit = options_.walltime;
   spec.cpus = state.site.cpus_per_glidein;
-  spec.tag = "glidein";
+  // A tag per glide-in: the Gatekeeper's audit reads two live JobManagers
+  // with one (callback, tag) as one job running twice.
+  const std::uint64_t seq = gram_.allocate_seq();
+  spec.tag = "glidein" + std::to_string(seq);
   ++state.pending;
   ++pending_;
   ++submitted_;
-  gram_.submit(state.site.gatekeeper, spec, address(),
-               [this, &state](std::optional<std::string> contact) {
-                 if (!contact) {
-                   --state.pending;
-                   --pending_;
-                   return;
-                 }
-                 (*glideins_)[*contact] = Glidein{&state};
-                 const auto stashed = stashed_states_->find(*contact);
-                 if (stashed != stashed_states_->end()) {
-                   const std::string missed = stashed->second;
-                   stashed_states_->erase(stashed);
-                   on_state(*contact, missed);
-                 }
-               });
+  gram_.submit_with_seq(
+      seq, state.site.gatekeeper, spec, address(),
+      [this, &state](std::optional<std::string> contact) {
+        if (!contact) {
+          --state.pending;
+          --pending_;
+          return;
+        }
+        (*glideins_)[*contact] = Glidein{&state};
+        const auto stashed = stashed_states_->find(*contact);
+        if (stashed != stashed_states_->end()) {
+          const std::string missed = stashed->second;
+          stashed_states_->erase(stashed);
+          on_state(*contact, missed);
+        }
+      });
 }
 
 void GlideInManager::on_message(const sim::Message& message) {

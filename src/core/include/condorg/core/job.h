@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "condorg/classad/classad.h"
 #include "condorg/sim/message.h"
@@ -54,8 +55,10 @@ struct JobDescription {
   std::string tag;  // opaque user annotation
 };
 
-/// A job in the queue: description + progress bookkeeping. Persisted to the
-/// submit machine's stable storage on every mutation.
+/// A job in the queue: description + progress bookkeeping. Stable storage
+/// holds it as two records: the description (with the id and submit time),
+/// written once at submit, and the state (every field below `desc` but the
+/// submit time), rewritten on every transition.
 struct Job {
   std::uint64_t id = 0;
   JobDescription desc;
@@ -76,8 +79,14 @@ struct Job {
   sim::Time first_execute_time = -1;
   sim::Time completion_time = -1;
 
-  std::string serialize() const;
-  static Job deserialize(const std::string& text);
+  std::string description_record() const;
+  /// Fixed field order, one 0x1f separator between fields: the state
+  /// strings must not contain it (as with Payload).
+  std::string state_record() const;
+  /// Rebuild a job from its two records. A state record that does not
+  /// parse leaves the progress fields at their defaults.
+  static Job from_records(const std::string& description,
+                          std::string_view state);
 };
 
 }  // namespace condorg::core

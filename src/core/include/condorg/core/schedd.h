@@ -21,6 +21,7 @@
 #include "condorg/core/userlog.h"
 #include "condorg/sim/det.h"
 #include "condorg/sim/host.h"
+#include "condorg/util/metrics.h"
 
 namespace condorg::core {
 
@@ -52,7 +53,10 @@ class Schedd {
   bool remove(std::uint64_t id);
 
   // --- agent-side mutation (GridManager, shadows, DAGMan) ---
-  /// Apply `mutate` to the job and persist. Returns false for unknown ids.
+  /// Apply `mutate` to the job and persist its state record. Returns false
+  /// for unknown ids. The description record is written once, at submit:
+  /// `mutate` changes only the state fields (status through completion
+  /// time), never `desc`, `id` or `submit_time`.
   bool with_job(std::uint64_t id, const std::function<void(Job&)>& mutate);
 
   /// Logged transitions.
@@ -90,7 +94,8 @@ class Schedd {
   void send_email(const std::string& subject, const std::string& body);
 
  private:
-  void persist(const Job& job);
+  void persist_state(const Job& job);
+  /// Rebuild the queue from both records of every job.
   void reload();
   void notify(const Job& job);
   /// Observability choke point: every queue mutation (submit and every
@@ -109,7 +114,9 @@ class Schedd {
   /// Move `job.id` between the (universe, status) id sets. `previous` is
   /// ignored when `is_new`.
   void reindex(const Job& job, JobStatus previous, bool is_new);
+  /// Stable-storage keys of a job's description and state records.
   static std::string job_key(std::uint64_t id);
+  static std::string state_key(std::uint64_t id);
 
   sim::Host& host_;
   UserLog log_;
@@ -125,6 +132,19 @@ class Schedd {
   /// status cells within one universe row.
   det::HostLocal<std::array<std::array<std::set<std::uint64_t>, 5>, 2>>
       status_sets_;
+  /// Metric series, each resolved on its first use (in the order the
+  /// registry saw them before caching, so the label cap picks the same
+  /// series) and then written without a registry lookup. A null gauge past
+  /// its family's cap stays null.
+  struct Series {
+    util::Counter* submits = nullptr;
+    std::array<std::array<util::Counter*, 5>, 5> transitions{};  // [from][to]
+    std::array<util::Gauge*, 5> depth{};
+    std::array<bool, 5> depth_resolved{};
+    util::Gauge* index_size = nullptr;
+    bool index_size_resolved = false;
+  };
+  Series series_;
   // det-local(listeners_): registered by same-host daemons at wiring time.
   std::vector<std::function<void(const Job&)>> listeners_;
   int boot_id_ = 0;

@@ -1,6 +1,10 @@
 #include "condorg/core/job.h"
 
+#include <charconv>
+#include <vector>
+
 #include "condorg/classad/parser.h"
+#include "condorg/util/strings.h"
 
 namespace condorg::core {
 
@@ -35,7 +39,19 @@ JobStatus status_from_string(const std::string& text) {
   return JobStatus::kRemoved;
 }
 
-std::string Job::serialize() const {
+namespace {
+constexpr char kStateSep = '\x1f';
+constexpr std::size_t kStateFields = 10;
+
+template <typename Int>
+Int parse_int(std::string_view text) {
+  Int value = 0;
+  std::from_chars(text.data(), text.data() + text.size(), value);
+  return value;
+}
+}  // namespace
+
+std::string Job::description_record() const {
   sim::Payload p;
   p.set_uint("id", id);
   p.set("universe", to_string(desc.universe));
@@ -52,23 +68,35 @@ std::string Job::serialize() const {
   p.set_int("max_attempts", desc.max_attempts);
   p.set_bool("notify_email", desc.notify_email);
   p.set("tag", desc.tag);
-
-  p.set("status", to_string(status));
-  p.set("hold_reason", hold_reason);
-  p.set_int("attempts", attempts);
-  p.set_uint("gram_seq", gram_seq);
-  p.set("gram_contact", gram_contact);
-  p.set("gram_site", gram_site);
-  p.set("remote_state", remote_state);
-  p.set_double("checkpointed_work", checkpointed_work);
   p.set_double("submit_time", submit_time);
-  p.set_double("first_execute_time", first_execute_time);
-  p.set_double("completion_time", completion_time);
   return p.serialize();
 }
 
-Job Job::deserialize(const std::string& text) {
-  const sim::Payload p = sim::Payload::deserialize(text);
+std::string Job::state_record() const {
+  std::string out = to_string(status);
+  out += kStateSep;
+  out += hold_reason;
+  out += kStateSep;
+  out += std::to_string(attempts);
+  out += kStateSep;
+  out += std::to_string(gram_seq);
+  out += kStateSep;
+  out += gram_contact;
+  out += kStateSep;
+  out += gram_site;
+  out += kStateSep;
+  out += remote_state;
+  out += kStateSep;
+  util::append_double(out, checkpointed_work);
+  out += kStateSep;
+  util::append_double(out, first_execute_time);
+  out += kStateSep;
+  util::append_double(out, completion_time);
+  return out;
+}
+
+Job Job::from_records(const std::string& description, std::string_view state) {
+  const sim::Payload p = sim::Payload::deserialize(description);
   Job job;
   job.id = p.get_uint("id");
   job.desc.universe = universe_from_string(p.get("universe"));
@@ -89,18 +117,20 @@ Job Job::deserialize(const std::string& text) {
   job.desc.max_attempts = static_cast<int>(p.get_int("max_attempts", 10));
   job.desc.notify_email = p.get_bool("notify_email");
   job.desc.tag = p.get("tag");
-
-  job.status = status_from_string(p.get("status"));
-  job.hold_reason = p.get("hold_reason");
-  job.attempts = static_cast<int>(p.get_int("attempts"));
-  job.gram_seq = p.get_uint("gram_seq");
-  job.gram_contact = p.get("gram_contact");
-  job.gram_site = p.get("gram_site");
-  job.remote_state = p.get("remote_state");
-  job.checkpointed_work = p.get_double("checkpointed_work");
   job.submit_time = p.get_double("submit_time");
-  job.first_execute_time = p.get_double("first_execute_time", -1);
-  job.completion_time = p.get_double("completion_time", -1);
+
+  const std::vector<std::string> fields = util::split(state, kStateSep);
+  if (fields.size() != kStateFields) return job;
+  job.status = status_from_string(fields[0]);
+  job.hold_reason = fields[1];
+  job.attempts = parse_int<int>(fields[2]);
+  job.gram_seq = parse_int<std::uint64_t>(fields[3]);
+  job.gram_contact = fields[4];
+  job.gram_site = fields[5];
+  job.remote_state = fields[6];
+  job.checkpointed_work = util::parse_double(fields[7]);
+  job.first_execute_time = util::parse_double(fields[8], -1);
+  job.completion_time = util::parse_double(fields[9], -1);
   return job;
 }
 

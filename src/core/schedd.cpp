@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <iterator>
+#include <string_view>
 
 namespace condorg::core {
 namespace {
 constexpr const char* kNextIdKey = "schedd/next_id";
-}
+constexpr std::string_view kJobPrefix = "schedd/job/";
+constexpr std::string_view kStatePrefix = "schedd/state/";
+}  // namespace
 
 std::string Schedd::job_key(std::uint64_t id) {
-  return "schedd/job/" + std::to_string(id);
+  return std::string(kJobPrefix) + std::to_string(id);
+}
+
+std::string Schedd::state_key(std::uint64_t id) {
+  return std::string(kStatePrefix) + std::to_string(id);
 }
 
 Schedd::Schedd(sim::Host& host)
@@ -34,10 +41,13 @@ Schedd::~Schedd() { host_.remove_boot(boot_id_); }
 
 void Schedd::reload() {
   jobs_->clear();
-  for (const std::string& key : host_.disk().keys_with_prefix("schedd/job/")) {
-    const auto text = host_.disk().get(key);
-    if (!text) continue;
-    Job job = Job::deserialize(*text);
+  for (const std::string& key :
+       host_.disk().keys_with_prefix(std::string(kJobPrefix))) {
+    const auto description = host_.disk().get(key);
+    if (!description) continue;
+    const auto state = host_.disk().get(std::string(kStatePrefix) +
+                                        key.substr(kJobPrefix.size()));
+    Job job = Job::from_records(*description, state ? *state : "");
     jobs_->emplace(job.id, std::move(job));
   }
   if (const auto stored = host_.disk().get(kNextIdKey)) {
@@ -61,16 +71,20 @@ void Schedd::reindex(const Job& job, JobStatus previous, bool is_new) {
     // from the queue), so the gauge is refreshed on the insert edge. Past
     // the family's label cap there is no series for this host: the shared
     // `other` gauge would be written from every Schedd's island.
-    util::Gauge* gauge = host_.metrics().own_gauge(
-        "schedd_index_size", {{"host", host_.name()}});
-    if (gauge != nullptr) {
-      gauge->set(host_.now(), static_cast<double>(jobs_->size()));
+    if (!series_.index_size_resolved) {
+      series_.index_size = host_.metrics().own_gauge(
+          "schedd_index_size", {{"host", host_.name()}});
+      series_.index_size_resolved = true;
+    }
+    if (series_.index_size != nullptr) {
+      series_.index_size->set(host_.now(),
+                              static_cast<double>(jobs_->size()));
     }
   }
 }
 
-void Schedd::persist(const Job& job) {
-  host_.disk().put(job_key(job.id), job.serialize());
+void Schedd::persist_state(const Job& job) {
+  host_.disk().put(state_key(job.id), job.state_record());
 }
 
 void Schedd::notify(const Job& job) {
@@ -80,12 +94,16 @@ void Schedd::notify(const Job& job) {
 
 void Schedd::set_depth_gauge(JobStatus status) {
   // Host-owned series only, as for schedd_index_size.
-  util::Gauge* gauge = host_.metrics().own_gauge(
-      "schedd.queue_depth",
-      {{"host", host_.name()}, {"status", to_string(status)}});
-  if (gauge != nullptr) {
-    gauge->set(host_.now(),
-               static_cast<double>((*status_counts_)[status_index(status)]));
+  const std::size_t index = status_index(status);
+  if (!series_.depth_resolved[index]) {
+    series_.depth[index] = host_.metrics().own_gauge(
+        "schedd.queue_depth",
+        {{"host", host_.name()}, {"status", to_string(status)}});
+    series_.depth_resolved[index] = true;
+  }
+  if (series_.depth[index] != nullptr) {
+    series_.depth[index]->set(
+        host_.now(), static_cast<double>((*status_counts_)[index]));
   }
 }
 
@@ -95,7 +113,11 @@ void Schedd::on_status_change(const Job& job, JobStatus previous,
   if (is_new) {
     ++(*status_counts_)[status_index(job.status)];
     reindex(job, job.status, /*is_new=*/true);
-    host_.metrics().counter("schedd.submits", {{"host", host_.name()}}).inc();
+    if (series_.submits == nullptr) {
+      series_.submits =
+          &host_.metrics().counter("schedd.submits", {{"host", host_.name()}});
+    }
+    series_.submits->inc();
     set_depth_gauge(job.status);
     if (tracer.enabled()) {
       tracer.begin_job(job.id, host_.name(), host_.epoch(),
@@ -108,11 +130,15 @@ void Schedd::on_status_change(const Job& job, JobStatus previous,
   --(*status_counts_)[status_index(previous)];
   ++(*status_counts_)[status_index(job.status)];
   reindex(job, previous, /*is_new=*/false);
-  host_.metrics()
-      .counter("schedd.transitions", {{"host", host_.name()},
-                                      {"from", to_string(previous)},
-                                      {"to", to_string(job.status)}})
-      .inc();
+  util::Counter*& transitions =
+      series_.transitions[status_index(previous)][status_index(job.status)];
+  if (transitions == nullptr) {
+    transitions = &host_.metrics().counter(
+        "schedd.transitions", {{"host", host_.name()},
+                               {"from", to_string(previous)},
+                               {"to", to_string(job.status)}});
+  }
+  transitions->inc();
   set_depth_gauge(previous);
   set_depth_gauge(job.status);
   // Close the root span exactly once: terminal states never transition
@@ -134,7 +160,8 @@ std::uint64_t Schedd::submit(JobDescription description) {
   job.id = id;
   job.desc = std::move(description);
   job.submit_time = host_.now();
-  persist(job);
+  host_.disk().put(job_key(id), job.description_record());
+  persist_state(job);
   const auto [it, inserted] = jobs_->emplace(id, std::move(job));
   on_status_change(it->second, it->second.status, /*is_new=*/true);
   log_.record(host_.now(), id, LogEventKind::kSubmit,
@@ -160,7 +187,7 @@ bool Schedd::with_job(std::uint64_t id,
   if (it == jobs_->end()) return false;
   const JobStatus previous = it->second.status;
   mutate(it->second);
-  persist(it->second);
+  persist_state(it->second);
   on_status_change(it->second, previous, /*is_new=*/false);
   notify(it->second);
   return true;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,10 @@ class StagingCache {
   StagingCache(const StagingCache&) = delete;
   StagingCache& operator=(const StagingCache&) = delete;
 
-  using FetchCallback = std::function<void(std::optional<FileInfo>)>;
+  /// Receives the cached entry itself (null on a failed transfer): every
+  /// waiter of one transfer and every later hit share one FileInfo, which
+  /// stays intact for its holders even after the entry is invalidated.
+  using FetchCallback = std::function<void(std::shared_ptr<const FileInfo>)>;
 
   /// Fetch `path` from `server`, serving from cache when possible.
   /// `expected_checksum` != 0 pins the content identity: a cached or
@@ -64,7 +68,7 @@ class StagingCache {
 
  private:
   struct Entry {
-    FileInfo info;
+    std::shared_ptr<const FileInfo> info;
     bool in_flight = false;
     std::uint64_t expected_checksum = 0;  // of the in-flight transfer
     // det-local(waiters): Entry values live inside the HostLocal

@@ -20,7 +20,7 @@ void StagingCache::fetch(const sim::Address& server, const std::string& path,
   auto it = entries_->find(path);
   if (it != entries_->end() && !it->second.in_flight) {
     if (expected_checksum == 0 ||
-        it->second.info.checksum == expected_checksum) {
+        it->second.info->checksum == expected_checksum) {
       ++hits_;
       hits_counter_.inc();
       done(it->second.info);
@@ -66,15 +66,15 @@ void StagingCache::start_transfer(const sim::Address& server,
           // Failed transfer: nothing to cache; every waiter retries through
           // its own ladder (JobManager::stage_in backs off and re-fetches).
           entries_->erase(it);
-          for (auto& waiter : waiters) waiter(std::nullopt);
+          for (auto& waiter : waiters) waiter(nullptr);
           return;
         }
-        it->second.info = std::move(*file);
+        it->second.info = std::make_shared<const FileInfo>(std::move(*file));
         it->second.in_flight = false;
-        // Hand each waiter its own copy: a waiter may invalidate the entry
-        // (fetch with a different expected checksum), which would erase the
-        // stored FileInfo out from under the rest.
-        const FileInfo info = it->second.info;
+        // Hold a reference across the loop: a waiter may invalidate the
+        // entry (fetch with a different expected checksum), which erases
+        // the cache's reference but not the FileInfo the rest still share.
+        const std::shared_ptr<const FileInfo> info = it->second.info;
         for (auto& waiter : waiters) waiter(info);
       },
       timeout);

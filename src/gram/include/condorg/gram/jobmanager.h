@@ -85,6 +85,10 @@ class JobManager {
   std::uint64_t client_seq() const { return client_seq_; }
   bool committed() const { return committed_; }
   std::uint64_t local_job_id() const { return local_job_id_; }
+  /// The delegated proxy this JobManager's GASS traffic runs on (§4.3).
+  const std::string& forwarded_credential() const {
+    return forwarded_credential_;
+  }
   sim::Address address() const {
     return {host_.name(), jobmanager_service(contact_)};
   }
@@ -101,12 +105,20 @@ class JobManager {
   void kill_process();
   bool process_alive() const { return process_alive_; }
 
-  /// Stable-storage key for a contact's record.
+  /// Stable-storage keys of a contact's two records. The description
+  /// record (spec, callback, client id and seq, forwarded proxy) is written
+  /// at creation and rewritten only on jm.update_gass and
+  /// jm.refresh_credential; the Gatekeeper's audit and restart path read
+  /// it. The state record (state, commit flag, local job id, streamed
+  /// chunks) is rewritten on every transition.
   static std::string record_key(const std::string& contact);
+  static std::string state_key(const std::string& contact);
 
  private:
   void install();
-  void persist();
+  void persist_description();
+  void persist_state();
+  /// Rebuild from both records (reattach).
   void load_record();
   void on_message(const sim::Message& message);
   void commit();
@@ -133,6 +145,7 @@ class JobManager {
   sim::Network& network_;
   batch::LocalScheduler& scheduler_;
   std::string contact_;
+  std::string state_key_;  // state_key(contact_)
   GramJobSpec spec_;
   sim::Address client_callback_;
   std::string client_id_;

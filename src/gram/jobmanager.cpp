@@ -1,6 +1,8 @@
 #include "condorg/gram/jobmanager.h"
 
+#include <charconv>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "condorg/util/strings.h"
@@ -11,10 +13,38 @@ constexpr double kLocalPollInterval = 15.0;   // PENDING->ACTIVE grid step
 constexpr double kStageTimeout = 600.0;
 constexpr double kStageRetryDelay = 60.0;
 constexpr int kStageRetries = 30;
+
+// The state record: state, committed, local job id and streamed chunks in
+// that order, one separator between fields.
+constexpr char kStateSep = '\x1f';
+
+struct StateRecord {
+  std::string state;
+  bool committed = false;
+  std::uint64_t local_job_id = 0;
+  std::uint64_t streamed_chunks = 0;
+};
+
+std::optional<StateRecord> decode_state(std::string_view text) {
+  const auto fields = util::split(text, kStateSep);
+  if (fields.size() != 4) return std::nullopt;
+  StateRecord record;
+  record.state = fields[0];
+  record.committed = fields[1] == "1";
+  std::from_chars(fields[2].data(), fields[2].data() + fields[2].size(),
+                  record.local_job_id);
+  std::from_chars(fields[3].data(), fields[3].data() + fields[3].size(),
+                  record.streamed_chunks);
+  return record;
+}
 }  // namespace
 
 std::string JobManager::record_key(const std::string& contact) {
   return "gram/job/" + contact;
+}
+
+std::string JobManager::state_key(const std::string& contact) {
+  return "gram/state/" + contact;
 }
 
 JobManagerStateCounters JobManagerStateCounters::for_site(
@@ -40,6 +70,7 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
       network_(network),
       scheduler_(scheduler),
       contact_(std::move(contact)),
+      state_key_(state_key(contact_)),
       spec_(std::move(spec)),
       client_callback_(std::move(client_callback)),
       client_id_(std::move(client_id)),
@@ -55,7 +86,8 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
       host_, network_, jobmanager_service(contact_) + ".gass");
   gass_->set_credential_text(forwarded_credential_);
   install();
-  persist();
+  persist_description();
+  persist_state();
   crash_listener_ = host_.add_crash_listener([this] { process_alive_ = false; });
   sim::Tracer& tracer = host_.tracer();
   if (tracer.enabled()) {
@@ -75,6 +107,7 @@ JobManager::JobManager(sim::Host& host, sim::Network& network,
       network_(network),
       scheduler_(scheduler),
       contact_(std::move(contact)),
+      state_key_(state_key(contact_)),
       state_(host, "jobmanager.state", GramJobState::kUnsubmitted),
       state_counters_(state_counters),
       staging_cache_(staging_cache) {
@@ -148,19 +181,26 @@ void JobManager::kill_process() {
   gass_.reset();
 }
 
-void JobManager::persist() {
+void JobManager::persist_description() {
   sim::Payload record;
   spec_.to_payload(record);
   record.set("callback", client_callback_.str());
   record.set("client_id", client_id_);
   record.set_uint("client_seq", client_seq_);
-  record.set_bool("committed", committed_);
-  record.set_uint("local_job_id", local_job_id_);
-  record.set("state", to_string(state_));
   record.set_bool("auto_commit", auto_commit_);
   record.set("fwd_credential", forwarded_credential_);
-  record.set_uint("streamed_chunks", streamed_chunks_);
   host_.disk().put(record_key(contact_), record.serialize());
+}
+
+void JobManager::persist_state() {
+  std::string record = to_string(state_);
+  record += kStateSep;
+  record += committed_ ? '1' : '0';
+  record += kStateSep;
+  record += std::to_string(local_job_id_);
+  record += kStateSep;
+  record += std::to_string(streamed_chunks_);
+  host_.disk().put(state_key_, std::move(record));
 }
 
 void JobManager::load_record() {
@@ -171,12 +211,15 @@ void JobManager::load_record() {
   client_callback_ = sim::Address::parse(record.get("callback"));
   client_id_ = record.get("client_id");
   client_seq_ = record.get_uint("client_seq");
-  committed_ = record.get_bool("committed");
-  local_job_id_ = record.get_uint("local_job_id");
-  state_ = gram_state_from_string(record.get("state"));
   auto_commit_ = record.get_bool("auto_commit");
   forwarded_credential_ = record.get("fwd_credential");
-  streamed_chunks_ = record.get_uint("streamed_chunks");
+  const auto text_state = host_.disk().get(state_key_);
+  const auto state = text_state ? decode_state(*text_state) : std::nullopt;
+  if (!state) return;
+  state_ = gram_state_from_string(state->state);
+  committed_ = state->committed;
+  local_job_id_ = state->local_job_id;
+  streamed_chunks_ = state->streamed_chunks;
 }
 
 void JobManager::audit(std::vector<std::string>& out) const {
@@ -190,23 +233,23 @@ void JobManager::audit(std::vector<std::string>& out) const {
     out.push_back(contact_ + " is " + to_string(state_) +
                   " with no local scheduler job");
   }
-  // The record on stable storage is what a post-crash replacement would be
-  // rebuilt from; if it lags the in-memory state, recovery would silently
-  // rewind the job.
-  const auto text = host_.disk().get(record_key(contact_));
-  if (!text) {
+  // The records on stable storage are what a post-crash replacement would
+  // be rebuilt from; if the state record lags the in-memory state, recovery
+  // would silently rewind the job.
+  const auto text = host_.disk().get(state_key_);
+  const auto record = text ? decode_state(*text) : std::nullopt;
+  if (!record || !host_.disk().contains(record_key(contact_))) {
     out.push_back(contact_ + " has no stable-storage record");
     return;
   }
-  const sim::Payload record = sim::Payload::deserialize(*text);
-  if (record.get("state") != to_string(state_)) {
-    out.push_back(contact_ + " persisted state " + record.get("state") +
+  if (record->state != to_string(state_)) {
+    out.push_back(contact_ + " persisted state " + record->state +
                   " but is " + to_string(state_));
   }
-  if (record.get_bool("committed") != committed_) {
+  if (record->committed != committed_) {
     out.push_back(contact_ + " commit flag not persisted");
   }
-  if (record.get_uint("local_job_id") != local_job_id_) {
+  if (record->local_job_id != local_job_id_) {
     out.push_back(contact_ + " local job id not persisted");
   }
 }
@@ -253,7 +296,7 @@ void JobManager::on_message(const sim::Message& message) {
     // switches to it immediately.
     forwarded_credential_ = message.body.get("credential");
     gass_->set_credential_text(forwarded_credential_);
-    persist();
+    persist_description();
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
@@ -265,7 +308,7 @@ void JobManager::on_message(const sim::Message& message) {
     // "If the address of the GASS server should change ... the GridManager
     // requests the JobManager to update the file with the new address."
     spec_.gass_url = message.body.get("gass_url");
-    persist();
+    persist_description();
     sim::rpc_reply(network_, message, address(), std::move(reply));
     // The new server has none of our streamed output: resend it
     // ("permitting a client to request resending of this data after a
@@ -284,7 +327,7 @@ void JobManager::on_message(const sim::Message& message) {
 
 void JobManager::commit() {
   committed_ = true;
-  persist();
+  persist_state();
   sim::Tracer& tracer = host_.tracer();
   if (tracer.enabled()) {
     // Milestone: the interval ending here is the commit leg of the
@@ -317,9 +360,9 @@ void JobManager::stage_in() {
     // the callback must probe the lifetime before touching `this` (the
     // direct-get path's callback dies with our own FileClient instead).
     auto on_file = [this, attempt, self, alive = life_.observer()](
-                       std::optional<gass::FileInfo> file) {
+                       bool arrived) {
       if (!alive() || !process_alive_) return;
-      if (file) {
+      if (arrived) {
         submit_to_scheduler();
         return;
       }
@@ -334,10 +377,20 @@ void JobManager::stage_in() {
     if (staging_cache_ != nullptr && spec_.exe_checksum != 0) {
       // Content-addressed executable: the per-site cache coalesces
       // concurrent stages and serves repeats with zero transfers.
-      staging_cache_->fetch(server, spec_.executable, spec_.exe_checksum,
-                            std::move(on_file), kStageTimeout);
+      staging_cache_->fetch(
+          server, spec_.executable, spec_.exe_checksum,
+          [on_file = std::move(on_file)](
+              std::shared_ptr<const gass::FileInfo> file) {
+            on_file(file != nullptr);
+          },
+          kStageTimeout);
     } else {
-      gass_->get(server, spec_.executable, std::move(on_file), kStageTimeout);
+      gass_->get(
+          server, spec_.executable,
+          [on_file = std::move(on_file)](std::optional<gass::FileInfo> file) {
+            on_file(file.has_value());
+          },
+          kStageTimeout);
     }
   };
   (*try_fetch)();
@@ -496,7 +549,7 @@ void JobManager::stream_output_tick() {
                              contact_.c_str()),
                 0, [](bool) {}, kStageTimeout,
                 /*writer=*/contact_, seq);
-  persist();
+  persist_state();
   host_.post(spec_.stream_interval,
              life_.wrap([this] { stream_output_tick(); }));
 }
@@ -521,7 +574,7 @@ void JobManager::restream_output() {
 
 void JobManager::set_state(GramJobState state, const std::string& why) {
   state_ = state;
-  persist();
+  persist_state();
   if (state_counters_ != nullptr) {
     state_counters_->at(state)->inc();
   } else {

@@ -37,7 +37,7 @@ class Payload {
     fields_[key] = std::to_string(value);
   }
   void set_double(const std::string& key, double value) {
-    fields_[key] = util::format("%.17g", value);
+    fields_[key] = util::format_double(value);
   }
   void set_bool(const std::string& key, bool value) {
     // Delegating to set() keeps the assignment on the std::string move path;

@@ -39,11 +39,7 @@ std::uint64_t Payload::get_uint(const std::string& key,
 double Payload::get_double(const std::string& key, double fallback) const {
   const auto it = fields_.find(key);
   if (it == fields_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    return fallback;
-  }
+  return util::parse_double(it->second, fallback);
 }
 
 bool Payload::get_bool(const std::string& key, bool fallback) const {

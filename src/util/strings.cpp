@@ -1,6 +1,7 @@
 #include "condorg/util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -72,6 +73,26 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 bool ends_with(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
+}
+
+void append_double(std::string& out, double value) {
+  char buf[32];  // the longest shortest form, "-2.2250738585072014e-308"
+  const auto result = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, result.ptr);
+}
+
+std::string format_double(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
+}
+
+double parse_double(std::string_view text, double fallback) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end == text.data()) return fallback;
+  return value;
 }
 
 std::string format(const char* fmt, ...) {

@@ -145,7 +145,8 @@ TEST(StandardAuditor, SilentThroughCredentialExpiry) {
 
 // attach_agent covers the personal pool too: the negotiator's periodic
 // sweep re-runs its restricted match pass unrestricted, and a disagreement
-// would be a violation.
+// would be a violation. The glide-in site's Gatekeeper is audited as well:
+// four glide-ins share it, and each must count as its own job.
 TEST(StandardAuditor, SilentThroughGlideInPool) {
   cw::GridTestbed testbed(17);
   cw::SiteSpec site;
@@ -162,6 +163,7 @@ TEST(StandardAuditor, SilentThroughGlideInPool) {
   agent.start();
   core::StandardAuditor auditor(testbed.world().sim(), /*period=*/32);
   auditor.attach_agent(agent);
+  auditor.attach_gatekeeper(*testbed.site(0).gatekeeper);
   for (int i = 0; i < 12; ++i) {
     core::JobDescription desc;
     desc.universe = core::Universe::kVanilla;

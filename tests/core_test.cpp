@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -130,6 +132,102 @@ TEST(Schedd, QueueSurvivesCrash) {
   EXPECT_EQ(job->status, core::JobStatus::kRunning);
   // Fresh submissions after recovery get new ids (persisted counter).
   EXPECT_GT(schedd.submit({}), id);
+}
+
+namespace {
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_same_job(const core::Job& back, const core::Job& job) {
+  EXPECT_EQ(back.id, job.id);
+  EXPECT_EQ(back.desc.universe, job.desc.universe);
+  EXPECT_EQ(back.desc.owner, job.desc.owner);
+  EXPECT_EQ(back.desc.executable, job.desc.executable);
+  EXPECT_EQ(back.desc.output, job.desc.output);
+  EXPECT_EQ(bits(back.desc.runtime_seconds), bits(job.desc.runtime_seconds));
+  EXPECT_EQ(back.desc.cpus, job.desc.cpus);
+  EXPECT_EQ(bits(back.desc.walltime_limit), bits(job.desc.walltime_limit));
+  EXPECT_EQ(back.desc.output_size, job.desc.output_size);
+  EXPECT_EQ(back.desc.executable_size, job.desc.executable_size);
+  EXPECT_EQ(back.desc.grid_site, job.desc.grid_site);
+  EXPECT_EQ(back.desc.ad.unparse(), job.desc.ad.unparse());
+  EXPECT_EQ(back.desc.max_attempts, job.desc.max_attempts);
+  EXPECT_EQ(back.desc.notify_email, job.desc.notify_email);
+  EXPECT_EQ(back.desc.tag, job.desc.tag);
+  EXPECT_EQ(back.status, job.status);
+  EXPECT_EQ(back.hold_reason, job.hold_reason);
+  EXPECT_EQ(back.attempts, job.attempts);
+  EXPECT_EQ(back.gram_seq, job.gram_seq);
+  EXPECT_EQ(back.gram_contact, job.gram_contact);
+  EXPECT_EQ(back.gram_site, job.gram_site);
+  EXPECT_EQ(back.remote_state, job.remote_state);
+  EXPECT_EQ(bits(back.checkpointed_work), bits(job.checkpointed_work));
+  EXPECT_EQ(bits(back.submit_time), bits(job.submit_time));
+  EXPECT_EQ(bits(back.first_execute_time), bits(job.first_execute_time));
+  EXPECT_EQ(bits(back.completion_time), bits(job.completion_time));
+}
+
+}  // namespace
+
+// A job's description record is written once, at submit, and its state
+// record on every transition. After each transition a crash must rebuild
+// the job exactly as it was, doubles to the bit.
+TEST(Schedd, EveryTransitionSurvivesCrashFieldByField) {
+  cs::World world;
+  cs::Host& host = world.add_host("submit");
+  core::Schedd schedd(host);
+  world.sim().run_until(0.1);
+  core::JobDescription desc;
+  desc.owner = "miron";
+  desc.executable = "worker";
+  desc.output = "out/worker.out";
+  desc.runtime_seconds = 1000.0 / 3.0;
+  desc.walltime_limit = 7200.125;
+  desc.cpus = 3;
+  desc.output_size = 4096;
+  desc.executable_size = 5000;
+  desc.grid_site = "pbs.anl.gov";
+  desc.ad.insert_expr("Requirements",
+                      "other.Memory > 64 && other.Arch == \"X86_64\"");
+  desc.ad.insert_real("Weight", 0.1);
+  desc.max_attempts = 4;
+  desc.notify_email = false;
+  desc.tag = "unit-9";
+  const auto id = schedd.submit(desc);
+
+  int step = 0;
+  const auto crash_and_compare = [&] {
+    SCOPED_TRACE("after step " + std::to_string(++step));
+    const core::Job before = *schedd.find(id);
+    host.crash();
+    host.restart();
+    ASSERT_NE(schedd.find(id), nullptr);
+    expect_same_job(*schedd.find(id), before);
+    // Two records per job, plus the id allocator.
+    EXPECT_EQ(host.disk().keys_with_prefix("schedd/").size(), 3u);
+    world.sim().run_until(world.now() + 10.0 / 3.0);
+  };
+  crash_and_compare();  // submitted
+  schedd.mark_grid_submitted(id, 17, "pbs.anl.gov", "pbs.anl.gov:3");
+  crash_and_compare();
+  schedd.mark_executing(id, "pbs.anl.gov");
+  crash_and_compare();
+  ASSERT_TRUE(schedd.hold(id, "credential expired or expiring"));
+  crash_and_compare();
+  ASSERT_TRUE(schedd.release(id));
+  crash_and_compare();
+  schedd.mark_evicted(id, 2000.0 / 7.0, "claim lost");
+  crash_and_compare();
+  schedd.mark_idle_again(id, core::LogEventKind::kResubmitted, "site down");
+  crash_and_compare();
+  schedd.mark_completed(id);
+  crash_and_compare();
+  const core::Job done = *schedd.find(id);
+  EXPECT_EQ(done.status, core::JobStatus::kCompleted);
+  EXPECT_EQ(done.attempts, 1);
+  EXPECT_EQ(bits(done.checkpointed_work), bits(2000.0 / 7.0));
+  EXPECT_GT(done.first_execute_time, done.submit_time);
+  EXPECT_GT(done.completion_time, done.first_execute_time);
 }
 
 // Per-host Schedd gauges stay host-owned: past the registry's label cap a

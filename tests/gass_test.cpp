@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "condorg/gass/client.h"
 #include "condorg/gass/file_service.h"
 #include "condorg/gass/staging_cache.h"
@@ -275,8 +278,8 @@ TEST_F(StagingCacheFixture, CoalescesConcurrentFetchesIntoOneTransfer) {
   int delivered = 0;
   for (int i = 0; i < 5; ++i) {
     cache_a.fetch(gass.address(), "exe/cas/1", checksum,
-                  [&](std::optional<cg::FileInfo> info) {
-                    ASSERT_TRUE(info.has_value());
+                  [&](std::shared_ptr<const cg::FileInfo> info) {
+                    ASSERT_NE(info, nullptr);
                     EXPECT_EQ(info->content, "worker-v1");
                     ++delivered;
                   });
@@ -291,14 +294,14 @@ TEST_F(StagingCacheFixture, CoalescesConcurrentFetchesIntoOneTransfer) {
 TEST_F(StagingCacheFixture, CachedEntryServesRepeatsSynchronously) {
   const std::uint64_t checksum = put_exe("exe/cas/1", "worker-v1");
   cache_a.fetch(gass.address(), "exe/cas/1", checksum,
-                [](std::optional<cg::FileInfo>) {});
+                [](std::shared_ptr<const cg::FileInfo>) {});
   world.sim().run();
   ASSERT_EQ(gass.gets_served(), 1u);
 
   bool synchronous = false;
   cache_a.fetch(gass.address(), "exe/cas/1", checksum,
-                [&](std::optional<cg::FileInfo> info) {
-                  ASSERT_TRUE(info.has_value());
+                [&](std::shared_ptr<const cg::FileInfo> info) {
+                  ASSERT_NE(info, nullptr);
                   synchronous = true;
                 });
   EXPECT_TRUE(synchronous);  // hit: no events needed
@@ -310,7 +313,7 @@ TEST_F(StagingCacheFixture, CachedEntryServesRepeatsSynchronously) {
 TEST_F(StagingCacheFixture, ChecksumMismatchInvalidatesAndRestages) {
   const std::uint64_t old_sum = put_exe("exe/a.out", "build-1");
   cache_a.fetch(gass.address(), "exe/a.out", old_sum,
-                [](std::optional<cg::FileInfo>) {});
+                [](std::shared_ptr<const cg::FileInfo>) {});
   world.sim().run();
   ASSERT_EQ(gass.gets_served(), 1u);
 
@@ -318,11 +321,11 @@ TEST_F(StagingCacheFixture, ChecksumMismatchInvalidatesAndRestages) {
   // checksum changes, the cached copy must NOT be served.
   const std::uint64_t new_sum = put_exe("exe/a.out", "build-2");
   ASSERT_NE(new_sum, old_sum);
-  std::optional<cg::FileInfo> got;
+  std::shared_ptr<const cg::FileInfo> got;
   cache_a.fetch(gass.address(), "exe/a.out", new_sum,
-                [&](std::optional<cg::FileInfo> info) { got = std::move(info); });
+                [&](std::shared_ptr<const cg::FileInfo> info) { got = std::move(info); });
   world.sim().run();
-  ASSERT_TRUE(got.has_value());
+  ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->content, "build-2");
   EXPECT_EQ(gass.gets_served(), 2u);  // re-staged exactly once
 }
@@ -331,8 +334,8 @@ TEST_F(StagingCacheFixture, FailureNotifiesEveryWaiterAndAllowsRetry) {
   int failures = 0;
   for (int i = 0; i < 3; ++i) {
     cache_a.fetch(gass.address(), "exe/missing", 7,
-                  [&](std::optional<cg::FileInfo> info) {
-                    EXPECT_FALSE(info.has_value());
+                  [&](std::shared_ptr<const cg::FileInfo> info) {
+                    EXPECT_EQ(info, nullptr);
                     ++failures;
                   });
   }
@@ -342,11 +345,11 @@ TEST_F(StagingCacheFixture, FailureNotifiesEveryWaiterAndAllowsRetry) {
 
   // Once the file exists a retry succeeds.
   const std::uint64_t checksum = put_exe("exe/missing", "late");
-  std::optional<cg::FileInfo> got;
+  std::shared_ptr<const cg::FileInfo> got;
   cache_a.fetch(gass.address(), "exe/missing", checksum,
-                [&](std::optional<cg::FileInfo> info) { got = std::move(info); });
+                [&](std::shared_ptr<const cg::FileInfo> info) { got = std::move(info); });
   world.sim().run();
-  ASSERT_TRUE(got.has_value());
+  ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->content, "late");
 }
 
@@ -354,13 +357,59 @@ TEST_F(StagingCacheFixture, SitesCacheIndependently) {
   const std::uint64_t checksum = put_exe("exe/cas/1", "worker-v1");
   for (cg::StagingCache* cache : {&cache_a, &cache_b}) {
     cache->fetch(gass.address(), "exe/cas/1", checksum,
-                 [](std::optional<cg::FileInfo>) {});
+                 [](std::shared_ptr<const cg::FileInfo>) {});
   }
   world.sim().run();
   // One transfer per site — a site cache never serves another site.
   EXPECT_EQ(gass.gets_served(), 2u);
   EXPECT_EQ(cache_a.misses(), 1u);
   EXPECT_EQ(cache_b.misses(), 1u);
+}
+
+TEST_F(StagingCacheFixture, WaitersAndLaterHitsShareOneFileInfo) {
+  const std::uint64_t checksum = put_exe("exe/cas/1", "worker-v1");
+  std::vector<const cg::FileInfo*> seen;
+  const auto record = [&](std::shared_ptr<const cg::FileInfo> info) {
+    ASSERT_NE(info, nullptr);
+    seen.push_back(info.get());
+  };
+  for (int i = 0; i < 5; ++i) {
+    cache_a.fetch(gass.address(), "exe/cas/1", checksum, record);
+  }
+  world.sim().run();
+  cache_a.fetch(gass.address(), "exe/cas/1", checksum, record);  // a hit
+  ASSERT_EQ(seen.size(), 6u);
+  for (const cg::FileInfo* info : seen) EXPECT_EQ(info, seen.front());
+  EXPECT_EQ(seen.front()->content, "worker-v1");
+  EXPECT_EQ(gass.gets_served(), 1u);
+}
+
+TEST_F(StagingCacheFixture, WaiterThatInvalidatesLeavesTheOthersIntact) {
+  const std::uint64_t checksum = put_exe("exe/a.out", "build-1");
+  std::vector<std::shared_ptr<const cg::FileInfo>> held;
+  for (int i = 0; i < 5; ++i) {
+    cache_a.fetch(
+        gass.address(), "exe/a.out", checksum,
+        [&](std::shared_ptr<const cg::FileInfo> info) {
+          ASSERT_NE(info, nullptr);
+          if (held.empty()) {
+            // The first waiter expects other content under the same path:
+            // the entry is invalidated and re-staged before the other four
+            // waiters run.
+            cache_a.fetch(gass.address(), "exe/a.out", checksum + 1,
+                          [](std::shared_ptr<const cg::FileInfo>) {});
+          }
+          held.push_back(std::move(info));
+        });
+  }
+  world.sim().run();
+  ASSERT_EQ(held.size(), 5u);
+  for (const auto& info : held) {
+    EXPECT_EQ(info, held.front());
+    EXPECT_EQ(info->content, "build-1");
+    EXPECT_EQ(info->checksum, checksum);
+  }
+  EXPECT_EQ(gass.gets_served(), 2u);  // the invalidating fetch re-staged
 }
 
 // ---------- authenticated service ----------

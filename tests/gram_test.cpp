@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "condorg/batch/fifo_scheduler.h"
 #include "condorg/gass/file_service.h"
@@ -304,6 +307,73 @@ TEST_F(GramFixture, UpdateGassRedirectsOutput) {
   await_state("DONE", 4000.0);
   EXPECT_TRUE(updated);
   EXPECT_TRUE(gass2.store().contains("out/job.out"));
+}
+
+// A JobManager keeps two records: the description, rewritten only on
+// jm.update_gass and jm.refresh_credential, and the state, rewritten on
+// every transition. A front-end crash after either update must restart the
+// JobManager with the update and with its last state.
+TEST_F(GramFixture, FrontEndRestartKeepsUpdatedGassAndCredential) {
+  cg::FileService gass2(submit, world.net(), "gass2");
+  const std::string contact = submit_and_await("ACTIVE");
+  ASSERT_FALSE(contact.empty());
+  const auto crash_and_restart = [&] {
+    site.crash();
+    site.restart();
+    std::optional<gram::GramJobState> state;
+    client.restart_jobmanager(contact, [&](auto s) { state = s; });
+    world.sim().run_until(world.now() + 5.0);
+    EXPECT_EQ(state, gram::GramJobState::kActive);
+    return gatekeeper->find_jobmanager(contact);
+  };
+
+  bool updated = false;
+  client.update_gass(contact, gass2.address(), [&](bool ok) { updated = ok; });
+  world.sim().run_until(world.now() + 5.0);
+  ASSERT_TRUE(updated);
+  const gram::JobManager* jm = crash_and_restart();
+  ASSERT_NE(jm, nullptr);
+  EXPECT_EQ(jm->spec().gass_url, gass2.address().str());
+  EXPECT_EQ(jm->state(), gram::GramJobState::kActive);
+  EXPECT_TRUE(jm->committed());
+  EXPECT_NE(jm->local_job_id(), 0u);
+
+  bool refreshed = false;
+  client.set_credential_text("refreshed-proxy");
+  client.refresh_remote_credential(contact,
+                                   [&](bool ok) { refreshed = ok; });
+  world.sim().run_until(world.now() + 5.0);
+  ASSERT_TRUE(refreshed);
+  jm = crash_and_restart();
+  ASSERT_NE(jm, nullptr);
+  EXPECT_EQ(jm->forwarded_credential(), "refreshed-proxy");
+  EXPECT_EQ(jm->spec().gass_url, gass2.address().str());
+  EXPECT_EQ(jm->state(), gram::GramJobState::kActive);
+
+  await_state("DONE", 4000.0);
+  EXPECT_TRUE(gass2.store().contains("out/job.out"));
+  EXPECT_EQ(cluster->history().size(), 1u);  // exactly-once
+}
+
+TEST_F(GramFixture, AuditFlagsAStateRecordThatLags) {
+  const std::string contact = submit_and_await("PENDING");
+  ASSERT_FALSE(contact.empty());
+  const std::string key = gram::JobManager::state_key(contact);
+  const auto pending = site.disk().get(key);
+  ASSERT_TRUE(pending.has_value());
+  await_state("ACTIVE", 4000.0);
+  const gram::JobManager* jm = gatekeeper->find_jobmanager(contact);
+  ASSERT_NE(jm, nullptr);
+  std::vector<std::string> problems;
+  jm->audit(problems);
+  EXPECT_TRUE(problems.empty());
+  // Rewind the state record: a restart would now rebuild a PENDING job.
+  site.disk().put(key, *pending);
+  jm->audit(problems);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_NE(problems[0].find("persisted state PENDING but is ACTIVE"),
+            std::string::npos)
+      << problems[0];
 }
 
 // ---------- GSI-protected gatekeeper ----------

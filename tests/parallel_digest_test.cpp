@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "condorg/classad/parser.h"
@@ -483,6 +484,45 @@ TEST(ParallelDigest, GlideInClusterCrashByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.job_table, base.job_table) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.claims_lost, base.claims_lost) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
+  }
+}
+
+// Lineage, pinned: each runner above at one worker, against a checked-in
+// table of kernel digest and dispatched-event count. The tests above
+// compare worker counts with each other, so a change that moves every
+// count alike passes them; it fails this one. A change meant to move
+// lineage re-records the table and says so in CHANGES.md.
+struct PinnedLineage {
+  const char* run;
+  std::uint64_t digest;
+  std::uint64_t dispatched;
+};
+
+constexpr PinnedLineage kPinnedLineage[] = {
+    {"quickstart", 0x2ce2908b2ff33c38ull, 348},
+    {"fault_drill", 0x1324d72ea6e0c3c3ull, 420},
+    {"pool_storm/6", 0xa9363ec4de522b03ull, 5867},
+    {"glidein_pool", 0x4b3ce9a47935fde8ull, 3365},
+    {"glidein_pool/cluster_crash", 0x103ff02794e1ae5bull, 3638},
+};
+
+TEST(ParallelDigest, PinnedLineageAtOneWorker) {
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> measured;
+  const RunArtifacts quickstart = run_quickstart(1, /*trace=*/false);
+  measured["quickstart"] = {quickstart.digest, quickstart.dispatched};
+  const RunArtifacts drill = run_fault_drill(1);
+  measured["fault_drill"] = {drill.digest, drill.dispatched};
+  const PoolArtifacts pool = run_pool_storm(1, 6);
+  measured["pool_storm/6"] = {pool.digest, pool.dispatched};
+  const GlideInArtifacts glidein = run_glidein_pool(1);
+  measured["glidein_pool"] = {glidein.digest, glidein.dispatched};
+  const GlideInArtifacts crash = run_glidein_pool(1, /*crash_cluster=*/true);
+  measured["glidein_pool/cluster_crash"] = {crash.digest, crash.dispatched};
+  for (const PinnedLineage& pinned : kPinnedLineage) {
+    const auto [digest, dispatched] = measured.at(pinned.run);
+    EXPECT_EQ(digest, pinned.digest)
+        << pinned.run << ": digest 0x" << std::hex << digest;
+    EXPECT_EQ(dispatched, pinned.dispatched) << pinned.run;
   }
 }
 

@@ -4,6 +4,11 @@
 // crash-recovery verification rests on).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "condorg/classad/parser.h"
 #include "condorg/core/agent.h"
 #include "condorg/core/broker.h"
 #include "condorg/core/job.h"
@@ -11,6 +16,7 @@
 #include "condorg/sim/message.h"
 #include "condorg/workloads/grid_builder.h"
 
+namespace classad = condorg::classad;
 namespace core = condorg::core;
 namespace cs = condorg::sim;
 namespace gram = condorg::gram;
@@ -41,6 +47,52 @@ TEST(PayloadSerde, EmptyAndGarbage) {
   // Garbage without separators: silently ignored fields, no crash.
   const cs::Payload q = cs::Payload::deserialize("no-separators-here");
   EXPECT_TRUE(q.fields().empty());
+}
+
+// ---------- numbers ----------
+
+namespace {
+
+// One formatter writes every number that is read back (util::format_double);
+// each of these must come back with the same bit pattern, which
+// EXPECT_DOUBLE_EQ (4 ulps, and -0.0 == 0.0) would not check.
+const double kRoundTripNumbers[] = {
+    0.1,
+    1.0 / 3.0,
+    5e-324,  // the smallest subnormal, which std::stod refuses
+    std::numeric_limits<double>::max(),
+    -0.0,
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    1e15,
+    123.5,
+};
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+}  // namespace
+
+TEST(NumberSerde, PayloadDoublesRoundTripBitExactly) {
+  for (const double value : kRoundTripNumbers) {
+    cs::Payload p;
+    p.set_double("x", value);
+    const cs::Payload q = cs::Payload::deserialize(p.serialize());
+    EXPECT_EQ(bits(q.get_double("x", 42.0)), bits(value)) << p.get("x");
+  }
+}
+
+TEST(NumberSerde, ClassAdRealsRoundTripBitExactly) {
+  for (const double value : kRoundTripNumbers) {
+    classad::ClassAd ad;
+    ad.insert_real("X", value);
+    const std::string text = ad.unparse();
+    const classad::Value back = classad::parse_ad(text).eval("X");
+    ASSERT_TRUE(back.is_real()) << text;
+    EXPECT_EQ(bits(back.as_real()), bits(value)) << text;
+  }
+  // An integral real keeps its ".0", so it reads back as a real.
+  EXPECT_EQ(classad::Value::real(3.0).unparse(), "3.0");
+  EXPECT_EQ(classad::Value::real(-0.0).unparse(), "-0.0");
 }
 
 // ---------- GramJobSpec ----------
@@ -98,7 +150,8 @@ TEST(JobSerde, RoundTripFullRecord) {
   job.first_execute_time = 20.0;
   job.completion_time = -1;
 
-  const core::Job back = core::Job::deserialize(job.serialize());
+  const core::Job back =
+      core::Job::from_records(job.description_record(), job.state_record());
   EXPECT_EQ(back.id, job.id);
   EXPECT_EQ(back.desc.universe, job.desc.universe);
   EXPECT_EQ(back.desc.owner, job.desc.owner);
