@@ -150,12 +150,17 @@ stage_begin "profile.traffic_matrix (spec cut == dynamic)"
   --traffic-matrix >/dev/null
 stage_end
 
-stage_begin "bench telemetry comparator"
+stage_begin "bench telemetry comparator + U1 gates"
 # The comparator's own logic is deterministic and always checked; diffing a
 # fresh bench run against the committed baselines needs real (noisy) numbers,
 # so it only runs when asked: CONDORG_BENCH_COMPARE=1 after running the
 # bench binaries (they drop BENCH_<id>.json next to themselves).
 python3 tools/bench_compare.py --self-test
+# The multi-user storm (about 12 s) exits nonzero unless the delta cycle
+# beats the pre-delta cycle by its speedup floor, Jain's index holds, the
+# queue drains, the sweep records no divergence and the digests agree
+# across worker counts.
+(cd build/bench && ./bench_u1_multiuser >/dev/null)
 if [[ "${CONDORG_BENCH_COMPARE:-0}" == "1" ]]; then
   # S1 is cheap enough to (re)generate here; M1/M2 are compared from
   # whatever run the operator produced beforehand.

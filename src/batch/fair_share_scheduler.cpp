@@ -3,59 +3,47 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 namespace condorg::batch {
 
-void FairShareTable::note_user(const std::string& user) {
-  users_.try_emplace(user);
+FairShareTable::UserId FairShareTable::add_user(std::string name) {
+  rows_.push_back(Row{std::move(name)});
+  return static_cast<UserId>(rows_.size() - 1);
 }
 
-void FairShareTable::charge(const std::string& user, double amount,
-                            double now) {
-  UserState& state = users_[user];
-  state.usage = decayed(state, now) + amount;
-  state.usage_as_of = now;
+void FairShareTable::charge(UserId user, double amount, double now) {
+  Row& row = rows_[user];
+  row.usage = decayed(row, now) + amount;
+  row.usage_as_of = now;
 }
 
-void FairShareTable::note_starved(const std::string& user) {
-  ++users_[user].starvation;
+double FairShareTable::effective_usage(UserId user, double now) const {
+  return decayed(rows_[user], now);
 }
 
-void FairShareTable::note_served(const std::string& user) {
-  users_[user].starvation = 0;
+double FairShareTable::decayed(const Row& row, double now) const {
+  if (row.usage == 0.0) return 0.0;
+  const double dt = now - row.usage_as_of;
+  if (dt <= 0.0 || options_.half_life <= 0.0) return row.usage;
+  return row.usage * std::exp2(-dt / options_.half_life);
 }
 
-double FairShareTable::effective_usage(const std::string& user,
-                                       double now) const {
-  const auto it = users_.find(user);
-  return it == users_.end() ? 0.0 : decayed(it->second, now);
-}
-
-int FairShareTable::starvation(const std::string& user) const {
-  const auto it = users_.find(user);
-  return it == users_.end() ? 0 : it->second.starvation;
-}
-
-double FairShareTable::decayed(const UserState& state, double now) const {
-  if (state.usage == 0.0) return 0.0;
-  const double dt = now - state.usage_as_of;
-  if (dt <= 0.0 || options_.half_life <= 0.0) return state.usage;
-  return state.usage * std::exp2(-dt / options_.half_life);
-}
-
-std::vector<std::string> FairShareTable::priority_order(double now) const {
-  struct Row {
-    const std::string* name;
+void FairShareTable::order(std::vector<UserId>& users, double now) const {
+  struct Key {
+    UserId user;
     double usage;
     int starvation;
   };
-  std::vector<Row> rows;
-  rows.reserve(users_.size());
-  for (const auto& [name, state] : users_) {
-    rows.push_back(Row{&name, decayed(state, now), state.starvation});
+  std::vector<Key> keys;
+  keys.reserve(users.size());
+  for (const UserId user : users) {
+    const Row& row = rows_[user];
+    keys.push_back(Key{user, decayed(row, now), row.starvation});
   }
   const int threshold = options_.starvation_threshold;
-  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
     const bool a_starved = a.starvation >= threshold;
     const bool b_starved = b.starvation >= threshold;
     if (a_starved != b_starved) return a_starved;
@@ -63,11 +51,18 @@ std::vector<std::string> FairShareTable::priority_order(double now) const {
       return a.starvation > b.starvation;
     }
     if (a.usage != b.usage) return a.usage < b.usage;
-    return *a.name < *b.name;
+    return rows_[a.user].name < rows_[b.user].name;
   });
+  for (std::size_t i = 0; i < keys.size(); ++i) users[i] = keys[i].user;
+}
+
+std::vector<std::string> FairShareTable::priority_order(double now) const {
+  std::vector<UserId> users(rows_.size());
+  std::iota(users.begin(), users.end(), UserId{0});
+  order(users, now);
   std::vector<std::string> out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) out.push_back(*row.name);
+  out.reserve(users.size());
+  for (const UserId user : users) out.push_back(rows_[user].name);
   return out;
 }
 

@@ -9,6 +9,13 @@
 
 namespace condorg::condor {
 
+namespace {
+
+// Min-heap order of the expiry heap.
+constexpr auto kLater = [](const auto& a, const auto& b) { return a.after(b); };
+
+}  // namespace
+
 Collector::Collector(sim::Host& host, sim::Network& network)
     : host_(host),
       network_(network),
@@ -16,6 +23,9 @@ Collector::Collector(sim::Host& host, sim::Network& network)
       expiry_heap_(host, "collector.expiry_heap"),
       change_seq_(host, "collector.change_seq", 0),
       noop_updates_(host, "collector.noop_updates", 0),
+      user_names_(host, "collector.user_names"),
+      user_ids_(host, "collector.user_ids"),
+      slot_constraint_(classad::parse_expr(kSlotConstraint)),
       noop_counter_(host.metrics().counter("collector_noop_updates",
                                            {{"host", host.name()}})) {
   install();
@@ -24,7 +34,8 @@ Collector::Collector(sim::Host& host, sim::Network& network)
     entries_->clear();
     expiry_heap_->clear();
     // The sequence resets with the incarnation, as does the colocated
-    // PoolNegotiator's last-seen one.
+    // PoolNegotiator's last-seen one. The user dictionary survives: the
+    // negotiator's fair-share rows are indexed by its ids.
     *change_seq_ = 0;
   });
 }
@@ -48,33 +59,34 @@ void Collector::on_message(const sim::Message& message) {
     const std::uint64_t checksum = util::fnv1a(raw);
     const sim::Time expires_at =
         host_.now() + message.body.get_double("ttl", 900.0);
-    const auto push_deadline = [this](sim::Time when, const std::string& n) {
-      expiry_heap_->push_back(Deadline{when, n});
-      std::push_heap(expiry_heap_->begin(), expiry_heap_->end(),
-                     [](const Deadline& a, const Deadline& b) {
-                       return a.after(b);
-                     });
+    // A lease change moves expires_at only: the name's queued node follows
+    // it when it fires (prune). Only a shorter lease needs an earlier node.
+    const auto set_lease = [&](Entry& entry) {
+      entry.expires_at = expires_at;
+      if (expires_at < entry.queued_at) {
+        entry.queued_at = expires_at;
+        push_deadline(expires_at, name);
+      }
     };
     const auto it = entries_->find(name);
     if (it != entries_->end() && it->second.checksum == checksum) {
       // Content-identical re-publish: refresh the lease, leave the change
-      // sequence alone.
-      it->second.expires_at = expires_at;
-      push_deadline(expires_at, name);
+      // sequence and the classification alone.
+      set_lease(it->second);
       ++*noop_updates_;
       noop_counter_.inc();
       ++ads_received_;
       return;
     }
     try {
-      Entry entry;
-      entry.ad = std::make_shared<const classad::ClassAd>(
+      auto ad = std::make_shared<const classad::ClassAd>(
           classad::parse_ad(raw));
+      Entry& entry = it != entries_->end() ? it->second : (*entries_)[name];
+      entry.ad = std::move(ad);
       entry.seq = ++*change_seq_;
-      entry.expires_at = expires_at;
       entry.checksum = checksum;
-      push_deadline(expires_at, name);
-      (*entries_)[name] = std::move(entry);
+      classify(entry);
+      set_lease(entry);
       ++ads_received_;
     } catch (const classad::ParseError&) {
       // Drop malformed ads silently (UDP-like semantics in real Condor).
@@ -93,22 +105,32 @@ void Collector::on_message(const sim::Message& message) {
       .inc();
 }
 
+void Collector::push_deadline(sim::Time when, const std::string& name) const {
+  expiry_heap_->push_back(Deadline{when, name});
+  std::push_heap(expiry_heap_->begin(), expiry_heap_->end(), kLater);
+}
+
 void Collector::prune() const {
   const sim::Time now = host_.now();
-  const auto after = [](const Deadline& a, const Deadline& b) {
-    return a.after(b);
-  };
-  while (!expiry_heap_->empty() && expiry_heap_->front().when <= now) {
-    std::pop_heap(expiry_heap_->begin(), expiry_heap_->end(), after);
-    const Deadline deadline = std::move(expiry_heap_->back());
-    expiry_heap_->pop_back();
-    const auto it = entries_->find(deadline.name);
-    // Stale node if the name was re-advertised with a later deadline (the
-    // newer node is still in the heap) or explicitly invalidated.
-    if (it != entries_->end() && it->second.expires_at <= now) {
+  std::vector<Deadline>& heap = *expiry_heap_;
+  while (!heap.empty() && heap.front().when <= now) {
+    std::pop_heap(heap.begin(), heap.end(), kLater);
+    Deadline& node = heap.back();
+    const auto it = entries_->find(node.name);
+    // Discard the node of an invalidated name, or one that an earlier
+    // deadline superseded.
+    if (it != entries_->end() && it->second.queued_at == node.when) {
+      Entry& entry = it->second;
+      if (entry.expires_at > now) {
+        // The lease was refreshed since the node was queued: follow it.
+        node.when = entry.queued_at = entry.expires_at;
+        std::push_heap(heap.begin(), heap.end(), kLater);
+        continue;
+      }
       ++*change_seq_;
       entries_->erase(it);
     }
+    heap.pop_back();
   }
 }
 
@@ -142,9 +164,26 @@ void Collector::put_local(const std::string& name, AdPtr ad) {
   Entry& entry = (*entries_)[name];
   entry.ad = std::move(ad);
   entry.seq = ++*change_seq_;
-  // No deadline: prune() never expires it.
+  // No lease: prune() never expires it, and any queued node is superseded.
   entry.expires_at = std::numeric_limits<sim::Time>::infinity();
+  entry.queued_at = entry.expires_at;
   entry.checksum = 0;
+  classify(entry);
+}
+
+void Collector::classify(Entry& entry) {
+  const classad::ClassAd& ad = *entry.ad;
+  if (ad.contains("JobUniverse")) {
+    entry.kind = Kind::kJob;
+    const std::string user = ad.eval_string("User").value_or("unknown");
+    const auto [id, added] = user_ids_->try_emplace(
+        user, static_cast<std::uint32_t>(user_names_->size()));
+    if (added) user_names_->push_back(user);
+    entry.user = id->second;
+    return;
+  }
+  const classad::Value v = slot_constraint_->evaluate(&ad, nullptr);
+  entry.kind = v.is_bool() && v.as_bool() ? Kind::kSlot : Kind::kOther;
 }
 
 void Collector::invalidate(const std::string& name) {

@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "condorg/classad/classad.h"
@@ -31,6 +33,8 @@ class Collector {
   CONDORG_HOST_LOCAL("user");
 
   static constexpr const char* kService = "condor.collector";
+  /// Selects negotiable machine ads among the Collector's.
+  static constexpr const char* kSlotConstraint = "State == \"Unclaimed\"";
 
   /// Query results share ownership of the stored ads instead of deep-copying
   /// them: a 10k-slot pool hands the caller 10k refcount bumps, not 10k
@@ -73,12 +77,27 @@ class Collector {
   // one only refreshes the TTL: no sequence bump (counted in
   // `collector_noop_updates`). A crash resets the sequence to 0.
 
+  /// What an ad is to the negotiator, decided when its content is stored
+  /// (collector.advertise with new content, or put_local); a
+  /// content-identical refresh keeps the verdict.
+  enum class Kind : std::uint8_t {
+    kJob,    // carries JobUniverse; `Entry::user` names its owner
+    kSlot,   // any other ad that passes kSlotConstraint: negotiable
+    kOther,  // any other ad that does not (claimed, or no State)
+  };
+
   /// One live ad.
   struct Entry {
     AdPtr ad;
     std::uint64_t seq = 0;  // change_seq() when this content was stored
     sim::Time expires_at = 0;
     std::uint64_t checksum = 0;  // FNV-1a of the advertised ad text
+    Kind kind = Kind::kOther;
+    std::uint32_t user = 0;  // kJob: user id of its `User` ("unknown")
+    // When this name's one expiry-heap node fires (<= expires_at; infinite
+    // for none). A refresh moves only expires_at, and the node re-queues
+    // itself at the new deadline when it fires.
+    sim::Time queued_at = std::numeric_limits<sim::Time>::infinity();
   };
 
   /// Sequence number of the latest recorded change (0 = none yet).
@@ -91,10 +110,22 @@ class Collector {
 
   std::uint64_t noop_updates() const { return *noop_updates_; }
 
+  /// The user dictionary: every job ad's user gets a dense id, in the order
+  /// the Collector first stored one of its ads. Append-only, and it
+  /// survives a crash, so ids stay valid for the colocated negotiator's
+  /// fair-share rows.
+  std::size_t user_count() const { return user_names_->size(); }
+  const std::string& user_name(std::uint32_t id) const {
+    return (*user_names_)[id];
+  }
+
+  /// kSlotConstraint, parsed once.
+  const classad::ExprPtr& slot_constraint() const { return slot_constraint_; }
+
  private:
-  // Lazily-deleted expiry heap node. An entry's live deadline always has a
-  // matching node (advertise pushes one); nodes for superseded deadlines or
-  // invalidated names are discarded when popped.
+  // Expiry heap node, one per live name at its entry's queued_at. Nodes of
+  // invalidated names, or superseded by an earlier deadline, are discarded
+  // when popped.
   struct Deadline {
     sim::Time when = 0;
     std::string name;
@@ -103,6 +134,9 @@ class Collector {
 
   void install();
   void on_message(const sim::Message& message);
+  /// Set `entry`'s kind (and user) from its ad.
+  void classify(Entry& entry);
+  void push_deadline(sim::Time when, const std::string& name) const;
   /// Pop expired deadlines and erase entries whose TTL has lapsed. O(expired
   /// log n) instead of a full-pool scan per query.
   void prune() const;
@@ -115,6 +149,9 @@ class Collector {
   mutable det::HostLocal<std::vector<Deadline>> expiry_heap_;
   mutable det::HostLocal<std::uint64_t> change_seq_;
   det::HostLocal<std::uint64_t> noop_updates_;
+  det::HostLocal<std::vector<std::string>> user_names_;
+  det::HostLocal<std::unordered_map<std::string, std::uint32_t>> user_ids_;
+  const classad::ExprPtr slot_constraint_;
   util::Counter& noop_counter_;
   int boot_id_ = 0;
   int crash_listener_ = 0;

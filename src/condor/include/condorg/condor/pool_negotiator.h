@@ -25,7 +25,11 @@
 //
 // Cross-user fairness is enforced here, at negotiation time: candidate
 // jobs are ordered by batch::FairShareTable (decayed effective usage,
-// starvation promotion) before the greedy matcher runs.
+// starvation promotion) before the greedy matcher runs. The Collector
+// classified each ad when it stored it, so a cycle costs one sequence
+// compare and one bucket push per unheld ad, plus the users that have
+// candidates and the matches: the table's rows, like the per-user buckets,
+// are indexed by the Collector's user ids.
 #pragma once
 
 #include <cstdint>
@@ -63,17 +67,16 @@ class PoolNegotiator {
   CONDORG_HOST_LOCAL("user");
 
   static constexpr const char* kService = "condor.pool_negotiator";
-  /// Selects negotiable machine ads among the Collector's.
-  static constexpr const char* kSlotConstraint = "State == \"Unclaimed\"";
 
   using Options = PoolNegotiatorOptions;
   /// Runs at the top of each cycle, before the Collector read.
   using Sync = std::function<void()>;
-  /// Takes each match with the matched job's ad, after the cycle's matching
-  /// pass. It runs while the cycle holds the Collector's entries, so it must
-  /// not write to the Collector; the sync hook is where job ads change.
+  /// Takes each match with the matched job's Collector entry, after the
+  /// cycle's matching pass. It runs while the cycle holds the Collector's
+  /// entries, so it must not write to the Collector; the sync hook is where
+  /// job ads change.
   using MatchSink =
-      std::function<void(const Match& match, const classad::ClassAd& job)>;
+      std::function<void(const Match& match, const Collector::Entry& job)>;
   /// Wall-clock source for benchmark timing; unset (the default) means no
   /// timing is taken — simulation behavior never depends on it.
   using Clock = std::function<std::uint64_t()>;
@@ -102,9 +105,8 @@ class PoolNegotiator {
   std::uint64_t skipped_cycles() const { return *skipped_cycles_; }
   std::uint64_t sweeps() const { return *sweeps_; }
   std::uint64_t divergences() const { return *divergences_; }
-  const std::map<std::string, std::uint64_t>& matched_by_user() const {
-    return *matched_by_user_;
-  }
+  /// Matches made per user, for the users with at least one.
+  std::map<std::string, std::uint64_t> matched_by_user() const;
 
   /// Invariant-audit hook: appends one line per recorded restricted-vs-full
   /// match disagreement.
@@ -133,7 +135,6 @@ class PoolNegotiator {
   Sync sync_;
   MatchSink sink_;
   Options options_;
-  classad::ExprPtr slot_constraint_;
   Clock clock_;
 
   /// Ad name (job or slot) -> hold deadline: matched, claim in flight. A
@@ -141,8 +142,13 @@ class PoolNegotiator {
   det::HostLocal<std::map<std::string, double>> holds_;
   /// The Collector's change_seq() at the last cycle that read it.
   det::HostLocal<std::uint64_t> last_seq_;
+  /// Indexed by the Collector's user ids, and kept across a crash, as the
+  /// Collector's user dictionary is: the fair-share rows, each user's
+  /// candidate jobs (filled and emptied within a cycle, capacity kept) and
+  /// matches made.
   det::HostLocal<batch::FairShareTable> fair_share_;
-  det::HostLocal<std::map<std::string, std::uint64_t>> matched_by_user_;
+  det::HostLocal<std::vector<std::vector<MatchInput>>> candidates_;
+  det::HostLocal<std::vector<std::uint64_t>> matched_;
   det::HostLocal<std::vector<std::string>> violations_;
 
   det::HostLocal<std::uint64_t> cycles_;

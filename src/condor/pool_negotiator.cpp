@@ -2,33 +2,23 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <utility>
 
-#include "condorg/classad/parser.h"
 #include "condorg/sim/rpc.h"
 
 namespace condorg::condor {
-
-namespace {
-
-std::string user_of(const classad::ClassAd& job) {
-  return job.eval_string("User").value_or("unknown");
-}
-
-}  // namespace
 
 PoolNegotiator::PoolNegotiator(sim::Host& host, sim::Network& network,
                                Collector& collector, Options options)
     : PoolNegotiator(host, collector, nullptr, nullptr, std::move(options)) {
   // The owning PoolRunner named itself in the job ad.
-  sink_ = [rpc = std::make_shared<sim::RpcClient>(host, network, kService)](
-              const Match& match, const classad::ClassAd& job) {
-    const auto runner = job.eval_string("MyAddress");
+  sink_ = [rpc = std::make_shared<sim::RpcClient>(host, network, kService),
+           &collector](const Match& match, const Collector::Entry& job) {
+    const auto runner = job.ad->eval_string("MyAddress");
     if (!runner) return;
     sim::Payload payload;
     payload.set("job", match.job_id);
-    payload.set("user", user_of(job));
+    payload.set("user", collector.user_name(job.user));
     payload.set("slot_name", match.slot_ad.eval_string("Name").value_or(""));
     payload.set("slot_address",
                 match.slot_ad.eval_string("MyAddress").value_or(""));
@@ -44,11 +34,11 @@ PoolNegotiator::PoolNegotiator(sim::Host& host, Collector& collector,
       sync_(std::move(sync)),
       sink_(std::move(sink)),
       options_(std::move(options)),
-      slot_constraint_(classad::parse_expr(kSlotConstraint)),
       holds_(host, "pool_negotiator.holds"),
       last_seq_(host, "pool_negotiator.last_seq", 0),
       fair_share_(host, "pool_negotiator.fair_share"),
-      matched_by_user_(host, "pool_negotiator.matched_by_user"),
+      candidates_(host, "pool_negotiator.candidates"),
+      matched_(host, "pool_negotiator.matched"),
       violations_(host, "pool_negotiator.violations"),
       cycles_(host, "pool_negotiator.cycles", 0),
       matches_(host, "pool_negotiator.matches", 0),
@@ -170,33 +160,43 @@ std::size_t PoolNegotiator::negotiate_once() {
     return 0;
   }
 
-  // Unheld ads are the candidates: job ads (they carry JobUniverse) by
-  // user, slots that pass the constraint. Name order throughout; the
-  // fair-share table decides the cross-user order.
+  // Users the Collector met since the last cycle join the fair-share table
+  // in id order, so a Collector user id is a row there too.
+  for (auto id = static_cast<std::uint32_t>(fair_share_->user_count());
+       id < collector_.user_count(); ++id) {
+    fair_share_->add_user(collector_.user_name(id));
+    candidates_->emplace_back();
+    matched_->push_back(0);
+  }
+
+  // Unheld ads are the candidates, as the Collector classified them: job
+  // ads in their user's bucket, and negotiable slots. Name order
+  // throughout; the fair-share table decides the cross-user order.
   std::vector<MatchInput> slots;
-  std::map<std::string, std::vector<MatchInput>> by_user;
+  std::vector<batch::FairShareTable::UserId> candidate_users;
   auto hold = holds_->begin();
   for (const auto& [name, entry] : ads) {
+    if (entry.kind == Collector::Kind::kOther) continue;
     while (hold != holds_->end() && hold->first < name) ++hold;
     if (hold != holds_->end() && hold->first == name) continue;  // claimed
-    const classad::ClassAd& ad = *entry.ad;
-    const bool changed =
+    const MatchInput input{
+        &name, entry.ad.get(),
         entry.seq > since ||
-        std::binary_search(lapsed.begin(), lapsed.end(), name);
-    if (ad.contains("JobUniverse")) {
-      by_user[user_of(ad)].push_back({&name, &ad, changed});
+            std::binary_search(lapsed.begin(), lapsed.end(), name)};
+    if (entry.kind == Collector::Kind::kSlot) {
+      slots.push_back(input);
       continue;
     }
-    const classad::Value v = slot_constraint_->evaluate(&ad, nullptr);
-    if (!v.is_bool() || !v.as_bool()) continue;
-    slots.push_back({&name, &ad, changed});
+    std::vector<MatchInput>& bucket = (*candidates_)[entry.user];
+    if (bucket.empty()) candidate_users.push_back(entry.user);
+    bucket.push_back(input);
   }
+  fair_share_->order(candidate_users, now);
   std::vector<MatchInput> jobs;
-  for (const auto& [user, pending] : by_user) fair_share_->note_user(user);
-  for (const std::string& user : fair_share_->priority_order(now)) {
-    const auto it = by_user.find(user);
-    if (it == by_user.end()) continue;
-    jobs.insert(jobs.end(), it->second.begin(), it->second.end());
+  for (const auto user : candidate_users) {
+    std::vector<MatchInput>& bucket = (*candidates_)[user];
+    jobs.insert(jobs.end(), bucket.begin(), bucket.end());
+    bucket.clear();
   }
   const std::vector<Match> matched =
       match_jobs_to_slots(jobs, slots, /*restricted=*/true);
@@ -204,34 +204,35 @@ std::size_t PoolNegotiator::negotiate_once() {
 
   if (sweep) run_sweep(matched, jobs, slots);
 
+  // Starvation bookkeeping: a user whose jobs were candidates lost a real
+  // negotiation round unless one of them matched. So every candidate user
+  // starves here, and each match below serves its user again.
+  for (const auto user : candidate_users) fair_share_->note_starved(user);
+
   // Hold both sides of each match and hand it to the sink.
-  std::set<std::string> matched_users;
   for (const Match& match : matched) {
-    const classad::ClassAd& job = *ads.at(match.job_id).ad;
-    const std::string user = user_of(job);
+    const Collector::Entry& job = ads.at(match.job_id);
     (*holds_)[match.job_id] = now + options_.hold_timeout;
     const auto slot_name = match.slot_ad.eval_string("Name");
     if (slot_name && ads.count(*slot_name) != 0) {
       (*holds_)[*slot_name] = now + options_.hold_timeout;
     }
-    ++(*matched_by_user_)[user];
-    fair_share_->charge(user, 1.0, now);
-    matched_users.insert(user);
+    ++(*matched_)[job.user];
+    fair_share_->charge(job.user, 1.0, now);
+    fair_share_->note_served(job.user);
     ++*matches_;
     matches_counter_.inc();
     sink_(match, job);
   }
-
-  // Starvation bookkeeping: a user whose pending jobs were candidates and
-  // won nothing lost a real negotiation round.
-  for (const auto& [user, pending] : by_user) {
-    if (matched_users.count(user)) {
-      fair_share_->note_served(user);
-    } else {
-      fair_share_->note_starved(user);
-    }
-  }
   return matched.size();
+}
+
+std::map<std::string, std::uint64_t> PoolNegotiator::matched_by_user() const {
+  std::map<std::string, std::uint64_t> out;
+  for (std::uint32_t id = 0; id < matched_->size(); ++id) {
+    if ((*matched_)[id] != 0) out[fair_share_->name(id)] = (*matched_)[id];
+  }
+  return out;
 }
 
 void PoolNegotiator::audit(std::vector<std::string>& out) const {

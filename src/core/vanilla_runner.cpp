@@ -26,7 +26,7 @@ VanillaRunner::VanillaRunner(Schedd& schedd, sim::Network& network,
       monitor_(host_, network, options.shadow) {
   negotiator_ = std::make_unique<condor::Negotiator>(
       host_, collector, [this] { sync_job_ads(); },
-      [this](const condor::Match& match, const classad::ClassAd&) {
+      [this](const condor::Match& match, const condor::Collector::Entry&) {
         on_match(match);
       },
       options.negotiator);

@@ -386,8 +386,8 @@ TEST_F(PoolFixture, NegotiatorCyclesMatchIdleJobs) {
         collector.put_local("j1", job);
         collector.put_local("j2", job);
       },
-      [&](const cc::Match& m, const ca::ClassAd& ad) {
-        EXPECT_EQ(ad.eval_string("User"), "u");
+      [&](const cc::Match& m, const cc::Collector::Entry& entry) {
+        EXPECT_EQ(collector.user_name(entry.user), "u");
         matched.push_back(m.job_id);
       });
   world.sim().run_until(5.0);  // let the slot ads arrive
@@ -409,7 +409,9 @@ TEST_F(PoolFixture, NegotiatorSkipsClaimedSlots) {
   std::vector<cc::Match> matched;
   cc::PoolNegotiator negotiator(
       submit, collector, nullptr,
-      [&](const cc::Match& m, const ca::ClassAd&) { matched.push_back(m); });
+      [&](const cc::Match& m, const cc::Collector::Entry&) {
+        matched.push_back(m);
+      });
   negotiator.negotiate_once();
   EXPECT_TRUE(matched.empty());
 }

@@ -3,7 +3,9 @@
 // The Collector half pins the change-sequence contract: every content
 // change bumps a monotone sequence that the changed ad records, identical
 // re-publishes are checksum no-ops, a restart resets the sequence, and a
-// replaced or removed ad version is freed. The PoolNegotiator half pins the
+// replaced or removed ad version is freed. It also pins the classification
+// stored with each new content and the lease rules of the one expiry node
+// per name. The PoolNegotiator half pins the
 // cycle rules and delta-negotiation *soundness*: with the sweep running
 // every cycle, the restricted match pass must stay byte-equivalent to an
 // unrestricted pass of the same matcher across randomized churn — zero
@@ -183,6 +185,112 @@ TEST_F(CentralFixture, InvalidatedAdIsFreed) {
   invalidate("m1");
   settle();
   EXPECT_TRUE(old_version.expired());
+}
+
+// The Collector classifies an ad once, when it stores new content: a job
+// ad (it carries JobUniverse) under its user's id, a negotiable slot (it
+// passes the slot constraint), or neither. WAN jitter may reorder
+// messages in flight, so the tests name users, not ids.
+TEST_F(CentralFixture, AdvertiseClassifiesNewContent) {
+  advertise("m1", machine_ad("m1", 512));
+  advertise("m2", machine_ad("m2", 512, "Claimed"));
+  advertise("ada#job1", job_ad("ada#job1", "ada"));
+  advertise("bob#job1", job_ad("bob#job1", "bob"));
+  advertise("anon#job1", "[JobUniverse = \"Vanilla\"]");
+  settle();
+  const auto& ads = collector.live_ads();
+  EXPECT_EQ(ads.at("m1").kind, cc::Collector::Kind::kSlot);
+  EXPECT_EQ(ads.at("m2").kind, cc::Collector::Kind::kOther);
+  ASSERT_EQ(ads.at("ada#job1").kind, cc::Collector::Kind::kJob);
+  EXPECT_EQ(collector.user_name(ads.at("ada#job1").user), "ada");
+  EXPECT_EQ(collector.user_name(ads.at("bob#job1").user), "bob");
+  // A job ad without User is filed under "unknown".
+  ASSERT_EQ(ads.at("anon#job1").kind, cc::Collector::Kind::kJob);
+  EXPECT_EQ(collector.user_name(ads.at("anon#job1").user), "unknown");
+  EXPECT_EQ(collector.user_count(), 3u);
+}
+
+TEST_F(CentralFixture, PutLocalClassifies) {
+  collector.put_local("job", std::make_shared<const ca::ClassAd>(ca::parse_ad(
+                                 "[JobUniverse = \"Vanilla\"]")));
+  collector.put_local("slot", std::make_shared<const ca::ClassAd>(
+                                  ca::parse_ad(machine_ad("slot", 512))));
+  const auto& ads = collector.live_ads();
+  ASSERT_EQ(ads.at("job").kind, cc::Collector::Kind::kJob);
+  EXPECT_EQ(collector.user_name(ads.at("job").user), "unknown");
+  EXPECT_EQ(ads.at("slot").kind, cc::Collector::Kind::kSlot);
+
+  // Written again with a user and a claimed state: classified again.
+  collector.put_local("job", std::make_shared<const ca::ClassAd>(
+                                 ca::parse_ad(job_ad("job", "ada"))));
+  collector.put_local("slot", std::make_shared<const ca::ClassAd>(ca::parse_ad(
+                                  machine_ad("slot", 512, "Claimed"))));
+  EXPECT_EQ(collector.user_name(ads.at("job").user), "ada");
+  EXPECT_EQ(ads.at("slot").kind, cc::Collector::Kind::kOther);
+}
+
+TEST_F(CentralFixture, ContentChangesReclassifyAndRefreshesDoNot) {
+  advertise("m1", machine_ad("m1", 512));
+  advertise("job", job_ad("job", "ada"));
+  settle();
+  ASSERT_EQ(collector.live_ads().at("m1").kind, cc::Collector::Kind::kSlot);
+
+  // The slot is claimed and the job changes hands: both are reclassified.
+  advertise("m1", machine_ad("m1", 512, "Claimed"));
+  advertise("job", job_ad("job", "bob"));
+  settle();
+  const auto& ads = collector.live_ads();
+  EXPECT_EQ(ads.at("m1").kind, cc::Collector::Kind::kOther);
+  EXPECT_EQ(collector.user_name(ads.at("job").user), "bob");
+  // The dictionary is append-only: "ada" keeps its id.
+  EXPECT_EQ(collector.user_count(), 2u);
+
+  // A content-identical refresh stores nothing: the same ad, verdict and
+  // sequence.
+  const ca::ClassAd* stored = ads.at("job").ad.get();
+  const std::uint64_t seq = collector.change_seq();
+  advertise("m1", machine_ad("m1", 512, "Claimed"));
+  advertise("job", job_ad("job", "bob"));
+  settle();
+  EXPECT_EQ(collector.noop_updates(), 2u);
+  EXPECT_EQ(collector.change_seq(), seq);
+  EXPECT_EQ(ads.at("job").ad.get(), stored);
+  EXPECT_EQ(collector.user_name(ads.at("job").user), "bob");
+  EXPECT_EQ(ads.at("m1").kind, cc::Collector::Kind::kOther);
+}
+
+// One expiry node per name: a refresh moves only the lease, so the three
+// ways a name's deadline can move earlier must still expire it on time.
+TEST_F(CentralFixture, IdenticalRefreshWithShorterTtlExpiresAtItsDeadline) {
+  advertise("m1", machine_ad("m1", 512), /*ttl=*/900.0);
+  settle();
+  advertise("m1", machine_ad("m1", 512), /*ttl=*/100.0);
+  settle();
+  ASSERT_EQ(collector.noop_updates(), 1u);
+  world.sim().run_until(150.0);
+  EXPECT_EQ(collector.live_count(), 0u);
+}
+
+TEST_F(CentralFixture, ChangedAdWithShorterTtlExpiresAtItsDeadline) {
+  advertise("m1", machine_ad("m1", 512), /*ttl=*/900.0);
+  settle();
+  advertise("m1", machine_ad("m1", 1024), /*ttl=*/100.0);
+  settle();
+  world.sim().run_until(150.0);
+  EXPECT_EQ(collector.live_count(), 0u);
+}
+
+TEST_F(CentralFixture, ReadvertisedAdOutlivesItsOrphanedDeadline) {
+  advertise("m1", machine_ad("m1", 512), /*ttl=*/100.0);
+  settle();
+  invalidate("m1");
+  settle();
+  advertise("m1", machine_ad("m1", 512), /*ttl=*/900.0);
+  settle();
+  world.sim().run_until(150.0);  // past the first lease's deadline
+  EXPECT_EQ(collector.live_count(), 1u);
+  world.sim().run_until(1000.0);
+  EXPECT_EQ(collector.live_count(), 0u);
 }
 
 struct NegotiatorFixture : public CentralFixture {

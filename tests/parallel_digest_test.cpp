@@ -230,15 +230,19 @@ struct PoolArtifacts {
   std::uint64_t sweeps = 0;
   std::uint64_t divergences = 0;
   std::vector<std::string> audit;
+  std::size_t detsan_violations = 0;
 };
 
 /// The portal_storm shape in miniature: `user_count` users submit four jobs
 /// each through one Portal into per-user PoolRunners, whose job ads the
 /// delta PoolNegotiator matches against six slots in three site groups,
 /// with the sweep auditing every cycle. The user and slot hosts spread over
-/// islands, so the negotiator runs next to worker threads.
+/// islands, so the negotiator runs next to worker threads. DetSan is armed:
+/// a cross-host access to the Collector's or the negotiator's state counts.
 PoolArtifacts run_pool_storm(unsigned threads, std::size_t user_count) {
   sim::World::ScopedParallelOverride force(static_cast<int>(threads));
+  det::take_violations();
+  det::set_enabled(true);
   sim::World world(/*seed=*/2001);
   sim::Host& central = world.add_host("portal.grid");
   cc::Collector collector(central, world.net());
@@ -322,6 +326,8 @@ PoolArtifacts run_pool_storm(unsigned threads, std::size_t user_count) {
   out.sweeps = negotiator.sweeps();
   out.divergences = negotiator.divergences();
   negotiator.audit(out.audit);
+  out.detsan_violations = det::take_violations().size();
+  det::set_enabled(false);
   return out;
 }
 
@@ -332,6 +338,7 @@ void expect_pool_storm_identical(std::size_t user_count) {
   EXPECT_GT(base.sweeps, 0u);
   EXPECT_EQ(base.divergences, 0u);
   EXPECT_TRUE(base.audit.empty());
+  EXPECT_EQ(base.detsan_violations, 0u);
   for (std::size_t i = 1; i < std::size(kThreadCounts); ++i) {
     const PoolArtifacts a = run_pool_storm(kThreadCounts[i], user_count);
     EXPECT_EQ(a.digest, base.digest) << "N=" << kThreadCounts[i];
@@ -341,6 +348,7 @@ void expect_pool_storm_identical(std::size_t user_count) {
     EXPECT_EQ(a.job_tables, base.job_tables) << "N=" << kThreadCounts[i];
     EXPECT_EQ(a.divergences, 0u) << "N=" << kThreadCounts[i];
     EXPECT_TRUE(a.audit.empty()) << "N=" << kThreadCounts[i];
+    EXPECT_EQ(a.detsan_violations, 0u) << "N=" << kThreadCounts[i];
   }
 }
 
@@ -491,7 +499,8 @@ TEST(ParallelDigest, GlideInClusterCrashByteIdenticalAcrossThreadCounts) {
 // table of kernel digest and dispatched-event count. The tests above
 // compare worker counts with each other, so a change that moves every
 // count alike passes them; it fails this one. A change meant to move
-// lineage re-records the table and says so in CHANGES.md.
+// lineage re-records the table and says so in CHANGES.md. At 48 users on
+// six slots, starvation promotion shapes the fair-share order.
 struct PinnedLineage {
   const char* run;
   std::uint64_t digest;
@@ -502,6 +511,7 @@ constexpr PinnedLineage kPinnedLineage[] = {
     {"quickstart", 0x2ce2908b2ff33c38ull, 348},
     {"fault_drill", 0x1324d72ea6e0c3c3ull, 420},
     {"pool_storm/6", 0xa9363ec4de522b03ull, 5867},
+    {"pool_storm/48", 0x42be55d88c4e851bull, 15442},
     {"glidein_pool", 0x4b3ce9a47935fde8ull, 3365},
     {"glidein_pool/cluster_crash", 0x103ff02794e1ae5bull, 3638},
 };
@@ -514,6 +524,8 @@ TEST(ParallelDigest, PinnedLineageAtOneWorker) {
   measured["fault_drill"] = {drill.digest, drill.dispatched};
   const PoolArtifacts pool = run_pool_storm(1, 6);
   measured["pool_storm/6"] = {pool.digest, pool.dispatched};
+  const PoolArtifacts many = run_pool_storm(1, 48);
+  measured["pool_storm/48"] = {many.digest, many.dispatched};
   const GlideInArtifacts glidein = run_glidein_pool(1);
   measured["glidein_pool"] = {glidein.digest, glidein.dispatched};
   const GlideInArtifacts crash = run_glidein_pool(1, /*crash_cluster=*/true);
