@@ -553,5 +553,14 @@ int main() {
     std::fprintf(stderr, "U1: storm did not drain within the horizon\n");
     return 7;
   }
+  // A runner turns a batch away once and owes the portal a credit; a portal
+  // that kept asking busy runners reads tens of thousands here.
+  if (storm.runner_busy > static_cast<std::uint64_t>(kStorm.users)) {
+    std::fprintf(stderr,
+                 "U1: %llu runner busy rejections exceed the %d users\n",
+                 static_cast<unsigned long long>(storm.runner_busy),
+                 kStorm.users);
+    return 7;
+  }
   return 0;
 }

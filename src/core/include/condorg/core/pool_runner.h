@@ -16,7 +16,11 @@
 // community, not the backlog), and each completion rolls the window
 // forward. A delivery that would push the Schedd past `max_active` live
 // jobs is rejected "busy" and stays queued at the portal — backpressure
-// instead of a million-record queue.
+// instead of a million-record queue. The rejection is a debt: the runner
+// persists that it owes the portal a credit before it says "busy", and
+// once the Schedd has room for the smallest batch it turned away it sends
+// `portal.credit`, retried until acked. Until then the portal delivers
+// nothing more here.
 #pragma once
 
 #include <cstdint>
@@ -76,6 +80,14 @@ class PoolRunner {
   void on_message(const sim::Message& message);
   void on_deliver(const sim::Message& message);
   void on_match(const sim::Payload& body);
+  /// Persist a debt to the portal on `portal_host` for a turned-away batch
+  /// of `count` jobs; returns the credit number the busy reply carries.
+  std::uint64_t owe_credit(const std::string& portal_host,
+                           std::uint64_t count);
+  /// Send each owed credit the Schedd now has room for.
+  void grant_credits();
+  /// Rebuild the debts from their records (construction and boot).
+  void reload_credits();
   /// (Re-)advertise the first idle un-shadowed job; invalidate the old ad
   /// when the window moved.
   void publish();
@@ -94,6 +106,18 @@ class PoolRunner {
   // det-local(shadows_): touched only from this host's own message and
   // timer events, same ownership story as VanillaRunner's shadow table.
   std::map<std::uint64_t, std::unique_ptr<condor::Shadow>> shadows_;
+  /// A credit owed to one portal. Mirrors its record on disk, except
+  /// `in_flight`.
+  struct Debt {
+    std::uint64_t owed = 0;    // smallest batch turned away; 0 once acked
+    std::uint64_t number = 0;  // credit number of the latest busy reply
+    bool in_flight = false;    // a portal.credit call awaits its ack
+  };
+  // det-local(debts_): this host's own events only, like shadows_.
+  std::map<std::string, Debt> debts_;  // portal host -> debt
+  /// Last credit number issued: the largest in any record, so numbers keep
+  /// growing across restarts.
+  std::uint64_t credit_seq_ = 0;
   /// Currently published job (0 = none). Volatile: a crash drops it and the
   /// ad ages out of the Collector by TTL; boot republishes.
   std::uint64_t published_id_ = 0;

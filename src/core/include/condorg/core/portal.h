@@ -11,15 +11,18 @@
 // runner's own persisted marker — together: exactly-once admission across
 // portal crashes, which explore.portal_storm model-checks.
 //
-// Backpressure is explicit at both hops: a full admission queue rejects
-// with "busy" (the client backs off), and a runner whose Schedd is at its
-// active-job cap rejects the delivery with "busy" (the batch stays queued
-// here). Users therefore trickle into their Schedds instead of
-// materializing a million-job queue up front.
+// Backpressure is explicit at both hops. A full admission queue rejects
+// with "busy" (the client backs off). A runner whose Schedd is at its
+// active-job cap turns a delivery away with "busy" and a credit number; the
+// portal then marks that runner closed and delivers nothing more to it
+// until the runner's `portal.credit` — sent once the Schedd has room again
+// — reopens it. The batch stays queued here meanwhile, and users trickle
+// into their Schedds instead of materializing a million-job queue up front.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 
 #include "condorg/sim/det.h"
@@ -69,13 +72,27 @@ class Portal {
   std::uint64_t busy_rejections() const { return *busy_rejections_; }
   std::uint64_t deliveries_acked() const { return *deliveries_acked_; }
   std::size_t queue_depth() const { return queue_->size(); }
+  /// Runners that turned a batch away and have not yet sent the credit
+  /// that answers it.
+  std::size_t closed_runners() const;
 
  private:
+  /// What the portal knows of one runner's room. Credit numbers come from
+  /// the runner and only grow; the runner is closed while the newest busy
+  /// reply is newer than the newest credit. Volatile: a portal crash
+  /// forgets it, which costs at most one more busy reply per runner.
+  struct RunnerMark {
+    std::uint64_t busy = 0;    // highest credit number on a busy reply
+    std::uint64_t credit = 0;  // highest credit number received
+    bool closed() const { return busy > credit; }
+  };
+
   /// One admitted batch awaiting delivery to its user's PoolRunner.
   struct Admission {
     std::string user;
     std::uint64_t seq = 0;
     sim::Payload body;  // the original submit payload (redelivered verbatim)
+    RunnerMark* runner = nullptr;  // its runner's entry in runners_
     bool in_flight = false;
   };
 
@@ -83,6 +100,9 @@ class Portal {
   void on_message(const sim::Message& message);
   void flush();
   void deliver(Admission& admission);
+  void on_credit(const sim::Message& message);
+  /// Queue a batch whose `body` is its submit payload.
+  void enqueue(sim::Payload body);
   /// Rebuild the admission queue from the persisted pending records.
   void reload();
   static std::string admitted_key(const std::string& user, std::uint64_t seq);
@@ -94,6 +114,9 @@ class Portal {
   sim::RpcClient rpc_;
   sim::Lifetime life_;
 
+  // Keyed by runner address; entries are never erased while the portal
+  // lives, so Admission::runner stays valid until a crash clears both.
+  det::HostLocal<std::map<std::string, RunnerMark>> runners_;
   det::HostLocal<std::deque<Admission>> queue_;
   det::HostLocal<std::uint64_t> submits_received_;
   det::HostLocal<std::uint64_t> batches_admitted_;

@@ -1,5 +1,8 @@
 #include "condorg/core/pool_runner.h"
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "condorg/core/broker.h"
@@ -8,6 +11,17 @@ namespace condorg::core {
 namespace {
 // The published ad outlives this many missed advertise periods.
 constexpr double kAdTtlFactor = 3.0;
+// One record per portal: "<owed> <credit number>". An acked debt keeps its
+// record with owed 0, so the largest number survives a restart.
+constexpr const char* kCreditPrefix = "pool_runner/credit/";
+// The Portal lives in another partition, so its service name and deliver
+// timeout are named here by value: a credit is retried as a delivery is.
+constexpr const char* kPortalService = "portal";
+constexpr double kCreditTimeout = 10.0;
+
+std::string credit_record(std::uint64_t owed, std::uint64_t number) {
+  return std::to_string(owed) + " " + std::to_string(number);
+}
 }  // namespace
 
 PoolRunner::PoolRunner(Schedd& schedd, sim::Network& network, Options options)
@@ -18,8 +32,10 @@ PoolRunner::PoolRunner(Schedd& schedd, sim::Network& network, Options options)
       rpc_(host_, network, std::string(kService) + ".rpc"),
       monitor_(host_, network, options_.shadow) {
   install();
+  reload_credits();
   boot_id_ = host_.add_boot([this] {
     install();
+    reload_credits();
     // Same recovery rule as VanillaRunner: persisted Running without a live
     // shadow means the shadow died with the host — the job is Idle again.
     for (const std::uint64_t id : schedd_.jobs_with_status(JobStatus::kRunning)) {
@@ -33,9 +49,11 @@ PoolRunner::PoolRunner(Schedd& schedd, sim::Network& network, Options options)
       publish();
       advertise_loop();
     }
+    grant_credits();
   });
   crash_listener_ = host_.add_crash_listener([this] {
     shadows_.clear();
+    debts_.clear();  // reloaded from the records at boot
     published_id_ = 0;  // the ad ages out of the Collector by TTL
   });
 }
@@ -95,8 +113,13 @@ void PoolRunner::on_deliver(const sim::Message& message) {
     return;
   }
   if (schedd_.active_count() + count > options_.max_active) {
+    // Owe the portal a credit, durably, before the reply closes this
+    // runner there: a crash in between leaves the debt, and the portal,
+    // never told, simply delivers again.
     ++busy_rejections_;
     reply.set("status", "busy");
+    reply.set_uint("credit", owe_credit(message.from.host, count));
+    if (host_.crash_point("pool_runner.credit_persist")) return;
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
@@ -123,6 +146,61 @@ void PoolRunner::on_deliver(const sim::Message& message) {
   reply.set("status", "ok");
   sim::rpc_reply(network_, message, address(), std::move(reply));
   publish();
+}
+
+std::uint64_t PoolRunner::owe_credit(const std::string& portal_host,
+                                     std::uint64_t count) {
+  Debt& debt = debts_[portal_host];
+  debt.owed = debt.owed == 0 ? count : std::min(debt.owed, count);
+  // A fresh number per busy reply: a credit already on the wire answers
+  // the older reply only, so it cannot reopen the runner past this one.
+  debt.number = ++credit_seq_;
+  host_.disk().put(kCreditPrefix + portal_host,
+                   credit_record(debt.owed, debt.number));
+  return debt.number;
+}
+
+void PoolRunner::reload_credits() {
+  debts_.clear();
+  for (const std::string& key : host_.disk().keys_with_prefix(kCreditPrefix)) {
+    const auto record = host_.disk().get(key);
+    if (!record) continue;
+    char* rest = nullptr;
+    Debt debt;
+    debt.owed = std::strtoull(record->c_str(), &rest, 10);
+    debt.number = std::strtoull(rest, nullptr, 10);
+    credit_seq_ = std::max(credit_seq_, debt.number);
+    debts_[key.substr(std::strlen(kCreditPrefix))] = debt;
+  }
+}
+
+void PoolRunner::grant_credits() {
+  for (auto& [portal_host, debt] : debts_) {
+    if (debt.owed == 0 || debt.in_flight ||
+        schedd_.active_count() + debt.owed > options_.max_active) {
+      continue;
+    }
+    debt.in_flight = true;
+    sim::Payload payload;
+    payload.set("runner", address().str());
+    payload.set_uint("credit", debt.number);
+    rpc_.call({portal_host, kPortalService}, "portal.credit",
+              std::move(payload), kCreditTimeout,
+              [this, host = portal_host, number = debt.number](
+                  bool ok, const sim::Payload&) {
+                Debt& paid = debts_[host];
+                paid.in_flight = false;
+                // A batch turned away while this credit was on the wire
+                // left a newer number; that debt stands.
+                if (ok && paid.number == number) {
+                  paid.owed = 0;
+                  host_.disk().put(kCreditPrefix + host,
+                                   credit_record(0, number));
+                }
+                // A timeout sends again; so does a newer debt with room.
+                grant_credits();
+              });
+  }
 }
 
 void PoolRunner::publish() {
@@ -203,6 +281,7 @@ void PoolRunner::on_match(const sim::Payload& body) {
         host_.post(0.0, life_.wrap([this, job_id] {
                      shadows_.erase(job_id);
                      publish();  // roll the window to the next idle job
+                     grant_credits();  // the job left the active set
                    }));
       },
       /*on_requeue=*/

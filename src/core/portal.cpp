@@ -13,6 +13,7 @@ Portal::Portal(sim::Host& host, sim::Network& network, Options options)
       network_(network),
       options_(options),
       rpc_(host, network, std::string(kService) + ".rpc"),
+      runners_(host, "portal.runners"),
       queue_(host, "portal.queue"),
       submits_received_(host, "portal.submits_received", 0),
       batches_admitted_(host, "portal.batches_admitted", 0),
@@ -36,8 +37,11 @@ Portal::Portal(sim::Host& host, sim::Network& network, Options options)
     if (started_) flush();
   });
   // In-memory queue is volatile; the pending records on disk are the truth
-  // and reload() rebuilds from them at boot.
-  crash_listener_ = host_.add_crash_listener([this] { queue_->clear(); });
+  // and reload() rebuilds from them at boot. The runner marks go with it.
+  crash_listener_ = host_.add_crash_listener([this] {
+    queue_->clear();
+    runners_->clear();
+  });
 }
 
 Portal::~Portal() {
@@ -65,16 +69,27 @@ std::string Portal::pending_key(const std::string& user, std::uint64_t seq) {
   return "portal/pending/" + user + "/" + std::to_string(seq);
 }
 
+std::size_t Portal::closed_runners() const {
+  std::size_t closed = 0;
+  for (const auto& [address, mark] : *runners_) closed += mark.closed();
+  return closed;
+}
+
+void Portal::enqueue(sim::Payload body) {
+  Admission admission;
+  admission.user = body.get("user");
+  admission.seq = body.get_uint("seq");
+  admission.runner = &(*runners_)[body.get("deliver_to")];
+  admission.body = std::move(body);
+  queue_->push_back(std::move(admission));
+}
+
 void Portal::reload() {
   queue_->clear();
   for (const std::string& key : host_.disk().keys_with_prefix("portal/pending/")) {
     const auto record = host_.disk().get(key);
     if (!record) continue;
-    Admission admission;
-    admission.body = sim::Payload::deserialize(*record);
-    admission.user = admission.body.get("user");
-    admission.seq = admission.body.get_uint("seq");
-    queue_->push_back(std::move(admission));
+    enqueue(sim::Payload::deserialize(*record));
   }
   depth_gauge_.set(host_.now(), static_cast<double>(queue_->size()));
 }
@@ -112,11 +127,7 @@ void Portal::on_message(const sim::Message& message) {
     host_.disk().put(admitted_key(user, seq), "1");
     host_.disk().put(pending_key(user, seq), message.body.serialize());
     if (host_.crash_point("portal.submit_recv")) return;
-    Admission admission;
-    admission.body = message.body;
-    admission.user = user;
-    admission.seq = seq;
-    queue_->push_back(std::move(admission));
+    enqueue(message.body);
     ++*batches_admitted_;
     admitted_counter_.inc();
     *jobs_admitted_ += count;
@@ -129,17 +140,35 @@ void Portal::on_message(const sim::Message& message) {
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
+  if (message.type == "portal.credit") {
+    on_credit(message);
+    return;
+  }
   host_.metrics()
       .counter("unknown_message",
                {{"daemon", "portal"}, {"type", message.type}})
       .inc();
 }
 
+void Portal::on_credit(const sim::Message& message) {
+  // Every credit is acked, so the runner can clear its record. Only one at
+  // least as new as the busy reply that closed the runner reopens it: a
+  // stale or duplicate one changes nothing, and one that overtook its busy
+  // reply on the wire keeps that reply from closing the runner at all.
+  RunnerMark& mark = (*runners_)[message.body.get("runner")];
+  mark.credit = std::max(mark.credit, message.body.get_uint("credit"));
+  sim::Payload reply;
+  reply.set("status", "ok");
+  sim::rpc_reply(network_, message, address(), std::move(reply));
+}
+
 void Portal::flush() {
   std::size_t started = 0;
   for (Admission& admission : *queue_) {
     if (started >= options_.flush_batch) break;
-    if (admission.in_flight) continue;
+    // A closed runner's batches wait for its credit without taking a
+    // delivery from this tick.
+    if (admission.in_flight || admission.runner->closed()) continue;
     deliver(admission);
     ++started;
   }
@@ -167,9 +196,14 @@ void Portal::deliver(Admission& admission) {
                                  static_cast<double>(queue_->size()));
                 return;
               }
-              // Runner busy or delivery lost: leave it queued; the next
-              // flush retries (the runner's persisted marker absorbs any
-              // duplicate that did get through).
+              // Runner busy: it owes a credit, and the runner stays closed
+              // until that arrives. Delivery lost: the next flush retries
+              // (the runner's persisted marker absorbs any duplicate that
+              // did get through). Either way the batch stays queued.
+              if (ok && reply.get("status") == "busy") {
+                it->runner->busy =
+                    std::max(it->runner->busy, reply.get_uint("credit"));
+              }
               it->in_flight = false;
             });
 }

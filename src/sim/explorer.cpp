@@ -33,6 +33,7 @@ constexpr const char* kEnumeratedCrashPoints[] = {
     "jobmanager.refresh_recv",
     "jobmanager.update_gass_recv",
     "myproxy.store_recv",
+    "pool_runner.credit_persist",
     "portal.deliver_recv",
     "portal.submit_recv",
 };

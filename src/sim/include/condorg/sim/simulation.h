@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "condorg/sim/island.h"
@@ -230,34 +229,25 @@ class Simulation {
   // slot index; an EventId packs (queue:14 | slot+1:22 | gen:28), so 0 stays
   // kInvalidEvent and cancel() can route to the owning queue. Cancellation
   // just bumps the slot's generation — O(1), no queue surgery — and the
-  // pending entry left behind is lazily discarded when its bucket drains
+  // pending entry left behind is lazily discarded when it reaches the front
   // (its generation no longer matches); the queue's tombstone counter
   // tracks how many such entries are still buried.
   //
-  // The pending set is a calendar of per-timestamp buckets with a min-heap
-  // over the *distinct* timestamps only. Simulated time is heavily tied
-  // (timeout grids, periodic cycles, same-tick protocol rounds), so the heap
-  // stays tiny and a dispatch is usually "advance the front bucket's
-  // cursor" rather than an O(log n_events) sift over megabytes of nodes.
-  // Dispatch order within a queue is exactly (when, origin, ctr): the
-  // unexecuted tail of each bucket is kept ascending in the packed order
-  // word, and the heap orders distinct times.
+  // The pending set is one 4-ary min-heap per queue over the full key
+  // (when, origin, ctr), which is exactly the dispatch order within a queue.
+  // Simulated time is rarely tied: on every campaign workload about nine
+  // schedules in ten land on a timestamp nothing else is pending at.
   struct PendingEvent {
     Time when;            // verbatim as scheduled (digest input)
     std::uint64_t order;  // order_key(origin, ctr): tie-break + digest input
     std::uint32_t slot;   // slab index
     std::uint32_t gen;    // generation at scheduling time
-  };
-  struct Bucket {
-    std::uint64_t key = 0;             // normalized bit pattern of `when`
-    std::size_t next = 0;              // drain cursor into items
-    std::vector<PendingEvent> items;   // unexecuted tail order-ascending
-  };
-  struct BucketRef {
-    Time when;
-    std::uint32_t bucket;
-    // Strict: at most one live bucket per timestamp, so ties are impossible.
-    bool after(const BucketRef& other) const { return when > other.when; }
+    // Strict: keys are unique, and -0.0 ties +0.0 on `when`, so the order
+    // word decides between them.
+    bool before(const PendingEvent& other) const {
+      if (when != other.when) return when < other.when;
+      return order < other.order;
+    }
   };
   struct EventRecord {
     std::function<void()> fn;  // non-null iff live
@@ -267,7 +257,7 @@ class Simulation {
     // the callback point at the record that caused the event — across
     // Host::post timers, Network deliveries, and crash/boot callbacks
     // alike, since they all funnel through schedule_at. Lives in the slab
-    // (not PendingEvent) to keep the calendar buckets compact.
+    // (not PendingEvent) to keep the heap compact.
     RecordId cause = 0;
   };
 
@@ -285,19 +275,12 @@ class Simulation {
   /// (tombstone) accounting is deliberately per-queue: a cancel storm on one
   /// island must not bleed state into another island's calendar.
   struct QueueState {
-    // The live event at the calendar front, as the executors peek it —
-    // cached because the island index re-reads an island's queues whenever
-    // its front may have moved.
-    // schedule_keyed keeps it current; take_event and cancel clear
-    // `front_known`, and the next peek recomputes it.
-    bool front_known = false;
-    bool front_empty = false;          // known, and nothing is pending
-    Time front_when = 0.0;
-    std::uint64_t front_order = 0;
-    std::vector<BucketRef> heap;        // min-heap over distinct timestamps
-    std::vector<Bucket> buckets;        // bucket slab; index = BucketRef::bucket
-    std::vector<std::uint32_t> free_buckets;  // recycled buckets
-    std::unordered_map<std::uint64_t, std::uint32_t> bucket_of;  // key → index
+    // True when heap.front(), if any, is known to be live: the island
+    // index re-reads an island's queues whenever its front may have moved,
+    // and this spares it the slab lookup. Scheduling keeps it true;
+    // take_event and cancel clear it, and the next peek re-checks.
+    bool front_live = false;
+    std::vector<PendingEvent> heap;     // 4-ary min-heap on (when, order)
     std::vector<EventRecord> slots;     // slab; index = PendingEvent::slot
     std::vector<std::uint32_t> free_slots;    // recycled slab slots (LIFO)
     std::size_t live = 0;               // live (non-cancelled) pending events
@@ -334,15 +317,15 @@ class Simulation {
                          std::function<void()> fn, RecordId cause);
 
   void dispatch(std::uint32_t queue, const PendingEvent& ev);
-  /// Remove an event from the front bucket: the entry at position `index`
-  /// (a controller's pick), or the one at the drain cursor for kFront.
-  /// Requires drop_stale_front() to have run.
+  /// Remove the event at heap position `index` (0 is the front; a
+  /// controller's pick may lie deeper). Requires drop_stale_front() to have
+  /// run.
   PendingEvent take_event(QueueState& q, std::size_t index);
-  /// Advance front buckets past cancelled entries; release drained buckets.
-  /// Afterwards the heap front (if any) has a live event at its cursor.
+  /// Pop cancelled entries off the heap front. Afterwards the front (if
+  /// any) is live.
   void drop_stale_front(QueueState& q);
-  static void heap_push(QueueState& q, BucketRef node);
-  static void heap_pop_front(QueueState& q);
+  static void heap_push(QueueState& q, const PendingEvent& ev);
+  static void heap_erase(QueueState& q, std::size_t index);
 
   /// Fold one committed dispatch key into the digest.
   void fold_digest(Time when, std::uint64_t order);

@@ -168,7 +168,7 @@ void Network::send(Message message) {
     // Exploration mode: snap delivery up to the next quantum boundary (and
     // skip the jitter draw) so concurrently in-flight messages tie on their
     // delivery timestamp — the controller then permutes delivery order via
-    // the kernel's bucket pick.
+    // the kernel's choice point.
     const double quantum = ctl->delivery_quantum();
     const double raw = sim_.now() + cfg->latency;
     latency = std::ceil(raw / quantum) * quantum - sim_.now();

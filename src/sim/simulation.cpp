@@ -47,15 +47,6 @@ std::uint64_t time_bits(Time when) {
   return bits;
 }
 
-// Calendar key for a timestamp: its bit pattern, with -0.0 folded into +0.0
-// so numerically-equal times land in the same bucket (otherwise two heap
-// entries could tie on `when` and the FIFO order across them would be
-// unspecified). The PendingEvent still carries `when` verbatim — the digest
-// sees exactly the bits that were scheduled.
-std::uint64_t bucket_key(Time when) {
-  return time_bits(when == 0.0 ? 0.0 : when);
-}
-
 // The kernel's total order over events: (when, origin queue, origin
 // counter), with (origin, counter) packed into one word (see
 // Simulation::order_key). Computable by the scheduling context alone — no
@@ -77,15 +68,14 @@ constexpr std::uint32_t kMaxQueues = 1u << 14;
 constexpr std::uint32_t kMaxSlots = (1u << 22) - 2;
 constexpr std::uint32_t kGenMask = (1u << 28) - 1;
 
-// Capacity (in entries) a drained calendar bucket or cross-island inbox may
-// keep for reuse. Recycled buffers above it are released: buckets and
-// inboxes rotate through every timestamp and barrier, so keeping each
-// one's high-water capacity lets a few herd-timer peaks pin memory in
-// every recycled bucket of every queue.
+// Capacity (in entries) a drained cross-island inbox may keep for reuse.
+// Recycled buffers above it are released: inboxes rotate through every
+// barrier, so keeping each one's high-water capacity lets a few herd-timer
+// peaks pin memory in every inbox.
 constexpr std::size_t kRecycledCapacity = 32;
 
-// take_event position meaning "the front bucket's drain cursor".
-constexpr std::size_t kFront = std::numeric_limits<std::size_t>::max();
+// take_event position of the heap front.
+constexpr std::size_t kFront = 0;
 
 std::uint64_t clock_ns() {
   // Island busy/blocked profiling measures real executor cost; it feeds the
@@ -225,7 +215,7 @@ struct IslandEngine {
   struct Candidate {
     DigestKey key;
     std::uint32_t queue;
-    std::size_t index;  // position in the queue's front bucket
+    std::size_t index;  // position in the queue's heap
   };
   std::vector<Candidate> candidates;
 
@@ -330,19 +320,13 @@ struct IslandEngine {
 
   // Peek the next key of one queue; false if the queue is empty.
   bool peek_key(Simulation::QueueState& q, DigestKey* out) {
-    if (!q.front_known) {
+    if (!q.front_live) {
       sim.drop_stale_front(q);
-      q.front_known = true;
-      q.front_empty = q.heap.empty();
-      if (!q.front_empty) {
-        const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
-        const Simulation::PendingEvent& e = b.items[b.next];
-        q.front_when = e.when;
-        q.front_order = e.order;
-      }
+      q.front_live = true;
     }
-    if (q.front_empty) return false;
-    *out = DigestKey{q.front_when, q.front_order};
+    if (q.heap.empty()) return false;
+    const Simulation::PendingEvent& e = q.heap.front();
+    *out = DigestKey{e.when, e.order};
     return true;
   }
 
@@ -485,10 +469,10 @@ struct IslandEngine {
       // Swap the batch out; the arena the previous integration left behind
       // (empty, capacity bounded below) becomes this inbox's buffer.
       std::swap(batch_arena, ib.entries);
-      // Arrival order from racing senders is nondeterministic; the sorted
-      // bucket insert in schedule_keyed makes the calendar order depend on
-      // the key alone, but sort anyway so even transient structures (bucket
-      // creation order, slot assignment) are run-to-run stable.
+      // Arrival order from racing senders is nondeterministic; the heap
+      // makes the dispatch order depend on the key alone, but sort anyway
+      // so even transient structures (heap layout, slot assignment) are
+      // run-to-run stable.
       std::sort(batch_arena.begin(), batch_arena.end(),
                 [](const CrossEntry& a, const CrossEntry& b) {
                   return DigestKey{a.when, a.order} < DigestKey{b.when, b.order};
@@ -815,18 +799,18 @@ struct IslandEngine {
   // time, across the control queue and every running island, offered in key
   // order — the candidate set one global calendar would hold at that
   // instant, so a pick of 0 is exactly the uncontrolled (minimum-key) event.
-  // A scan over every queue, not the index: exploration worlds are small.
-  // Overwrites the key, queue and bucket position of the event to dispatch.
+  // A scan over every queue's whole heap, not the index: exploration
+  // worlds are small. Overwrites the key, queue and heap position of the
+  // event to dispatch.
   void choose(DigestKey* key, std::uint32_t* queue, std::size_t* index) {
     candidates.clear();
     const auto collect = [&](std::uint32_t qid) {
       Simulation::QueueState& q = sim.queues_[qid];
       DigestKey front;
-      if (!peek_key(q, &front) || q.heap.front().when != key->when) return;
-      const Simulation::Bucket& b = q.buckets[q.heap.front().bucket];
-      for (std::size_t i = b.next; i < b.items.size(); ++i) {
-        const Simulation::PendingEvent& e = b.items[i];
-        if (q.slots[e.slot].gen == e.gen) {
+      if (!peek_key(q, &front) || front.when != key->when) return;
+      for (std::size_t i = 0; i < q.heap.size(); ++i) {
+        const Simulation::PendingEvent& e = q.heap[i];
+        if (e.when == key->when && q.slots[e.slot].gen == e.gen) {
           candidates.push_back(Candidate{DigestKey{e.when, e.order}, qid, i});
         }
       }
@@ -940,68 +924,58 @@ std::vector<Simulation::IslandStat> Simulation::island_stats() const {
   return out;
 }
 
-// 4-ary min-heap on `when`, hand-sifted with a hole instead of
+// 4-ary min-heap on (when, order), hand-sifted with a hole instead of
 // std::push_heap/pop_heap swaps: half the depth of a binary heap and one
-// move per level. It only orders *distinct* timestamps (one bucket each), so
-// ties are impossible and any correct heap yields the same dispatch stream.
-void Simulation::heap_push(QueueState& q, BucketRef node) {
+// move per level. Keys are unique, so any correct heap yields the same
+// dispatch stream.
+void Simulation::heap_push(QueueState& q, const PendingEvent& ev) {
   std::size_t i = q.heap.size();
-  q.heap.push_back(node);
+  q.heap.push_back(ev);
   while (i > 0) {
     const std::size_t parent = (i - 1) >> 2;
-    if (!q.heap[parent].after(node)) break;
+    if (!ev.before(q.heap[parent])) break;
     q.heap[i] = q.heap[parent];
     i = parent;
   }
-  q.heap[i] = node;
+  q.heap[i] = ev;
 }
 
-void Simulation::heap_pop_front(QueueState& q) {
-  const BucketRef last = q.heap.back();
+void Simulation::heap_erase(QueueState& q, std::size_t index) {
+  const PendingEvent last = q.heap.back();
   q.heap.pop_back();
   const std::size_t n = q.heap.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = (i << 2) + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (q.heap[best].after(q.heap[c])) best = c;
-      }
-      if (!last.after(q.heap[best])) break;
-      q.heap[i] = q.heap[best];
-      i = best;
-    }
-    q.heap[i] = last;
+  if (index == n) return;  // erased the last entry itself
+  std::size_t i = index;
+  // The last entry fills the hole: up when it precedes the hole's parent
+  // (only possible below the front, for a controller's pick), else down.
+  while (i > 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (!last.before(q.heap[parent])) break;
+    q.heap[i] = q.heap[parent];
+    i = parent;
   }
+  for (;;) {
+    const std::size_t first_child = (i << 2) + 1;
+    if (first_child >= n) break;
+    std::size_t best = first_child;
+    const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
+    for (std::size_t c = first_child + 1; c < end; ++c) {
+      if (q.heap[c].before(q.heap[best])) best = c;
+    }
+    if (!q.heap[best].before(last)) break;
+    q.heap[i] = q.heap[best];
+    i = best;
+  }
+  q.heap[i] = last;
 }
 
 void Simulation::drop_stale_front(QueueState& q) {
-  while (!q.heap.empty()) {
-    Bucket& b = q.buckets[q.heap.front().bucket];
-    const std::size_t size = b.items.size();
-    std::size_t next = b.next;
-    while (next < size &&
-           q.slots[b.items[next].slot].gen != b.items[next].gen) {
-      ++next;
-    }
-    // Every entry skipped here is a drained cancellation tombstone (the
-    // only way an entry at the cursor goes stale): settle the account.
-    q.tombstones -= next - b.next;
-    b.next = next;
-    if (next < size) return;  // front bucket has a live event at its cursor
-    // Fully drained: retire the bucket. Small capacities are kept for reuse;
-    // a herd-sized one is released rather than parked in the free list.
-    q.bucket_of.erase(b.key);
-    b.items.clear();
-    if (b.items.capacity() > kRecycledCapacity) {
-      std::vector<PendingEvent>().swap(b.items);
-    }
-    b.next = 0;
-    q.free_buckets.push_back(q.heap.front().bucket);
-    heap_pop_front(q);
+  // Every entry popped here is a cancellation tombstone (the only way a
+  // pending entry goes stale): settle the account.
+  while (!q.heap.empty() &&
+         q.slots[q.heap.front().slot].gen != q.heap.front().gen) {
+    --q.tombstones;
+    heap_erase(q, 0);
   }
 }
 
@@ -1090,46 +1064,9 @@ EventId Simulation::schedule_keyed(std::uint32_t queue, Time when,
   rec.cause = cause;
   const std::uint32_t gen = rec.gen;
 
-  const std::uint64_t key = bucket_key(when);
-  const auto [it, inserted] = q.bucket_of.try_emplace(key, 0);
-  std::uint32_t bi;
-  if (inserted) {
-    if (q.free_buckets.empty()) {
-      bi = static_cast<std::uint32_t>(q.buckets.size());
-      q.buckets.emplace_back();
-    } else {
-      bi = q.free_buckets.back();
-      q.free_buckets.pop_back();
-    }
-    q.buckets[bi].key = key;
-    it->second = bi;
-    heap_push(q, BucketRef{when, bi});
-  } else {
-    bi = it->second;
-  }
-  // Keep the bucket's unexecuted tail order-ascending. Appends dominate (one
-  // comparison); an insert before the tail happens when a barrier-integrated
-  // delivery from a higher-origin queue already sits at this timestamp.
-  // Cancelled entries keep their place in the order, so the comparison
-  // never needs the slab. Positions before the drain cursor are untouchable
-  // — stopping the slide there also places a same-time self-post (a handler
-  // posting follow-up work at `now`) after the already-executed event that
-  // caused it, which is the causal order both executors commit.
-  Bucket& b = q.buckets[bi];
-  std::size_t pos = b.items.size();
-  while (pos > b.next && b.items[pos - 1].order > order) --pos;
-  b.items.insert(b.items.begin() + static_cast<std::ptrdiff_t>(pos),
-                 PendingEvent{when, order, slot, gen});
+  // A new entry never makes the front stale, so front_live stands.
+  heap_push(q, PendingEvent{when, order, slot, gen});
   ++q.live;
-  // A key below the cached front becomes the front: it opened an earlier
-  // bucket or slid to the cursor of the front one.
-  if (q.front_known &&
-      (q.front_empty ||
-       DigestKey{when, order} < DigestKey{q.front_when, q.front_order})) {
-    q.front_empty = false;
-    q.front_when = when;
-    q.front_order = order;
-  }
   // EventId: queue:14 | slot+1:22 | gen:28, so 0 stays kInvalidEvent.
   return (static_cast<EventId>(queue) << 50) |
          ((static_cast<EventId>(slot) + 1) << 28) |
@@ -1160,7 +1097,7 @@ bool Simulation::cancel(EventId id) {
   if ((rec.gen & kGenMask) != (id & kGenMask) || !rec.fn) return false;
   rec.fn = nullptr;
   ++rec.gen;  // invalidates the pending entry and any outstanding id copy
-  q.front_known = false;
+  q.front_live = false;
   if (context == 0 && engine_ != nullptr && queue < engine_->island_of.size()) {
     engine_->mark(queue);
   }
@@ -1238,13 +1175,9 @@ void Simulation::dispatch(std::uint32_t queue, const PendingEvent& ev) {
 
 Simulation::PendingEvent Simulation::take_event(QueueState& q,
                                                 std::size_t index) {
-  q.front_known = false;
-  Bucket& b = q.buckets[q.heap.front().bucket];
-  if (index == kFront || index == b.next) return b.items[b.next++];
-  // A controller picked past the cursor: remove from the middle so no entry
-  // dispatches twice. O(bucket) — exploration runs only.
-  const PendingEvent ev = b.items[index];
-  b.items.erase(b.items.begin() + static_cast<std::ptrdiff_t>(index));
+  q.front_live = false;
+  const PendingEvent ev = q.heap[index];
+  heap_erase(q, index);
   return ev;
 }
 

@@ -236,10 +236,14 @@ sim::RunOutcome run_submit_storm(sim::ScheduleOracle& oracle) {
 // Portal scale-out world: two PortalClients feed one Portal, which hands
 // admitted batches to per-user PoolRunners; a shared central Collector +
 // delta PoolNegotiator matches the published job ads against two Startd
-// slots. The oracle crashes the portal at `portal.submit_recv` (admission
-// persisted, reply lost) and the runner at `portal.deliver_recv` (nothing
-// persisted, redelivery expected); exactly-once admission means no user's
-// Schedd ever holds more queue entries than that user submitted.
+// slots. Each runner admits one job at a time, so each user's second batch
+// is turned away once and admitted by credit. The oracle crashes the
+// portal at `portal.submit_recv` (admission persisted, reply lost), the
+// runner at `portal.deliver_recv` (nothing persisted, redelivery expected)
+// and at `pool_runner.credit_persist` (debt persisted, busy reply lost).
+// Exactly-once admission means no user's Schedd ever holds more queue
+// entries than that user submitted; liveness means that at the horizon
+// every client is drained and every submitted job is in its Schedd.
 struct PortalWorld {
   sim::World world{/*seed=*/2001};
 
@@ -290,7 +294,7 @@ struct PortalWorld {
       core::PoolRunnerOptions ropt;
       ropt.collector = collector->address();
       ropt.advertise_period = 10.0;
-      ropt.max_active = 4;
+      ropt.max_active = 1;
       ropt.shadow.poll_interval = 15.0;
       user->runner = std::make_unique<core::PoolRunner>(
           *user->schedd, world.net(), ropt);
@@ -363,6 +367,7 @@ struct PortalWorld {
     }
     h = util::fnv1a_mix(h, portal->queue_depth());
     h = util::fnv1a_mix(h, portal->jobs_admitted());
+    h = util::fnv1a_mix(h, portal->closed_runners());
     h = util::fnv1a_mix(h, collector->change_seq());
     h = util::fnv1a_mix(h, central->epoch());
     h = util::fnv1a_mix(h, central->alive() ? 1 : 0);
@@ -383,6 +388,18 @@ struct PortalWorld {
     }
     for (const auto& v : det::take_violations()) {
       out.violations.push_back(v.format());
+    }
+    // Liveness: a batch turned away must still arrive, whatever crashed.
+    for (const auto& user : users) {
+      const std::size_t queued = user->schedd->jobs().size();
+      if (!user->client->drained() || queued != user->total_jobs) {
+        out.violations.push_back(util::format(
+            "t=%.3f portal/liveness: user %s submitted %llu jobs but the "
+            "queue holds %zu%s",
+            horizon, user->name.c_str(),
+            static_cast<unsigned long long>(user->total_jobs), queued,
+            user->client->drained() ? "" : " (client not drained)"));
+      }
     }
     return out;
   }

@@ -31,7 +31,7 @@ class ScopedEnv {
   const char* name_;
 };
 
-/// Controller that always picks the last live candidate in a bucket —
+/// Controller that always picks the last live candidate at the front time —
 /// the exact reverse of the kernel's FIFO default.
 class PickLast : public cs::ScheduleController {
  public:

@@ -193,10 +193,12 @@ def check_multiuser(root: pathlib.Path) -> int:
     delta negotiator must stay >= speedup_floor times faster per cycle
     than the retained full-requery reference, fairness (Jain's index over
     per-user matched jobs) must hold the floor, the campaign must drain,
-    the negotiator's sweep must record zero divergences, and both the
-    kernel digest and the outcome digest must be identical across the
-    worker counts of the digest runs. Returns the failure count; a tree
-    without a multiuser section passes vacuously.
+    the negotiator's sweep must record zero divergences, runner busy
+    rejections must not exceed the user count (a portal that retries busy
+    runners reads tens of thousands), and both the kernel digest and the
+    outcome digest must be identical across the worker counts of the
+    digest runs. Returns the failure count; a tree without a multiuser
+    section passes vacuously.
     """
     failures = 0
     for path in sorted(root.glob("BENCH_*.json")):
@@ -234,6 +236,16 @@ def check_multiuser(root: pathlib.Path) -> int:
             print(f"  FAILED    {path.name}:multiuser negotiator sweep "
                   f"recorded {divergences} divergence(s)")
             failures += 1
+        busy = storm.get("runner_busy_rejections")
+        users = storm.get("users")
+        if not isinstance(busy, (int, float)) or \
+                not isinstance(users, (int, float)) or busy > users:
+            print(f"  FAILED    {path.name}:multiuser runner busy "
+                  f"rejections {busy} exceed the {users} users")
+            failures += 1
+        else:
+            print(f"  ok        {path.name}:multiuser runner busy "
+                  f"rejections {busy:.0f} (at most {users:.0f} users)")
         runs = [run for run in storm.get("digest_runs", [])
                 if isinstance(run, dict)]
         pairs = {(run.get("kernel_digest"), run.get("outcome_digest"))
@@ -321,7 +333,8 @@ def self_test() -> int:
     def make_multiuser_tree(root: pathlib.Path, speedup: float, jain: float,
                             drained: bool = True, divergences: int = 0,
                             outcomes: tuple[str, ...] = ("0x1",) * 3,
-                            kernels: tuple[str, ...] = ("0x9",) * 3) -> None:
+                            kernels: tuple[str, ...] = ("0x9",) * 3,
+                            runner_busy: int = 10) -> None:
         doc = {"bench": "U", "benchmarks": [
             {"name": "BM_MultiUserStorm/N1", "real_time_ns": 100.0,
              "cpu_time_ns": 100.0, "iterations": 1}],
@@ -330,6 +343,7 @@ def self_test() -> int:
                 "jain": jain, "jain_floor": 0.9,
                 "drained": drained, "jobs_completed": 10,
                 "divergences": divergences,
+                "users": 10, "runner_busy_rejections": runner_busy,
                 "digests_identical": len(set(zip(kernels, outcomes))) == 1,
                 "digest_runs": [
                     {"mode": m, "outcome_digest": d, "kernel_digest": k}
@@ -372,8 +386,8 @@ def self_test() -> int:
 
         # Multi-user gate: a healthy report passes; a sub-floor speedup, a
         # sub-floor Jain index, an undrained campaign, a sweep divergence,
-        # and an outcome or kernel digest mismatch across worker counts
-        # each fail exactly once.
+        # more runner busy rejections than users, and an outcome or kernel
+        # digest mismatch across worker counts each fail exactly once.
         storm_dir = pathlib.Path(tmp) / "storm"
         storm_dir.mkdir()
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95)
@@ -391,6 +405,11 @@ def self_test() -> int:
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95, divergences=2)
         if check_multiuser(storm_dir) != 1:
             failures.append("sweep divergences must fail")
+        make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95,
+                            runner_busy=11)
+        if check_multiuser(storm_dir) != 1:
+            failures.append("more runner busy rejections than users must "
+                            "fail")
         make_multiuser_tree(storm_dir, speedup=8.0, jain=0.95,
                             outcomes=("0x1", "0x1", "0x2"))
         if check_multiuser(storm_dir) != 1:
