@@ -66,8 +66,8 @@ Outcome run_trial(double loss, bool two_phase, std::uint64_t seed) {
     spec.gass_url = gass.address().str();
     spec.runtime_seconds = 300.0;
     client.submit(gatekeeper.address(), spec, {"submit", "cb"},
-                  [&outcome](std::optional<std::string> contact) {
-                    if (contact) ++outcome.acked;
+                  [&outcome](gram::SiteReply<std::string> contact) {
+                    if (contact.answer) ++outcome.acked;
                   });
   }
   world.sim().run_until(100000.0);

@@ -118,7 +118,7 @@ void BM_RpcRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     bool done = false;
     rpc.call({"b", "echo"}, "echo", {}, 30.0,
-             [&done](bool, const cs::Payload&) { done = true; });
+             [&done](cs::RpcOutcome, const cs::Payload&) { done = true; });
     world.sim().run();
     benchmark::DoNotOptimize(done);
   }
@@ -145,7 +145,7 @@ void BM_GramSubmitPipeline(benchmark::State& state) {
       spec.gass_url = gass.address().str();
       spec.runtime_seconds = 10.0;
       client.submit(gatekeeper.address(), spec, {"submit", "cb"},
-                    [&done](std::optional<std::string> c) { done += !!c; });
+                    [&done](auto c) { done += !!c.answer; });
     }
     world.sim().run_until(10000.0);
     benchmark::DoNotOptimize(done);

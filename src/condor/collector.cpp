@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "condorg/classad/parser.h"
+#include "condorg/sim/rpc.h"
 #include "condorg/util/rng.h"
 
 namespace condorg::condor {
@@ -97,12 +98,9 @@ void Collector::on_message(const sim::Message& message) {
     invalidate(message.body.get("name"));
     return;
   }
-  // Advertise traffic is one-way (UDP-like), so there is no error reply to
-  // send; count the drop instead of losing it silently.
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "collector"}, {"type", message.type}})
-      .inc();
+  // Advertise traffic is one-way (UDP-like): count the drop instead of
+  // losing it silently.
+  sim::rpc_unknown(host_, network_, message, address(), "collector");
 }
 
 void Collector::push_deadline(sim::Time when, const std::string& name) const {

@@ -12,13 +12,12 @@ PoolNegotiator::PoolNegotiator(sim::Host& host, sim::Network& network,
                                Collector& collector, Options options)
     : PoolNegotiator(host, collector, nullptr, nullptr, std::move(options)) {
   // The owning PoolRunner named itself in the job ad.
-  sink_ = [rpc = std::make_shared<sim::RpcClient>(host, network, kService),
-           &collector](const Match& match, const Collector::Entry& job) {
+  sink_ = [rpc = std::make_shared<sim::RpcClient>(host, network, kService)](
+              const Match& match, const Collector::Entry& job) {
     const auto runner = job.ad->eval_string("MyAddress");
     if (!runner) return;
     sim::Payload payload;
     payload.set("job", match.job_id);
-    payload.set("user", collector.user_name(job.user));
     payload.set("slot_name", match.slot_ad.eval_string("Name").value_or(""));
     payload.set("slot_address",
                 match.slot_ad.eval_string("MyAddress").value_or(""));

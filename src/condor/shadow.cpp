@@ -43,9 +43,9 @@ void Shadow::start() {
   claim.set("job_id", job_.job_id);
   claim.set("shadow", address().str());
   rpc_.call(startd_, "startd.claim", std::move(claim), kRpcTimeout,
-            [this](bool ok, const sim::Payload& reply) {
+            [this](sim::RpcOutcome claimed, const sim::Payload&) {
               if (outcome_ != Outcome::kPending) return;
-              if (!ok || !reply.get_bool("ok")) {
+              if (claimed != sim::RpcOutcome::kAnswered) {
                 finish(Outcome::kRequeued, "claim failed");
                 return;
               }
@@ -56,9 +56,10 @@ void Shadow::start() {
               activate.set_double("work_done", job_.checkpointed_work);
               rpc_.call(startd_, "startd.activate", std::move(activate),
                         kRpcTimeout,
-                        [this](bool ok2, const sim::Payload& reply2) {
+                        [this](sim::RpcOutcome activated,
+                               const sim::Payload&) {
                           if (outcome_ != Outcome::kPending) return;
-                          if (!ok2 || !reply2.get_bool("ok")) {
+                          if (activated != sim::RpcOutcome::kAnswered) {
                             release_slot();
                             finish(Outcome::kRequeued, "activation failed");
                             return;
@@ -102,9 +103,7 @@ void Shadow::on_message(const sim::Message& message) {
   }
 
   // done / evict / checkpoint are acked so the startd stops retrying.
-  sim::Payload ack;
-  ack.set_bool("ok", true);
-  sim::rpc_reply(network_, message, address(), std::move(ack));
+  sim::rpc_reply(network_, message, address(), {});
 
   if (outcome_ != Outcome::kPending) return;  // duplicate after finish
 
@@ -127,17 +126,15 @@ void Shadow::on_message(const sim::Message& message) {
   }
   // Already acked above (so the startd stops retrying) but nobody handled
   // it: protocol drift the auditor's no-unknown-messages check surfaces.
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "shadow"}, {"type", message.type}})
-      .inc();
+  sim::rpc_unknown(host_, network_, message, address(), "shadow",
+                   /*acked=*/true);
 }
 
 void Shadow::release_slot() {
   sim::Payload release;
   release.set("claim_id", claim_id_);
   rpc_.call(startd_, "startd.release", std::move(release),
-            kRpcTimeout, [](bool, const sim::Payload&) {});
+            kRpcTimeout, [](sim::RpcOutcome, const sim::Payload&) {});
 }
 
 void Shadow::finish(Outcome outcome, const std::string& reason) {

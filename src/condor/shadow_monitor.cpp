@@ -54,12 +54,12 @@ void ShadowMonitor::probe(const std::string& responder,
       sim::Address::parse(responder), "startd.status_all", std::move(request),
       Shadow::kRpcTimeout,
       [this, keys = std::move(keys), answered = std::move(answered)](
-          bool ok, const sim::Payload& reply) {
+          sim::RpcOutcome outcome, const sim::Payload& reply) {
         const auto states = util::split(reply.get("states"), ',');
         const auto jobs = util::split(reply.get("jobs"), ',');
         const auto work = util::split(reply.get("work"), ',');
         // Anything but a full answer to this question reads as silence.
-        const bool heard = ok && reply.get_bool("ok") &&
+        const bool heard = outcome == sim::RpcOutcome::kAnswered &&
                            states.size() == keys.size() &&
                            jobs.size() == keys.size() &&
                            work.size() == keys.size();

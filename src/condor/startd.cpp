@@ -121,8 +121,10 @@ void Startd::notify_shadow(const std::string& type, sim::Payload payload) {
     const auto self = weak.lock();
     if (!self) return;
     rpc_.call(shadow, type, payload, kNotifyTimeout,
-              [this, attempt, self](bool ok, const sim::Payload&) {
-                if (ok) return;
+              [this, attempt, self](sim::RpcOutcome outcome,
+                                    const sim::Payload&) {
+                // Any reply is the ack; only silence is sent again.
+                if (outcome != sim::RpcOutcome::kSilent) return;
                 if (--attempt->remaining <= 0) return;  // give up
                 host_.post(kNotifyTimeout,
                            life_.wrap([self] { (*self)(); }));
@@ -133,31 +135,27 @@ void Startd::notify_shadow(const std::string& type, sim::Payload payload) {
 
 void Startd::on_message(const sim::Message& message) {
   touch_activity();
-  sim::Payload reply;
   if (message.type == "startd.claim") {
-    if (state_ == State::kUnclaimed) {
-      claim_ = Claim{message.body.get("claim_id"), message.body.get("job_id"),
-                     sim::Address::parse(message.body.get("shadow"))};
-      state_ = State::kClaimed;
-      reply.set_bool("ok", true);
-      send_ad();
-    } else {
-      reply.set_bool("ok", false);
-      reply.set("why", std::string("slot is ") + to_string(state_));
+    if (state_ != State::kUnclaimed) {
+      sim::rpc_refuse(network_, message, address(),
+                      std::string("slot is ") + to_string(state_));
+      return;
     }
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    claim_ = Claim{message.body.get("claim_id"), message.body.get("job_id"),
+                   sim::Address::parse(message.body.get("shadow"))};
+    state_ = State::kClaimed;
+    send_ad();
+    sim::rpc_reply(network_, message, address(), {});
     return;
   }
   if (message.type == "startd.activate") {
-    if (state_ == State::kClaimed && claim_ &&
-        claim_->claim_id == message.body.get("claim_id")) {
-      activate(message);
-      reply.set_bool("ok", true);
-    } else {
-      reply.set_bool("ok", false);
-      reply.set("why", "no matching claim");
+    if (state_ != State::kClaimed || !claim_ ||
+        claim_->claim_id != message.body.get("claim_id")) {
+      sim::rpc_refuse(network_, message, address(), "no matching claim");
+      return;
     }
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    activate(message);
+    sim::rpc_reply(network_, message, address(), {});
     return;
   }
   if (message.type == "startd.release") {
@@ -171,8 +169,7 @@ void Startd::on_message(const sim::Message& message) {
       if (state_ != State::kExited) state_ = State::kUnclaimed;
       send_ad();
     }
-    reply.set_bool("ok", true);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_reply(network_, message, address(), {});
     return;
   }
   if (message.type == "startd.status_all") {
@@ -184,18 +181,11 @@ void Startd::on_message(const sim::Message& message) {
     return;
   }
   if (message.type == "startd.shutdown") {
-    reply.set_bool("ok", true);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_reply(network_, message, address(), {});
     shutdown("requested");
     return;
   }
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "startd"}, {"type", message.type}})
-      .inc();
-  reply.set_bool("ok", false);
-  reply.set("why", "unknown operation: " + message.type);
-  sim::rpc_reply(network_, message, address(), std::move(reply));
+  sim::rpc_unknown(host_, network_, message, address(), "startd");
 }
 
 void Startd::answer_status_all(
@@ -221,7 +211,6 @@ void Startd::answer_status_all(
         running ? util::format_double(startd->work_done_now()) : "0");
   }
   sim::Payload reply;
-  reply.set_bool("ok", true);
   reply.set("states", util::join(states, ","));
   reply.set("jobs", util::join(jobs, ","));
   reply.set("work", util::join(work, ","));

@@ -43,7 +43,8 @@ StandardAuditor::StandardAuditor(sim::Simulation& sim, std::uint64_t period)
       });
   auditor_.add_check(
       "cross/no-unknown-messages", [this](std::vector<std::string>& out) {
-        // Every dispatch tail counts messages it had no arm for into
+        // Every dispatch tail hands messages it had no arm for to
+        // sim::rpc_unknown, which counts them into
         // unknown_message{daemon,type}. A nonzero series means protocol
         // drift: a sender ships a type the receiver no longer (or never)
         // handles, and retries/timeouts are masking it. Deliberately

@@ -101,18 +101,19 @@ void GlideInManager::submit_glidein(SiteState& state) {
   ++submitted_;
   gram_.submit_with_seq(
       seq, state.site.gatekeeper, spec, address(),
-      [this, &state](std::optional<std::string> contact) {
-        if (!contact) {
+      [this, &state](gram::SiteReply<std::string> reply) {
+        if (!reply.answer) {
           --state.pending;
           --pending_;
           return;
         }
-        (*glideins_)[*contact] = Glidein{&state};
-        const auto stashed = stashed_states_->find(*contact);
+        const std::string& contact = *reply.answer;
+        (*glideins_)[contact] = Glidein{&state};
+        const auto stashed = stashed_states_->find(contact);
         if (stashed != stashed_states_->end()) {
           const std::string missed = stashed->second;
           stashed_states_->erase(stashed);
-          on_state(*contact, missed);
+          on_state(contact, missed);
         }
       });
 }
@@ -123,10 +124,7 @@ void GlideInManager::on_message(const sim::Message& message) {
   } else if (message.type == "glidein.exited") {
     on_exited(message.body.get("contact"));
   } else {
-    host_.metrics()
-        .counter("unknown_message",
-                 {{"daemon", "glidein"}, {"type", message.type}})
-        .inc();
+    sim::rpc_unknown(host_, network_, message, address(), "glidein");
   }
 }
 

@@ -53,10 +53,8 @@ void GlideInStarter::on_message(const sim::Message& message) {
         });
     return;
   }
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "glidein_starter"}, {"type", message.type}})
-      .inc();
+  sim::rpc_unknown(host_, network_, message, {host_.name(), kService},
+                   "glidein_starter");
 }
 
 void GlideInStarter::start(const std::string& contact, const std::string& slot,

@@ -336,18 +336,25 @@ void GridManager::submit_to(std::uint64_t job_id,
   gram_.submit_with_seq(
       seq, gatekeeper, spec_for(*job), callback_address(),
       [this, job_id, seq, gatekeeper,
-       submit_span](std::optional<std::string> contact) {
+       submit_span](gram::SiteReply<std::string> reply) {
         submitting_->erase(job_id);
         const auto current = schedd_.query(job_id);
         if (!current || current->status == JobStatus::kRemoved) {
           host_.tracer().end_span(submit_span, "stale", "job removed");
           end_pipeline(job_id);
-          if (contact) gram_.cancel(*contact, [](bool) {});
+          if (reply.answer) gram_.cancel(*reply.answer, [](bool) {});
           return;
         }
-        if (!contact) {
-          // Site never answered (or refused): release the job to be
-          // brokered elsewhere.
+        if (reply.refused) {
+          // The site is up and will not run it: the user must act (§4.3).
+          host_.tracer().end_span(submit_span, "error", "site refused");
+          end_pipeline(job_id);
+          schedd_.hold(job_id, "site " + gatekeeper.host +
+                                   " refused: " + *reply.refused);
+          return;
+        }
+        if (!reply.answer) {
+          // Site never answered: release the job to be brokered elsewhere.
           host_.tracer().end_span(submit_span, "error", "site unreachable");
           end_pipeline(job_id);
           schedd_.mark_idle_again(job_id, LogEventKind::kResubmitted,
@@ -356,13 +363,14 @@ void GridManager::submit_to(std::uint64_t job_id,
           count("gridmanager.resubmissions");
           return;
         }
-        host_.tracer().end_span(submit_span, "ok", "contact=" + *contact);
+        const std::string& contact = *reply.answer;
+        host_.tracer().end_span(submit_span, "ok", "contact=" + contact);
         // Crash point: submission committed remotely but not yet recorded
         // in the queue — the §4.2 ladder must reconcile via the persisted
         // seq, not run the job twice.
         if (host_.crash_point("gridmanager.submit_ack")) return;
-        (*contact_to_job_)[*contact] = job_id;
-        schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host, *contact);
+        (*contact_to_job_)[contact] = job_id;
+        schedd_.mark_grid_submitted(job_id, seq, gatekeeper.host, contact);
         probe_.watch(job_id, gatekeeper.host, options_.probe_interval);
       });
 }
@@ -373,11 +381,9 @@ void GridManager::dispatch(const sim::Message& message) {
     return;
   }
   // gram.callback is the only notify aimed at this service; anything else
-  // is drift (callbacks are one-way, so there is no error reply to send).
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "gridmanager"}, {"type", message.type}})
-      .inc();
+  // is drift.
+  sim::rpc_unknown(host_, network_, message, callback_address(),
+                   "gridmanager");
 }
 
 void GridManager::on_gram_callback(const sim::Message& message) {
@@ -528,29 +534,35 @@ void GridManager::probe_site(const std::string& site,
       sim::Address{site, gram::kGatekeeperService}, contacts,
       [this, site, jobs = std::move(jobs), contacts,
        answered = std::move(answered)](
-          std::optional<gram::GramClient::SiteReport> report) {
+          gram::SiteReply<gram::GramClient::SiteReport> report) {
         on_site_report(site, jobs, contacts, report);
-        answered(report.has_value());
+        answered(report.answer || report.refused);
       });
 }
 
 void GridManager::on_site_report(
     const std::string& site, const std::vector<std::uint64_t>& jobs,
     const std::vector<std::string>& contacts,
-    const std::optional<gram::GramClient::SiteReport>& report) {
+    const gram::SiteReply<gram::GramClient::SiteReport>& report) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const std::uint64_t id = jobs[i];
     const std::string& contact = contacts[i];
     const Job* job = schedd_.find(id);
     if (!job || job->gram_contact != contact) continue;  // moved meanwhile
-    if (!report) {
+    if (report.refused) {
+      // An answer, not an outage: nothing to recover or restart. The loop
+      // drops the held job at its next firing (DESIGN.md §6).
+      schedd_.hold(id, "site " + site + " refused: " + *report.refused);
+      continue;
+    }
+    if (!report.answer) {
       // F2 or F4 — indistinguishable from here. The loop probes again
       // after kRecoverRetry; when the site answers, its contacts are
       // reported (reconnect) or MISSING (restart).
       note_degraded(id, "site silent: " + site);
       continue;
     }
-    const std::optional<gram::GramJobState>& state = (*report)[i];
+    const std::optional<gram::GramJobState>& state = (*report.answer)[i];
     if (!state) {
       restart_jobmanager(id, contact);
       continue;

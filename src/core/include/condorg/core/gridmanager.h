@@ -9,7 +9,9 @@
 //   * runs the §4.2 ladder on that site probe: a contact the Gatekeeper
 //     reports MISSING lost only its JobManager, which is restarted (F1); a
 //     silent Gatekeeper is a front-end crash or a partition, which look the
-//     same from here (F2/F4), so the site is probed again until it answers,
+//     same from here (F2/F4), so the site is probed again until it answers;
+//     a Gatekeeper that refuses (credential, authorization) is up, so the
+//     jobs it was asked about are held with its reason (§4.3),
 //   * resubmits failed jobs (up to the job's max_attempts, then hold), and
 //   * after a local crash (F3), re-drives every non-terminal job from the
 //     Schedd's persistent queue and re-sends the GASS address to surviving
@@ -169,11 +171,11 @@ class GridManager {
   void probe_site(const std::string& site, std::vector<std::uint64_t> jobs,
                   std::vector<std::string> contacts,
                   sim::ProbeLoop::Answered answered);
-  /// The §4.2 ladder on a site probe's answer (nullopt: silence).
+  /// The §4.2 ladder on a site probe's reply.
   void on_site_report(
       const std::string& site, const std::vector<std::uint64_t>& jobs,
       const std::vector<std::string>& contacts,
-      const std::optional<gram::GramClient::SiteReport>& report);
+      const gram::SiteReply<gram::GramClient::SiteReport>& report);
   /// F1: restart a MISSING JobManager, unless its restart is in flight.
   void restart_jobmanager(std::uint64_t job_id, const std::string& contact);
   /// Send the GASS address to `contact` if a reboot left it owed (F3).

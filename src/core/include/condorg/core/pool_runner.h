@@ -16,11 +16,12 @@
 // community, not the backlog), and each completion rolls the window
 // forward. A delivery that would push the Schedd past `max_active` live
 // jobs is rejected "busy" and stays queued at the portal — backpressure
-// instead of a million-record queue. The rejection is a debt: the runner
-// persists that it owes the portal a credit before it says "busy", and
-// once the Schedd has room for the smallest batch it turned away it sends
-// `portal.credit`, retried until acked. Until then the portal delivers
-// nothing more here.
+// instead of a million-record queue. An empty Schedd admits any batch, so
+// a batch larger than the cap waits for the runner to drain, never
+// forever. The rejection is a debt: the runner persists that it owes the
+// portal a credit before it says "busy", and once the Schedd has room for
+// the smallest batch it turned away it sends `portal.credit`, retried
+// until acked. Until then the portal delivers nothing more here.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,8 @@ struct PoolRunnerOptions {
   /// no-op at the Collector (checksum match), so this is cheap.
   double advertise_period = 300.0;
   /// Schedd admission cap: deliveries that would exceed this many live
-  /// (idle+running+held) jobs are rejected "busy" back to the portal.
+  /// (idle+running+held) jobs are rejected "busy" back to the portal,
+  /// unless there is no live job at all.
   std::size_t max_active = 8;
   condor::ShadowOptions shadow;
 };
@@ -86,6 +88,8 @@ class PoolRunner {
                            std::uint64_t count);
   /// Send each owed credit the Schedd now has room for.
   void grant_credits();
+  /// Whether the Schedd has room for a batch of `count` jobs.
+  bool has_room(std::uint64_t count) const;
   /// Rebuild the debts from their records (construction and boot).
   void reload_credits();
   /// (Re-)advertise the first idle un-shadowed job; invalidate the old ad

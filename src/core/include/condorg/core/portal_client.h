@@ -32,7 +32,6 @@ struct PortalClientOptions {
   int cpus = 1;
   /// Extra job-ad attributes carried through to the delivered jobs.
   std::string requirements;
-  std::string rank;
   /// Backoff after a "busy" rejection or a lost ack.
   double retry_backoff = 5.0;
 };

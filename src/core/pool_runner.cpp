@@ -89,10 +89,7 @@ void PoolRunner::on_message(const sim::Message& message) {
     on_match(message.body);
     return;
   }
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "pool_runner"}, {"type", message.type}})
-      .inc();
+  sim::rpc_unknown(host_, network_, message, address(), "pool_runner");
 }
 
 void PoolRunner::on_deliver(const sim::Message& message) {
@@ -112,7 +109,7 @@ void PoolRunner::on_deliver(const sim::Message& message) {
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
-  if (schedd_.active_count() + count > options_.max_active) {
+  if (!has_room(count)) {
     // Owe the portal a credit, durably, before the reply closes this
     // runner there: a crash in between leaves the debt, and the portal,
     // never told, simply delivers again.
@@ -138,8 +135,6 @@ void PoolRunner::on_deliver(const sim::Message& message) {
     if (!requirements.empty()) {
       desc.ad.insert_expr("Requirements", requirements);
     }
-    const std::string rank = message.body.get("rank");
-    if (!rank.empty()) desc.ad.insert_expr("Rank", rank);
     schedd_.submit(std::move(desc));
   }
   host_.disk().put(marker, "1");
@@ -174,12 +169,14 @@ void PoolRunner::reload_credits() {
   }
 }
 
+bool PoolRunner::has_room(std::uint64_t count) const {
+  const std::size_t active = schedd_.active_count();
+  return active == 0 || active + count <= options_.max_active;
+}
+
 void PoolRunner::grant_credits() {
   for (auto& [portal_host, debt] : debts_) {
-    if (debt.owed == 0 || debt.in_flight ||
-        schedd_.active_count() + debt.owed > options_.max_active) {
-      continue;
-    }
+    if (debt.owed == 0 || debt.in_flight || !has_room(debt.owed)) continue;
     debt.in_flight = true;
     sim::Payload payload;
     payload.set("runner", address().str());
@@ -187,12 +184,13 @@ void PoolRunner::grant_credits() {
     rpc_.call({portal_host, kPortalService}, "portal.credit",
               std::move(payload), kCreditTimeout,
               [this, host = portal_host, number = debt.number](
-                  bool ok, const sim::Payload&) {
+                  sim::RpcOutcome outcome, const sim::Payload&) {
                 Debt& paid = debts_[host];
                 paid.in_flight = false;
                 // A batch turned away while this credit was on the wire
                 // left a newer number; that debt stands.
-                if (ok && paid.number == number) {
+                if (outcome == sim::RpcOutcome::kAnswered &&
+                    paid.number == number) {
                   paid.owed = 0;
                   host_.disk().put(kCreditPrefix + host,
                                    credit_record(0, number));

@@ -144,10 +144,7 @@ void Portal::on_message(const sim::Message& message) {
     on_credit(message);
     return;
   }
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "portal"}, {"type", message.type}})
-      .inc();
+  sim::rpc_unknown(host_, network_, message, address(), "portal");
 }
 
 void Portal::on_credit(const sim::Message& message) {
@@ -182,13 +179,15 @@ void Portal::deliver(Admission& admission) {
   const sim::Address to = sim::Address::parse(admission.body.get("deliver_to"));
   sim::Payload payload = admission.body;
   rpc_.call(to, "portal.deliver", std::move(payload), kDeliverTimeout,
-            [this, user, seq](bool ok, const sim::Payload& reply) {
+            [this, user, seq](sim::RpcOutcome outcome,
+                              const sim::Payload& reply) {
               const auto it = std::find_if(
                   queue_->begin(), queue_->end(), [&](const Admission& a) {
                     return a.user == user && a.seq == seq;
                   });
               if (it == queue_->end()) return;  // crashed + reloaded meanwhile
-              if (ok && reply.get("status") == "ok") {
+              const bool answered = outcome == sim::RpcOutcome::kAnswered;
+              if (answered && reply.get("status") == "ok") {
                 host_.disk().erase(pending_key(user, seq));
                 queue_->erase(it);
                 ++*deliveries_acked_;
@@ -200,7 +199,7 @@ void Portal::deliver(Admission& admission) {
               // until that arrives. Delivery lost: the next flush retries
               // (the runner's persisted marker absorbs any duplicate that
               // did get through). Either way the batch stays queued.
-              if (ok && reply.get("status") == "busy") {
+              if (answered && reply.get("status") == "busy") {
                 it->runner->busy =
                     std::max(it->runner->busy, reply.get_uint("credit"));
               }

@@ -74,12 +74,13 @@ void PortalClient::submit_next() {
   if (!options_.requirements.empty()) {
     payload.set("requirements", options_.requirements);
   }
-  if (!options_.rank.empty()) payload.set("rank", options_.rank);
   rpc_.call(options_.portal, "portal.submit", std::move(payload),
             kSubmitTimeout,
-            [this, count](bool ok, const sim::Payload& reply) {
+            [this, count](sim::RpcOutcome outcome,
+                          const sim::Payload& reply) {
               in_flight_ = false;
-              if (ok && reply.get("status") == "ok") {
+              if (outcome == sim::RpcOutcome::kAnswered &&
+                  reply.get("status") == "ok") {
                 remaining_ -= count;
                 ++next_seq_;
                 persist_progress();

@@ -16,9 +16,9 @@ sim::Payload FileClient::base_payload(const std::string& path) const {
 void FileClient::get(const sim::Address& server, const std::string& path,
                      GetCallback callback, double timeout) {
   rpc_.call(server, "file.get", base_payload(path), timeout,
-            [callback = std::move(callback)](bool ok,
+            [callback = std::move(callback)](sim::RpcOutcome outcome,
                                              const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
+              if (outcome != sim::RpcOutcome::kAnswered) {
                 callback(std::nullopt);
                 return;
               }
@@ -37,10 +37,7 @@ void FileClient::put(const sim::Address& server, const std::string& path,
   payload.set("content", std::move(content));
   payload.set_uint("size", declared_size);
   rpc_.call(server, "file.put", std::move(payload), timeout,
-            [callback = std::move(callback)](bool ok,
-                                             const sim::Payload& reply) {
-              callback(ok && reply.get_bool("ok"));
-            });
+            sim::rpc_answered(std::move(callback)));
 }
 
 void FileClient::append(const sim::Address& server, const std::string& path,
@@ -55,18 +52,15 @@ void FileClient::append(const sim::Address& server, const std::string& path,
     payload.set_uint("chunk_seq", chunk_seq);
   }
   rpc_.call(server, "file.append", std::move(payload), timeout,
-            [callback = std::move(callback)](bool ok,
-                                             const sim::Payload& reply) {
-              callback(ok && reply.get_bool("ok"));
-            });
+            sim::rpc_answered(std::move(callback)));
 }
 
 void FileClient::stat(const sim::Address& server, const std::string& path,
                       GetCallback callback, double timeout) {
   rpc_.call(server, "file.stat", base_payload(path), timeout,
-            [callback = std::move(callback)](bool ok,
+            [callback = std::move(callback)](sim::RpcOutcome outcome,
                                              const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
+              if (outcome != sim::RpcOutcome::kAnswered) {
                 callback(std::nullopt);
                 return;
               }
@@ -85,10 +79,7 @@ void FileClient::pull(const sim::Address& server, const std::string& path,
   payload.set("source", source.str());
   payload.set("remote_path", remote_path);
   rpc_.call(server, "file.pull", std::move(payload), timeout,
-            [callback = std::move(callback)](bool ok,
-                                             const sim::Payload& reply) {
-              callback(ok && reply.get_bool("ok"));
-            });
+            sim::rpc_answered(std::move(callback)));
 }
 
 }  // namespace condorg::gass

@@ -47,14 +47,6 @@ void FileService::install() {
                          [this](const sim::Message& m) { on_message(m); });
 }
 
-bool FileService::authenticate(const sim::Message& message,
-                               sim::Payload& reply) const {
-  const gsi::AuthResult result =
-      gsi::authenticate(auth_, message.body, host_.now());
-  if (!result.ok) reply.set("why", result.why);
-  return result.ok;
-}
-
 void FileService::reply_after_transfer(const sim::Message& request,
                                        sim::Payload reply,
                                        std::uint64_t bytes) {
@@ -68,30 +60,28 @@ void FileService::reply_after_transfer(const sim::Message& request,
 }
 
 void FileService::on_message(const sim::Message& message) {
-  sim::Payload reply;
-  reply.set_bool("ok", false);
-
-  if (!authenticate(message, reply)) {
+  const gsi::AuthResult auth =
+      gsi::authenticate(auth_, message.body, host_.now());
+  if (!auth.ok) {
     ++auth_failures_;
     auth_failures_counter_.inc();
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_refuse(network_, message, address(), auth.why);
     return;
   }
 
   const std::string path = message.body.get("path");
+  sim::Payload reply;
 
   if (message.type == "file.get") {
     // Borrowed view: serving a get must not copy the (possibly large)
     // content an extra time, and the stored entry memoizes its checksum.
     const FileData* file = store_->find(path);
     if (!file) {
-      reply.set("why", "no such file: " + path);
-      sim::rpc_reply(network_, message, address(), std::move(reply));
+      sim::rpc_refuse(network_, message, address(), "no such file: " + path);
       return;
     }
     ++gets_;
     gets_counter_.inc();
-    reply.set_bool("ok", true);
     reply.set("content", file->content);
     reply.set_uint("size", file->size());
     reply.set_uint("checksum", file->checksum());
@@ -103,7 +93,6 @@ void FileService::on_message(const sim::Message& message) {
     const std::uint64_t size = message.body.get_uint("size");
     store_->put(path, message.body.get("content"), size);
     puts_counter_.inc();
-    reply.set_bool("ok", true);
     reply_after_transfer(message, std::move(reply),
                          size ? size : message.body.get("content").size());
     return;
@@ -124,7 +113,6 @@ void FileService::on_message(const sim::Message& message) {
       ++appends_;
       appends_counter_.inc();
     }
-    reply.set_bool("ok", true);
     const auto stat = store_->stat(path);
     reply.set_uint("new_size", stat ? stat->size : 0);
     reply_after_transfer(message, std::move(reply),
@@ -134,13 +122,13 @@ void FileService::on_message(const sim::Message& message) {
 
   if (message.type == "file.stat") {
     // Fast path: size + memoized checksum, no FileData copy.
-    if (const auto stat = store_->stat(path)) {
-      reply.set_bool("ok", true);
-      reply.set_uint("size", stat->size);
-      reply.set_uint("checksum", stat->checksum);
-    } else {
-      reply.set("why", "no such file: " + path);
+    const auto stat = store_->stat(path);
+    if (!stat) {
+      sim::rpc_refuse(network_, message, address(), "no such file: " + path);
+      return;
     }
+    reply.set_uint("size", stat->size);
+    reply.set_uint("checksum", stat->checksum);
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
@@ -158,31 +146,28 @@ void FileService::on_message(const sim::Message& message) {
     // Capture the original request so the final ack goes to the initiator.
     pull_rpc_->call(
         source, "file.get", std::move(get_request), kPullTimeout,
-        [this, message, path](bool ok, const sim::Payload& got) {
-          sim::Payload ack;
-          if (!ok || !got.get_bool("ok")) {
-            ack.set_bool("ok", false);
-            ack.set("why", ok ? got.get("why") : "source unreachable");
-          } else {
-            FileData data;
-            data.content = got.get("content");
-            data.declared_size = got.get_uint("size");
-            store_->put(path, std::move(data));
-            ack.set_bool("ok", true);
-            ack.set_uint("size", got.get_uint("size"));
-            ack.set_uint("checksum", got.get_uint("checksum"));
+        [this, message, path](sim::RpcOutcome outcome,
+                              const sim::Payload& got) {
+          if (outcome != sim::RpcOutcome::kAnswered) {
+            sim::rpc_refuse(network_, message, address(),
+                            outcome == sim::RpcOutcome::kRefused
+                                ? got.get("why")
+                                : "source unreachable");
+            return;
           }
+          FileData data;
+          data.content = got.get("content");
+          data.declared_size = got.get_uint("size");
+          store_->put(path, std::move(data));
+          sim::Payload ack;
+          ack.set_uint("size", got.get_uint("size"));
+          ack.set_uint("checksum", got.get_uint("checksum"));
           sim::rpc_reply(network_, message, address(), std::move(ack));
         });
     return;
   }
 
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "file_service"}, {"type", message.type}})
-      .inc();
-  reply.set("why", "unknown operation: " + message.type);
-  sim::rpc_reply(network_, message, address(), std::move(reply));
+  sim::rpc_unknown(host_, network_, message, address(), "file_service");
 }
 
 }  // namespace condorg::gass

@@ -64,7 +64,6 @@ class FileService {
   void on_message(const sim::Message& message);
   void reply_after_transfer(const sim::Message& request, sim::Payload reply,
                             std::uint64_t bytes);
-  bool authenticate(const sim::Message& message, sim::Payload& reply) const;
 
   sim::Host& host_;
   sim::Network& network_;

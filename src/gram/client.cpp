@@ -87,7 +87,7 @@ void GramClient::drive_submit(std::uint64_t seq,
                               const sim::Address& callback,
                               SubmitCallback done, int attempts_left) {
   if (attempts_left <= 0) {
-    done(std::nullopt);
+    done({});
     return;
   }
   // Crash point: seq already allocated and persisted, request not yet sent
@@ -105,8 +105,9 @@ void GramClient::drive_submit(std::uint64_t seq,
   rpc_.call(
       gatekeeper, "gram.submit", std::move(payload), kRpcTimeout,
       [this, seq, gatekeeper, spec, callback, done = std::move(done),
-       attempts_left](bool ok, const sim::Payload& reply) mutable {
-        if (!ok) {
+       attempts_left](sim::RpcOutcome outcome,
+                      const sim::Payload& reply) mutable {
+        if (outcome == sim::RpcOutcome::kSilent) {
           // Lost request OR lost response: resend with the SAME sequence
           // number after a delay. The gatekeeper's dedup makes this safe.
           host_.post(options_.retry_delay, [this, seq, gatekeeper, spec,
@@ -118,8 +119,8 @@ void GramClient::drive_submit(std::uint64_t seq,
           });
           return;
         }
-        if (!reply.get_bool("ok")) {
-          done(std::nullopt);  // authoritative refusal (auth, bad spec)
+        if (outcome == sim::RpcOutcome::kRefused) {
+          done({.refused = reply.get("why")});  // authoritative (auth, spec)
           return;
         }
         const std::string contact = reply.get("contact");
@@ -128,7 +129,7 @@ void GramClient::drive_submit(std::uint64_t seq,
         if (host_.crash_point("gram.client.contact_persist")) return;
         host_.disk().put(seq_contact_key(seq), contact);
         if (!options_.two_phase) {
-          done(contact);
+          done({.answer = contact});
           return;
         }
         drive_commit(contact, std::move(done), options_.max_attempts);
@@ -138,7 +139,7 @@ void GramClient::drive_submit(std::uint64_t seq,
 void GramClient::drive_commit(const std::string& contact, SubmitCallback done,
                               int attempts_left) {
   if (attempts_left <= 0) {
-    done(std::nullopt);
+    done({});
     return;
   }
   // Crash point: contact persisted, commit not yet sent — the job must not
@@ -153,9 +154,10 @@ void GramClient::drive_commit(const std::string& contact, SubmitCallback done,
   rpc_.call(jobmanager_address(contact), "jm.commit", std::move(payload),
             kRpcTimeout,
             [this, contact, done = std::move(done),
-             attempts_left](bool ok, const sim::Payload& reply) mutable {
-              if (ok && reply.get_bool("ok")) {
-                done(contact);
+             attempts_left](sim::RpcOutcome outcome,
+                            const sim::Payload&) mutable {
+              if (outcome == sim::RpcOutcome::kAnswered) {
+                done({.answer = contact});
                 return;
               }
               host_.post(options_.retry_delay,
@@ -175,9 +177,13 @@ void GramClient::status_all(const sim::Address& gatekeeper,
   rpc_.call(gatekeeper, "gram.status_all", std::move(payload),
             kRpcTimeout,
             [asked = contacts.size(), done = std::move(done)](
-                bool ok, const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
-                done(std::nullopt);
+                sim::RpcOutcome outcome, const sim::Payload& reply) {
+              if (outcome == sim::RpcOutcome::kSilent) {
+                done({});
+                return;
+              }
+              if (outcome == sim::RpcOutcome::kRefused) {
+                done({.refused = reply.get("why")});
                 return;
               }
               SiteReport report;
@@ -191,10 +197,10 @@ void GramClient::status_all(const sim::Address& gatekeeper,
                 }
               }
               if (report.size() != asked) {
-                done(std::nullopt);  // not an answer to this question
+                done({});  // not an answer to this question
                 return;
               }
-              done(std::move(report));
+              done({.answer = std::move(report)});
             });
 }
 
@@ -204,8 +210,9 @@ void GramClient::restart_jobmanager(const std::string& contact,
   payload.set("contact", contact);
   rpc_.call(gatekeeper_address_for(contact), "gram.restart_jobmanager",
             std::move(payload), kRpcTimeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
+            [done = std::move(done)](sim::RpcOutcome outcome,
+                                     const sim::Payload& reply) {
+              if (outcome != sim::RpcOutcome::kAnswered) {
                 done(std::nullopt);
                 return;
               }
@@ -217,10 +224,7 @@ void GramClient::cancel(const std::string& contact, BoolCallback done) {
   sim::Payload payload = base_payload();
   payload.set("contact", contact);
   rpc_.call(jobmanager_address(contact), "jm.cancel", std::move(payload),
-            kRpcTimeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              done(ok && reply.get_bool("ok"));
-            });
+            kRpcTimeout, sim::rpc_answered(std::move(done)));
 }
 
 void GramClient::update_gass(const std::string& contact,
@@ -229,10 +233,7 @@ void GramClient::update_gass(const std::string& contact,
   payload.set("contact", contact);
   payload.set("gass_url", gass.str());
   rpc_.call(jobmanager_address(contact), "jm.update_gass", std::move(payload),
-            kRpcTimeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              done(ok && reply.get_bool("ok"));
-            });
+            kRpcTimeout, sim::rpc_answered(std::move(done)));
 }
 
 void GramClient::refresh_remote_credential(const std::string& contact,
@@ -241,9 +242,7 @@ void GramClient::refresh_remote_credential(const std::string& contact,
   payload.set("contact", contact);
   rpc_.call(jobmanager_address(contact), "jm.refresh_credential",
             std::move(payload), kRpcTimeout,
-            [done = std::move(done)](bool ok, const sim::Payload& reply) {
-              done(ok && reply.get_bool("ok"));
-            });
+            sim::rpc_answered(std::move(done)));
 }
 
 }  // namespace condorg::gram

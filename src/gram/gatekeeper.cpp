@@ -144,16 +144,12 @@ void Gatekeeper::audit(std::vector<std::string>& out) const {
 }
 
 void Gatekeeper::on_message(const sim::Message& message) {
-  sim::Payload reply;
-  reply.set_bool("ok", false);
-
   const gsi::AuthResult auth =
       gsi::authenticate(options_.auth, message.body, host_.now());
   if (!auth.ok) {
     ++auth_failures_;
     auth_failures_counter_.inc();
-    reply.set("why", auth.why);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_refuse(network_, message, address(), auth.why);
     return;
   }
 
@@ -178,12 +174,7 @@ void Gatekeeper::on_message(const sim::Message& message) {
     handle_restart(message);
     return;
   }
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "gatekeeper"}, {"type", message.type}})
-      .inc();
-  reply.set("why", "unknown operation: " + message.type);
-  sim::rpc_reply(network_, message, address(), std::move(reply));
+  sim::rpc_unknown(host_, network_, message, address(), "gatekeeper");
 }
 
 void Gatekeeper::handle_submit(const sim::Message& message) {
@@ -202,7 +193,6 @@ void Gatekeeper::handle_submit(const sim::Message& message) {
     if (const auto existing = host_.disk().get(key)) {
       ++duplicates_;
       duplicates_counter_.inc();
-      reply.set_bool("ok", true);
       reply.set("contact", *existing);
       reply.set_bool("duplicate", true);
       sim::rpc_reply(network_, message, address(), std::move(reply));
@@ -233,7 +223,6 @@ void Gatekeeper::handle_submit(const sim::Message& message) {
   // sent — the client must retransmit and the dedup key must absorb it.
   if (host_.crash_point("gatekeeper.submit_accepted")) return;
 
-  reply.set_bool("ok", true);
   reply.set("contact", contact);
   reply.set_uint("seq", seq);  // echoed sequence number
   sim::rpc_reply(network_, message, address(), std::move(reply));
@@ -247,15 +236,13 @@ void Gatekeeper::handle_restart(const sim::Message& message) {
   const std::string contact = message.body.get("contact");
   if (JobManager* jm = find_jobmanager(contact)) {
     // Still running: nothing to restart.
-    reply.set_bool("ok", true);
     reply.set("state", to_string(jm->state()));
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
   if (!host_.disk().contains(JobManager::record_key(contact))) {
-    reply.set_bool("ok", false);
-    reply.set("why", "unknown contact: " + contact);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_refuse(network_, message, address(),
+                    "unknown contact: " + contact);
     return;
   }
   // Reattach from stable storage; the new JobManager works out whether the
@@ -266,7 +253,6 @@ void Gatekeeper::handle_restart(const sim::Message& message) {
   ++jm_started_;
   jm_started_counter_.inc();
   jm_restarted_counter_.inc();
-  reply.set_bool("ok", true);
   reply.set("state", to_string((*jobmanagers_)[contact]->state()));
   sim::rpc_reply(network_, message, address(), std::move(reply));
 }
@@ -286,7 +272,6 @@ void Gatekeeper::handle_status_all(const sim::Message& message) {
                                       : kMissingState);
   }
   sim::Payload reply;
-  reply.set_bool("ok", true);
   reply.set("states", util::join(states, ","));
   sim::rpc_reply(network_, message, address(), std::move(reply));
 }

@@ -69,8 +69,7 @@ class GramClient {
   /// Contact recorded for a sequence number (if the submit got that far).
   std::optional<std::string> contact_for_seq(std::uint64_t seq) const;
 
-  using SubmitCallback =
-      std::function<void(std::optional<std::string> contact)>;
+  using SubmitCallback = std::function<void(SiteReply<std::string> contact)>;
   using BoolCallback = std::function<void(bool ok)>;
   using StateCallback =
       std::function<void(std::optional<GramJobState> state)>;
@@ -78,11 +77,12 @@ class GramClient {
   /// asked: each contact's JobManager state, or nullopt (MISSING) when no
   /// live JobManager holds it.
   using SiteReport = std::vector<std::optional<GramJobState>>;
-  using SiteReportCallback =
-      std::function<void(std::optional<SiteReport> report)>;
+  using SiteReportCallback = std::function<void(SiteReply<SiteReport> report)>;
 
   /// Full submission (allocate seq, two-phase commit, retries). `callback_`
   /// names the client service that will receive "gram.callback" updates.
+  /// Silence is sent again with the same seq after `retry_delay`; a
+  /// refusal ends the submission.
   void submit(const sim::Address& gatekeeper, const GramJobSpec& spec,
               const sim::Address& callback, SubmitCallback done);
 
@@ -92,9 +92,9 @@ class GramClient {
                        SubmitCallback done);
 
   /// One round trip to a site's Gatekeeper for the state of each of
-  /// `contacts` (all at that site). nullopt means the Gatekeeper did not
-  /// answer or refused: the caller cannot tell a down front-end (F2) from
-  /// a partition (F4).
+  /// `contacts` (all at that site). From silence the caller cannot tell a
+  /// down front-end (F2) from a partition (F4); a refusal (credential or
+  /// authorization) says the front-end is up and will not serve it.
   void status_all(const sim::Address& gatekeeper,
                   const std::vector<std::string>& contacts,
                   SiteReportCallback done);

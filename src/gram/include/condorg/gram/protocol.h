@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "condorg/sim/message.h"
@@ -35,6 +36,14 @@ inline constexpr const char* kMissingState = "MISSING";
 const char* to_string(GramJobState state);
 GramJobState gram_state_from_string(const std::string& text);
 bool is_terminal(GramJobState state);
+
+/// A site's reply to one request, after the client's retries: an `answer`,
+/// a refusal with its reason, or neither when the site stayed silent.
+template <typename T>
+struct SiteReply {
+  std::optional<T> answer = std::nullopt;
+  std::optional<std::string> refused = std::nullopt;
+};
 
 /// What the client asks the site to run.
 struct GramJobSpec {

@@ -260,7 +260,6 @@ void JobManager::on_message(const sim::Message& message) {
   // lint-allow(reply-on-all-paths): dead process, client restarts via GRAM
   if (!process_alive_) return;
   sim::Payload reply;
-  reply.set_bool("ok", true);
   reply.set("contact", contact_);
   reply.set("state", to_string(state_));
 
@@ -316,13 +315,7 @@ void JobManager::on_message(const sim::Message& message) {
     restream_output();
     return;
   }
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "jobmanager"}, {"type", message.type}})
-      .inc();
-  reply.set_bool("ok", false);
-  reply.set("why", "unknown operation: " + message.type);
-  sim::rpc_reply(network_, message, address(), std::move(reply));
+  sim::rpc_unknown(host_, network_, message, address(), "jobmanager");
 }
 
 void JobManager::commit() {

@@ -39,7 +39,6 @@ std::size_t MyProxyServer::stored_count() const {
 }
 
 void MyProxyServer::on_message(const sim::Message& message) {
-  sim::Payload reply;
   const std::string user = message.body.get("user");
   const std::string digest = passphrase_digest(message.body.get("passphrase"));
 
@@ -50,45 +49,41 @@ void MyProxyServer::on_message(const sim::Message& message) {
     const auto credential =
         Credential::deserialize(message.body.get("credential"));
     if (!credential || user.empty()) {
-      reply.set_bool("ok", false);
-      reply.set("why", "malformed store request");
-    } else {
-      host_.disk().put(record_key(user), digest + "\x1c" +
-                                             credential->serialize());
-      reply.set_bool("ok", true);
+      sim::rpc_refuse(network_, message, address(), "malformed store request");
+      return;
     }
-  } else if (message.type == "myproxy.get") {
-    const auto record = host_.disk().get(record_key(user));
-    reply.set_bool("ok", false);
-    if (!record) {
-      reply.set("why", "no credential stored for user");
-    } else {
-      const auto sep = record->find('\x1c');
-      if (sep == std::string::npos || record->substr(0, sep) != digest) {
-        reply.set("why", "bad passphrase");
-      } else {
-        const auto stored = Credential::deserialize(record->substr(sep + 1));
-        const double lifetime = message.body.get_double("lifetime", 43200.0);
-        if (!stored || !stored->valid_at(host_.now())) {
-          reply.set("why", "stored credential expired");
-        } else {
-          const Credential proxy =
-              stored->delegate(pki_, host_.now(), lifetime);
-          ++proxies_issued_;
-          reply.set_bool("ok", true);
-          reply.set("credential", proxy.serialize());
-        }
-      }
-    }
-  } else {
-    host_.metrics()
-        .counter("unknown_message",
-                 {{"daemon", "myproxy"}, {"type", message.type}})
-        .inc();
-    reply.set_bool("ok", false);
-    reply.set("why", "unknown operation");
+    host_.disk().put(record_key(user),
+                     digest + "\x1c" + credential->serialize());
+    sim::rpc_reply(network_, message, address(), {});
+    return;
   }
-  sim::rpc_reply(network_, message, address(), std::move(reply));
+  if (message.type == "myproxy.get") {
+    const auto record = host_.disk().get(record_key(user));
+    if (!record) {
+      sim::rpc_refuse(network_, message, address(),
+                      "no credential stored for user");
+      return;
+    }
+    const auto sep = record->find('\x1c');
+    if (sep == std::string::npos || record->substr(0, sep) != digest) {
+      sim::rpc_refuse(network_, message, address(), "bad passphrase");
+      return;
+    }
+    const auto stored = Credential::deserialize(record->substr(sep + 1));
+    if (!stored || !stored->valid_at(host_.now())) {
+      sim::rpc_refuse(network_, message, address(),
+                      "stored credential expired");
+      return;
+    }
+    const double lifetime = message.body.get_double("lifetime", 43200.0);
+    sim::Payload reply;
+    reply.set("credential",
+              stored->delegate(pki_, host_.now(), lifetime).serialize());
+    ++proxies_issued_;
+    sim::rpc_reply(network_, message, address(), std::move(reply));
+    return;
+  }
+  sim::rpc_unknown(host_, network_, message, address(), "myproxy");
 }
 
 MyProxyClient::MyProxyClient(sim::Host& host, sim::Network& network,
@@ -104,10 +99,7 @@ void MyProxyClient::store(const sim::Address& server, const std::string& user,
   payload.set("passphrase", passphrase);
   payload.set("credential", credential.serialize());
   rpc_.call(server, "myproxy.store", std::move(payload), kRpcTimeout,
-            [callback = std::move(callback)](bool ok,
-                                             const sim::Payload& reply) {
-              callback(ok && reply.get_bool("ok"));
-            });
+            sim::rpc_answered(std::move(callback)));
 }
 
 void MyProxyClient::get(const sim::Address& server, const std::string& user,
@@ -118,9 +110,9 @@ void MyProxyClient::get(const sim::Address& server, const std::string& user,
   payload.set("passphrase", passphrase);
   payload.set_double("lifetime", lifetime_seconds);
   rpc_.call(server, "myproxy.get", std::move(payload), kRpcTimeout,
-            [callback = std::move(callback)](bool ok,
+            [callback = std::move(callback)](sim::RpcOutcome outcome,
                                              const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
+              if (outcome != sim::RpcOutcome::kAnswered) {
                 callback(std::nullopt);
                 return;
               }

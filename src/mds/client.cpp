@@ -14,9 +14,9 @@ void MdsClient::query(const sim::Address& giis, const std::string& constraint,
   payload.set("constraint", constraint);
   if (!credential_.empty()) payload.set("credential", credential_);
   rpc_.call(giis, "grip.query", std::move(payload), timeout,
-            [callback = std::move(callback)](bool ok,
+            [callback = std::move(callback)](sim::RpcOutcome outcome,
                                              const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
+              if (outcome != sim::RpcOutcome::kAnswered) {
                 callback(std::nullopt);
                 return;
               }
@@ -44,9 +44,9 @@ void MdsClient::lookup(const sim::Address& giis, const std::string& name,
   payload.set("name", name);
   if (!credential_.empty()) payload.set("credential", credential_);
   rpc_.call(giis, "grip.lookup", std::move(payload), timeout,
-            [callback = std::move(callback)](bool ok,
+            [callback = std::move(callback)](sim::RpcOutcome outcome,
                                              const sim::Payload& reply) {
-              if (!ok || !reply.get_bool("ok")) {
+              if (outcome != sim::RpcOutcome::kAnswered) {
                 callback(std::nullopt);
                 return;
               }

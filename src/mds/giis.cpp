@@ -49,15 +49,11 @@ std::size_t GiisServer::live_count() const {
 }
 
 void GiisServer::on_message(const sim::Message& message) {
-  sim::Payload reply;
-  reply.set_bool("ok", false);
-
   const gsi::AuthResult auth =
       gsi::authenticate(auth_, message.body, host_.now());
   if (!auth.ok) {
     ++auth_failures_;
-    reply.set("why", auth.why);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_refuse(network_, message, address(), auth.why);
     return;
   }
 
@@ -66,28 +62,30 @@ void GiisServer::on_message(const sim::Message& message) {
     const std::string ad_text = message.body.get("ad");
     const double ttl = message.body.get_double("ttl", 600.0);
     if (name.empty() || ad_text.empty()) {
-      reply.set("why", "register requires name and ad");
-    } else {
-      // Validate the ad parses before accepting it into the directory.
-      try {
-        (void)classad::parse_ad(ad_text);
-        (*entries_)[name] = Entry{ad_text, host_.now() + ttl};
-        reply.set_bool("ok", true);
-      } catch (const classad::ParseError& e) {
-        reply.set("why", std::string("malformed ad: ") + e.what());
-      }
+      sim::rpc_refuse(network_, message, address(),
+                      "register requires name and ad");
+      return;
     }
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    // Validate the ad parses before accepting it into the directory.
+    try {
+      (void)classad::parse_ad(ad_text);
+    } catch (const classad::ParseError& e) {
+      sim::rpc_refuse(network_, message, address(),
+                      std::string("malformed ad: ") + e.what());
+      return;
+    }
+    (*entries_)[name] = Entry{ad_text, host_.now() + ttl};
+    sim::rpc_reply(network_, message, address(), {});
     return;
   }
 
   if (message.type == "grrp.unregister") {
     entries_->erase(message.body.get("name"));
-    reply.set_bool("ok", true);
-    sim::rpc_reply(network_, message, address(), std::move(reply));
+    sim::rpc_reply(network_, message, address(), {});
     return;
   }
 
+  sim::Payload reply;
   if (message.type == "grip.query") {
     prune();
     ++queries_;
@@ -98,8 +96,8 @@ void GiisServer::on_message(const sim::Message& message) {
       try {
         constraint = classad::parse_expr(constraint_text);
       } catch (const classad::ParseError& e) {
-        reply.set("why", std::string("bad constraint: ") + e.what());
-        sim::rpc_reply(network_, message, address(), std::move(reply));
+        sim::rpc_refuse(network_, message, address(),
+                        std::string("bad constraint: ") + e.what());
         return;
       }
     }
@@ -117,7 +115,6 @@ void GiisServer::on_message(const sim::Message& message) {
         ++matched;
       }
     }
-    reply.set_bool("ok", true);
     reply.set_uint("count", matched);
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
@@ -128,21 +125,15 @@ void GiisServer::on_message(const sim::Message& message) {
     ++queries_;
     const auto it = entries_->find(message.body.get("name"));
     if (it == entries_->end()) {
-      reply.set("why", "no such resource");
-    } else {
-      reply.set_bool("ok", true);
-      reply.set("ad", it->second.ad_text);
+      sim::rpc_refuse(network_, message, address(), "no such resource");
+      return;
     }
+    reply.set("ad", it->second.ad_text);
     sim::rpc_reply(network_, message, address(), std::move(reply));
     return;
   }
 
-  host_.metrics()
-      .counter("unknown_message",
-               {{"daemon", "giis"}, {"type", message.type}})
-      .inc();
-  reply.set("why", "unknown operation: " + message.type);
-  sim::rpc_reply(network_, message, address(), std::move(reply));
+  sim::rpc_unknown(host_, network_, message, address(), "giis");
 }
 
 }  // namespace condorg::mds

@@ -41,7 +41,7 @@ void InfoProvider::stop() {
     // Same delivery contract as register: fire-and-forget, TTL is the
     // backstop if this never arrives.
     rpc_.call(giis, "grrp.unregister", std::move(payload), 30.0,
-              [](bool, const sim::Payload&) {});
+              [](sim::RpcOutcome, const sim::Payload&) {});
   }
 }
 
@@ -57,7 +57,7 @@ void InfoProvider::tick() {
     // Fire-and-forget with a short timeout: a missed registration is
     // repaired by the next tick; the TTL covers the gap.
     rpc_.call(giis, "grrp.register", std::move(payload), 30.0,
-              [](bool, const sim::Payload&) {});
+              [](sim::RpcOutcome, const sim::Payload&) {});
   }
   host_.post(options_.period_seconds, [this] { tick(); });
 }

@@ -6,6 +6,7 @@ namespace condorg::sim {
 namespace {
 constexpr const char* kRpcId = "rpc.id";
 constexpr const char* kRpcReplyTo = "rpc.reply_to";
+constexpr const char* kRpcRefused = "rpc.refused";  // set in refusals only
 }  // namespace
 
 RpcClient::RpcClient(Host& host, Network& network, std::string service)
@@ -51,7 +52,7 @@ void RpcClient::call(const Address& to, const std::string& type,
     if (it == pending_.end()) return;
     Callback cb = std::move(it->second.callback);
     pending_.erase(it);
-    cb(false, Payload{});
+    cb(RpcOutcome::kSilent, Payload{});
   });
   pending_.emplace(id, Pending{std::move(callback), timeout_event});
 
@@ -80,7 +81,9 @@ void RpcClient::on_message(const Message& message) {
   host_.sim().cancel(it->second.timeout_event);
   Callback cb = std::move(it->second.callback);
   pending_.erase(it);
-  cb(true, message.body);
+  cb(message.body.has(kRpcRefused) ? RpcOutcome::kRefused
+                                   : RpcOutcome::kAnswered,
+     message.body);
 }
 
 void rpc_reply(Network& network, const Message& request, const Address& from,
@@ -92,6 +95,29 @@ void rpc_reply(Network& network, const Message& request, const Address& from,
   message.type = request.type + ".reply";
   message.body = std::move(reply);
   network.send(std::move(message));
+}
+
+void rpc_refuse(Network& network, const Message& request, const Address& from,
+                std::string why) {
+  Payload refusal;
+  refusal.set(kRpcRefused, "1");
+  refusal.set("why", std::move(why));
+  rpc_reply(network, request, from, std::move(refusal));
+}
+
+void rpc_unknown(Host& host, Network& network, const Message& message,
+                 const Address& from, const char* daemon, bool acked) {
+  host.metrics()
+      .counter("unknown_message", {{"daemon", daemon}, {"type", message.type}})
+      .inc();
+  if (acked || !message.body.has(kRpcReplyTo)) return;  // nobody waits
+  rpc_refuse(network, message, from, "unknown operation: " + message.type);
+}
+
+RpcClient::Callback rpc_answered(std::function<void(bool answered)> done) {
+  return [done = std::move(done)](RpcOutcome outcome, const Payload&) {
+    done(outcome == RpcOutcome::kAnswered);
+  };
 }
 
 }  // namespace condorg::sim

@@ -144,8 +144,8 @@ class MetricsRegistry {
   std::uint64_t counter_value(std::string_view key) const;
 
   /// Visit every counter whose canonical key starts with `prefix`, in key
-  /// order. Lets checks sweep a labelled family (e.g. every
-  /// unknown_message{...} series) without knowing the label values.
+  /// order. Lets checks sweep a labelled family (every series of one
+  /// counter name) without knowing the label values.
   void for_each_counter(
       std::string_view prefix,
       const std::function<void(std::string_view, std::uint64_t)>& fn) const;

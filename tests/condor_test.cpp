@@ -447,7 +447,9 @@ TEST_F(PoolFixture, ShutdownMessageEvictsAndExits) {
   cs::RpcClient admin(submit, world.net(), "admin.rpc");
   bool acked = false;
   admin.call(startd.address(), "startd.shutdown", {}, 30.0,
-             [&](bool ok, const cs::Payload&) { acked = ok; });
+             [&](cs::RpcOutcome outcome, const cs::Payload&) {
+               acked = outcome == cs::RpcOutcome::kAnswered;
+             });
   world.sim().run_until(700.0);
   EXPECT_TRUE(acked);
   EXPECT_TRUE(startd.exited());
@@ -464,8 +466,8 @@ TEST_F(PoolFixture, ActivateWithWrongClaimRejected) {
   claim.set("shadow", "submit.wisc.edu/nowhere");
   bool claimed = false;
   rogue.call(startd.address(), "startd.claim", std::move(claim), 30.0,
-             [&](bool ok, const cs::Payload& r) {
-               claimed = ok && r.get_bool("ok");
+             [&](cs::RpcOutcome outcome, const cs::Payload&) {
+               claimed = outcome == cs::RpcOutcome::kAnswered;
              });
   world.sim().run_until(10.0);
   ASSERT_TRUE(claimed);
@@ -474,8 +476,8 @@ TEST_F(PoolFixture, ActivateWithWrongClaimRejected) {
   activate.set_double("total_work", 100);
   bool activated = true;
   rogue.call(startd.address(), "startd.activate", std::move(activate), 30.0,
-             [&](bool ok, const cs::Payload& r) {
-               activated = ok && r.get_bool("ok");
+             [&](cs::RpcOutcome outcome, const cs::Payload&) {
+               activated = outcome == cs::RpcOutcome::kAnswered;
              });
   world.sim().run_until(20.0);
   EXPECT_FALSE(activated);

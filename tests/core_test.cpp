@@ -85,6 +85,21 @@ struct AgentFixture : public ::testing::Test {
     return id;
   }
 
+  /// Rebuilds pbs's Gatekeeper, before it sees any traffic, to require
+  /// GSI: it trusts `ca` and maps only /O=UW/CN=jfrey.
+  void require_gsi_at_pbs(const gsi::Pki& pki,
+                          const gsi::CertificateAuthority& ca) {
+    cw::Site& pbs = testbed.site(0);
+    condorg::gram::GatekeeperOptions options = pbs.gatekeeper->options();
+    options.auth.pki = &pki;
+    options.auth.anchors[ca.name()] = ca.public_key();
+    options.auth.gridmap.add("/O=UW/CN=jfrey", "jfrey");
+    options.auth.require_auth = true;
+    pbs.gatekeeper.reset();  // unregister before the replacement registers
+    pbs.gatekeeper = std::make_unique<condorg::gram::Gatekeeper>(
+        *pbs.frontend, testbed.world().net(), *pbs.scheduler, options);
+  }
+
   std::size_t total_site_executions() const {
     std::size_t n = 0;
     for (const auto& site : testbed.sites()) {
@@ -574,6 +589,74 @@ TEST_F(AgentFixture, SiteProbeRidesOutAPartitionWithoutRestarts) {
   EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 0u);
   EXPECT_EQ(agent->log().count(core::LogEventKind::kJobManagerLost), 0u);
   EXPECT_EQ(total_site_executions(), 4u);
+}
+
+TEST_F(AgentFixture, RefusedSiteProbeHoldsItsJobsWithoutRecovery) {
+  gsi::Pki pki(condorg::util::Rng(9));
+  gsi::CertificateAuthority ca(pki, "/CN=CA");
+  require_gsi_at_pbs(pki, ca);
+  agent->credentials().set_credential(
+      ca.issue(pki, "/O=UW/CN=jfrey", 0.0, 30 * 86400.0)
+          .delegate(pki, 0.0, 30 * 86400.0));
+  cs::Simulation& sim = testbed.world().sim();
+  sim.tracer().set_enabled(true);
+  core::JobDescription desc = grid_job(3000.0);
+  desc.grid_site = "pbs.anl.gov";
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(agent->submit(desc));
+  sim.run_until(1500.0);
+  for (const auto id : ids) {
+    ASSERT_EQ(agent->query(id)->remote_state, "ACTIVE") << "job " << id;
+  }
+  // Swap in a credential from a CA pbs does not trust: pbs answers its
+  // next probe with a refusal, which is no outage.
+  gsi::CertificateAuthority stranger(pki, "/CN=Stranger CA");
+  agent->credentials().set_credential(
+      stranger.issue(pki, "/O=UW/CN=jfrey", 0.0, 30 * 86400.0)
+          .delegate(pki, sim.now(), 30 * 86400.0));
+  sim.run_until(1500.0 + 120.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kHeld) << id;
+    EXPECT_EQ(agent->query(id)->hold_reason,
+              "site pbs.anl.gov refused: credential verification failed");
+  }
+  // The held jobs left the watch: pbs is not probed again.
+  const std::uint64_t probes = agent->gridmanager().probes_sent();
+  sim.run_until(2500.0);
+  EXPECT_EQ(agent->gridmanager().probes_sent(), probes);
+  // The site copies still finish, and each completes its job (DESIGN.md
+  // §12).
+  run_to_completion(10000.0);
+  for (const auto id : ids) {
+    EXPECT_EQ(agent->query(id)->status, core::JobStatus::kCompleted) << id;
+  }
+  for (const cs::TraceRecord& record : sim.tracer().records()) {
+    EXPECT_NE(record.name, "recovery.begin") << "job " << record.job;
+  }
+  EXPECT_EQ(agent->gridmanager().jobmanager_restarts(), 0u);
+  EXPECT_EQ(total_site_executions(), 4u);
+}
+
+TEST_F(AgentFixture, RefusedFirstSubmitHoldsTheJob) {
+  gsi::Pki pki(condorg::util::Rng(9));
+  gsi::CertificateAuthority ca(pki, "/CN=CA");
+  require_gsi_at_pbs(pki, ca);
+  // A credential pbs trusts, for an identity its gridmap does not map.
+  agent->credentials().set_credential(
+      ca.issue(pki, "/O=UW/CN=eve", 0.0, 30 * 86400.0)
+          .delegate(pki, 0.0, 30 * 86400.0));
+  core::JobDescription desc = grid_job(300.0);
+  desc.grid_site = "pbs.anl.gov";
+  const auto id = agent->submit(desc);
+  testbed.world().sim().run_until(1000.0);
+  EXPECT_EQ(agent->query(id)->status, core::JobStatus::kHeld);
+  EXPECT_EQ(agent->query(id)->hold_reason,
+            "site pbs.anl.gov refused: identity not authorized: /O=UW/CN=eve");
+  // One submit: not sent again, not re-brokered, not a resubmission.
+  EXPECT_EQ(agent->gridmanager().submissions(), 1u);
+  EXPECT_EQ(agent->gridmanager().gram().submits_sent(), 1u);
+  EXPECT_EQ(agent->gridmanager().resubmissions(), 0u);
+  EXPECT_EQ(total_site_executions(), 0u);
 }
 
 TEST_F(AgentFixture, SubmitHostRebootResendsGassToEveryContact) {

@@ -51,7 +51,7 @@ struct GramFixture : public ::testing::Test {
                                double deadline = 4000.0) {
     std::string contact;
     client.submit(gatekeeper->address(), spec(), {"submit.wisc.edu", "gram.cb"},
-                  [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                  [&](auto c) { contact = c.answer.value_or(""); });
     await_state(state, deadline);
     return contact;
   }
@@ -70,21 +70,23 @@ struct GramFixture : public ::testing::Test {
   }
 
   /// One site probe for `contact`, given 60 s: the contact's state as
-  /// reported, MISSING, or "silent" when the Gatekeeper did not answer.
+  /// reported, MISSING, "refused: <why>", or "silent" when the Gatekeeper
+  /// did not answer.
   std::string probe_site(const std::string& contact) {
     std::string answer = "pending";
-    client.status_all(gatekeeper->address(), {contact},
-                      [&](std::optional<gram::GramClient::SiteReport> report) {
-                        if (!report) {
-                          answer = "silent";
-                        } else if (report->size() != 1) {
-                          answer = "malformed";
-                        } else {
-                          answer = report->front()
-                                       ? gram::to_string(*report->front())
-                                       : gram::kMissingState;
-                        }
-                      });
+    client.status_all(gatekeeper->address(), {contact}, [&](auto report) {
+      if (report.refused) {
+        answer = "refused: " + *report.refused;
+      } else if (!report.answer) {
+        answer = "silent";
+      } else if (report.answer->size() != 1) {
+        answer = "malformed";
+      } else {
+        answer = report.answer->front()
+                     ? gram::to_string(*report.answer->front())
+                     : gram::kMissingState;
+      }
+    });
     world.sim().run_until(world.now() + 60.0);
     return answer;
   }
@@ -142,7 +144,7 @@ TEST_F(GramFixture, SitePolicyCapsWalltime) {
   std::string contact;
   client.submit(gatekeeper->address(), spec(1000.0),
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   await_state("FAILED", 4000.0);
   EXPECT_TRUE(saw_state("FAILED"));
   EXPECT_EQ(cluster->history().back().state,
@@ -157,7 +159,7 @@ TEST_F(GramFixture, MissingExecutableFailsJob) {
   std::string contact;
   impatient.submit(gatekeeper->address(), spec(),
                    {"submit.wisc.edu", "gram.cb"},
-                   [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                   [&](auto c) { contact = c.answer.value_or(""); });
   // Staging retries 30x with 60s delay; fail arrives within ~2000s.
   await_state("FAILED", 30000.0);
   EXPECT_TRUE(saw_state("FAILED"));
@@ -179,8 +181,8 @@ TEST_F(GramFixture, LostResponsesDoNotDuplicateJobs) {
   for (int i = 0; i < 10; ++i) {
     lossy_client.submit(gatekeeper->address(), spec(100.0),
                         {"submit.wisc.edu", "gram.cb"},
-                        [&](std::optional<std::string> c) {
-                          if (c) ++completed;
+                        [&](auto c) {
+                          if (c.answer) ++completed;
                         });
   }
   world.sim().run();
@@ -195,12 +197,12 @@ TEST_F(GramFixture, ResendWithSameSeqReturnsSameContact) {
   std::string first, second;
   client.submit_with_seq(seq, gatekeeper->address(), spec(50.0),
                          {"submit.wisc.edu", "gram.cb"},
-                         [&](std::optional<std::string> c) { first = c.value_or(""); });
+                         [&](auto c) { first = c.answer.value_or(""); });
   world.sim().run_until(50.0);
   // Simulate crash recovery: re-drive the same sequence number.
   client.submit_with_seq(seq, gatekeeper->address(), spec(50.0),
                          {"submit.wisc.edu", "gram.cb"},
-                         [&](std::optional<std::string> c) { second = c.value_or(""); });
+                         [&](auto c) { second = c.answer.value_or(""); });
   world.sim().run();
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
@@ -228,7 +230,7 @@ TEST_F(GramFixture, OnePhaseModeWithoutDedupDuplicatesUnderLoss) {
   for (int i = 0; i < 20; ++i) {
     naive.submit(gatekeeper->address(), spec(50.0),
                  {"submit.wisc.edu", "gram.cb"},
-                 [&](std::optional<std::string> c) { acked += c ? 1 : 0; });
+                 [&](auto c) { acked += c.answer ? 1 : 0; });
   }
   world.sim().run();
   // Lost *responses* caused retransmissions that became extra jobs.
@@ -412,14 +414,16 @@ TEST(GramAuth, UnauthorizedSubmitRejected) {
   gram::GramClient bad(submit, world.net(), "bad", copt);
   bad.set_credential(outsider.delegate(pki, 0.0, 3600.0));
 
-  std::optional<std::string> good_contact, bad_contact;
+  gram::SiteReply<std::string> good_reply, bad_reply;
   good.submit(gatekeeper.address(), spec, {"submit", "cb"},
-              [&](auto c) { good_contact = c; });
+              [&](auto c) { good_reply = c; });
   bad.submit(gatekeeper.address(), spec, {"submit", "cb"},
-             [&](auto c) { bad_contact = c; });
+             [&](auto c) { bad_reply = c; });
   world.sim().run();
-  EXPECT_TRUE(good_contact.has_value());
-  EXPECT_FALSE(bad_contact.has_value());
+  EXPECT_TRUE(good_reply.answer.has_value());
+  EXPECT_FALSE(bad_reply.answer.has_value());
+  // Refused with the Gatekeeper's reason, which silence would not carry.
+  EXPECT_EQ(bad_reply.refused, "identity not authorized: /O=X/CN=eve");
   EXPECT_EQ(gatekeeper.auth_failures(), 1u);
   EXPECT_EQ(cluster.history().size(), 1u);
 }
@@ -459,8 +463,10 @@ TEST_F(GramFixture, CancelBeforeCommitFailsJobWithoutExecution) {
     payload.set("callback", "submit.wisc.edu/gram.cb");
     spec().to_payload(payload);
     raw.call(gatekeeper->address(), "gram.submit", std::move(payload), 30.0,
-             [&](bool ok, const cs::Payload& reply) {
-               if (ok && reply.get_bool("ok")) contact = reply.get("contact");
+             [&](cs::RpcOutcome outcome, const cs::Payload& reply) {
+               if (outcome == cs::RpcOutcome::kAnswered) {
+                 contact = reply.get("contact");
+               }
              });
     world.sim().run_until(world.now() + 60.0);
   }
@@ -483,7 +489,7 @@ TEST_F(GramFixture, JobManagerCrashDuringStageInRecovers) {
   std::string contact;
   client.submit(gatekeeper->address(), spec(100.0),
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   world.sim().run_until(130.0);  // submit+commit done; stage-in in flight
   site.crash();
   world.sim().run_until(200.0);
@@ -508,7 +514,7 @@ TEST_F(GramFixture, RestartWhileJobStillQueuedReportsPending) {
   std::string contact;
   client.submit(gatekeeper->address(), spec(50.0),
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   await_state("PENDING", 1000.0);
   ASSERT_FALSE(contact.empty());
   ASSERT_TRUE(gatekeeper->kill_jobmanager(contact));
@@ -529,7 +535,7 @@ TEST_F(GramFixture, StdoutStreamsWhileActive) {
   std::string contact;
   client.submit(gatekeeper->address(), streaming,
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   await_state("ACTIVE", 2000.0);
   const double active_at = world.now();
   world.sim().run_until(active_at + 300.0);
@@ -548,7 +554,7 @@ TEST_F(GramFixture, StreamedOutputResentToNewGassServer) {
   std::string contact;
   client.submit(gatekeeper->address(), streaming,
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   await_state("ACTIVE", 2000.0);
   world.sim().run_until(world.now() + 400.0);  // several chunks streamed
   const auto old_copy = gass.store().get("out/job.out.stream");
@@ -581,7 +587,7 @@ TEST_F(GramFixture, StreamSurvivesJobManagerRestartWithoutDuplicates) {
   std::string contact;
   client.submit(gatekeeper->address(), streaming,
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   await_state("ACTIVE", 2000.0);
   world.sim().run_until(world.now() + 250.0);
   ASSERT_TRUE(gatekeeper->kill_jobmanager(contact));
@@ -716,7 +722,7 @@ TEST_F(GramFixture, StartAndFinishBetweenInstantsReportsDoneWithoutActive) {
   std::string contact;
   client.submit(gatekeeper->address(), spec(5.0),
                 {"submit.wisc.edu", "gram.cb"},
-                [&](std::optional<std::string> c) { contact = c.value_or(""); });
+                [&](auto c) { contact = c.answer.value_or(""); });
   await_state("PENDING", 1000.0);
   const auto local = local_record(*cluster, contact);
   ASSERT_TRUE(local.has_value());

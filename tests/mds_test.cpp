@@ -193,7 +193,7 @@ TEST_F(MdsFixture, UnregisterRemovesEntry) {
   cs::Payload payload;
   payload.set("name", "pbs.anl.gov");
   rpc.call(giis.address(), "grrp.unregister", std::move(payload), 30.0,
-           [](bool, const cs::Payload&) {});
+           [](cs::RpcOutcome, const cs::Payload&) {});
   world.sim().run_until(10.0);
   EXPECT_EQ(giis.live_count(), 0u);
 }
@@ -202,8 +202,8 @@ TEST_F(MdsFixture, UnknownOperationRejected) {
   cs::RpcClient rpc(broker_host, world.net(), "bad.rpc");
   bool ok = true;
   rpc.call(giis.address(), "grip.bogus", {}, 30.0,
-           [&](bool transport_ok, const cs::Payload& reply) {
-             ok = transport_ok && reply.get_bool("ok");
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
+             ok = outcome == cs::RpcOutcome::kAnswered;
            });
   world.sim().run_until(10.0);
   EXPECT_FALSE(ok);

@@ -250,13 +250,36 @@ TEST_F(PortalFixture, RunnerAtCapacityRejectsDeliveryUntilSpaceFrees) {
   ada.runner->start();
 
   run_for(120.0);
-  // The 6-job batch can never fit under max_active=4: it stays queued at
-  // the portal, which asked once — not at every flush tick — and holds
-  // the runner closed, since no credit can cover the batch.
-  EXPECT_EQ(ada.schedd->jobs().size(), 0u);
-  EXPECT_EQ(portal->queue_depth(), 1u);
+  // The 6-job batch is larger than max_active=4, but the runner is empty:
+  // it takes the whole batch at once, with no busy reply. Live jobs stay
+  // bounded by the larger of the cap and the batch.
+  EXPECT_EQ(ada.schedd->jobs().size(), 6u);
+  EXPECT_EQ(portal->queue_depth(), 0u);
+  EXPECT_EQ(ada.runner->busy_rejections(), 0u);
+  EXPECT_EQ(portal->closed_runners(), 0u);
+}
+
+TEST_F(PortalFixture, OversizedBatchIsAdmittedByCreditOnceTheRunnerEmpties) {
+  make_portal();
+  add_pool(/*slots=*/2);
+  User& ada = add_user("ada", 2, /*batch_size=*/2, /*max_active=*/4,
+                       /*runtime_seconds=*/30.0);
+  run_for(5.0);
+  ASSERT_EQ(ada.schedd->jobs().size(), 2u);
+  // Six more under a cap of four while two are live: turned away once.
+  raw_submit("ada", /*seq=*/100, /*count=*/6, ada.runner->address().str());
+  run_for(5.0);
+  EXPECT_EQ(ada.schedd->jobs().size(), 2u);
   EXPECT_EQ(ada.runner->busy_rejections(), 1u);
   EXPECT_EQ(portal->closed_runners(), 1u);
+  // The first two complete, the empty runner sends its credit, and the
+  // whole batch goes in.
+  run_for(600.0);
+  EXPECT_EQ(ada.schedd->jobs().size(), 8u);
+  EXPECT_TRUE(ada.schedd->all_terminal());
+  EXPECT_EQ(ada.runner->busy_rejections(), 1u);
+  EXPECT_EQ(portal->closed_runners(), 0u);
+  EXPECT_EQ(portal->queue_depth(), 0u);
 }
 
 TEST_F(PortalFixture, CreditReopensRunnerOnceRoomFrees) {

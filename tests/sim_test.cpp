@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -712,9 +713,9 @@ TEST(Rpc, CallAndReply) {
              p.set("data", "x");
              return p;
            }(),
-           30.0, [&](bool ok, const cs::Payload& reply) {
+           30.0, [&](cs::RpcOutcome outcome, const cs::Payload& reply) {
              got = true;
-             EXPECT_TRUE(ok);
+             EXPECT_EQ(outcome, cs::RpcOutcome::kAnswered);
              EXPECT_EQ(reply.get("data"), "x");
              EXPECT_TRUE(reply.get_bool("pong"));
            });
@@ -730,9 +731,9 @@ TEST(Rpc, TimeoutOnDeadServer) {
   cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
   bool got = false;
   rpc.call(cs::Address{"server", "echo"}, "echo", {}, 30.0,
-           [&](bool ok, const cs::Payload&) {
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
              got = true;
-             EXPECT_FALSE(ok);
+             EXPECT_EQ(outcome, cs::RpcOutcome::kSilent);
            });
   world.sim().run();
   EXPECT_TRUE(got);
@@ -746,11 +747,13 @@ TEST(Rpc, TimeoutOnPartition) {
   EchoServer server(server_host, world.net());
   world.net().set_partitioned("client", "server", true);
   cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
-  bool ok_result = true;
+  cs::RpcOutcome result = cs::RpcOutcome::kAnswered;
   rpc.call(cs::Address{"server", "echo"}, "echo", {}, 10.0,
-           [&](bool ok, const cs::Payload&) { ok_result = ok; });
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
+             result = outcome;
+           });
   world.sim().run();
-  EXPECT_FALSE(ok_result);
+  EXPECT_EQ(result, cs::RpcOutcome::kSilent);
 }
 
 TEST(Rpc, ClientCrashDropsPendingCallbacks) {
@@ -761,7 +764,7 @@ TEST(Rpc, ClientCrashDropsPendingCallbacks) {
   cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
   int called = 0;
   rpc.call(cs::Address{"server", "echo"}, "echo", {}, 30.0,
-           [&](bool, const cs::Payload&) { ++called; });
+           [&](cs::RpcOutcome, const cs::Payload&) { ++called; });
   world.sim().schedule_at(0.001, [&] { client_host.crash(); });
   world.sim().run();
   EXPECT_EQ(called, 0);
@@ -779,15 +782,147 @@ TEST(Rpc, LateReplyAfterTimeoutIsIgnored) {
   world.net().set_default_link(slow);
   cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
   int calls = 0;
-  bool ok_result = true;
+  cs::RpcOutcome result = cs::RpcOutcome::kAnswered;
   rpc.call(cs::Address{"server", "echo"}, "echo", {}, 10.0,
-           [&](bool ok, const cs::Payload&) {
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
              ++calls;
-             ok_result = ok;
+             result = outcome;
            });
   world.sim().run();
   EXPECT_EQ(calls, 1);
-  EXPECT_FALSE(ok_result);
+  EXPECT_EQ(result, cs::RpcOutcome::kSilent);
+}
+
+TEST(Rpc, EachCallEndsInOneOfThreeOutcomes) {
+  cs::World world;
+  cs::Host& client_host = world.add_host("client");
+  cs::Host& server_host = world.add_host("server");
+  // Answers "echo", refuses "deny", and never replies to "drop".
+  server_host.register_service("svc", [&](const cs::Message& m) {
+    const cs::Address self{"server", "svc"};
+    if (m.type == "echo") {
+      cs::Payload reply;
+      reply.set("data", m.body.get("data"));
+      cs::rpc_reply(world.net(), m, self, std::move(reply));
+    } else if (m.type == "deny") {
+      cs::rpc_refuse(world.net(), m, self, "not for you");
+    }
+  });
+  cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
+  struct Ended {
+    int calls = 0;
+    cs::RpcOutcome outcome = cs::RpcOutcome::kAnswered;
+    cs::Payload reply;
+    double at = -1;
+  };
+  std::map<std::string, Ended> ended;
+  for (const std::string type : {"echo", "deny", "drop"}) {
+    cs::Payload payload;
+    payload.set("data", "x");
+    rpc.call(cs::Address{"server", "svc"}, type, std::move(payload), 10.0,
+             [&, type](cs::RpcOutcome outcome, const cs::Payload& reply) {
+               Ended& end = ended[type];
+               ++end.calls;
+               end.outcome = outcome;
+               end.reply = reply;
+               end.at = world.now();
+             });
+  }
+  world.sim().run();
+  ASSERT_EQ(ended.size(), 3u);
+  for (const auto& [type, end] : ended) EXPECT_EQ(end.calls, 1) << type;
+  EXPECT_EQ(ended["echo"].outcome, cs::RpcOutcome::kAnswered);
+  EXPECT_EQ(ended["echo"].reply.get("data"), "x");
+  EXPECT_EQ(ended["deny"].outcome, cs::RpcOutcome::kRefused);
+  EXPECT_EQ(ended["deny"].reply.get("why"), "not for you");
+  EXPECT_LT(ended["deny"].at, 10.0);  // an answer, not a timeout
+  EXPECT_EQ(ended["drop"].outcome, cs::RpcOutcome::kSilent);
+  EXPECT_TRUE(ended["drop"].reply.fields().empty());
+  EXPECT_GE(ended["drop"].at, 10.0);
+  EXPECT_EQ(rpc.pending(), 0u);
+}
+
+TEST(Rpc, LateRefusalAfterTimeoutIsIgnored) {
+  cs::World world;
+  cs::Host& client_host = world.add_host("client");
+  cs::Host& server_host = world.add_host("server");
+  server_host.register_service("svc", [&](const cs::Message& m) {
+    cs::rpc_refuse(world.net(), m, cs::Address{"server", "svc"}, "no");
+  });
+  cs::LinkConfig slow;
+  slow.latency = 50.0;  // round trip = 100s > timeout
+  slow.jitter = 0.0;
+  world.net().set_default_link(slow);
+  cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
+  std::vector<cs::RpcOutcome> outcomes;
+  rpc.call(cs::Address{"server", "svc"}, "ask", {}, 10.0,
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
+             outcomes.push_back(outcome);
+           });
+  world.sim().run();
+  EXPECT_GE(world.now(), 100.0);  // the refusal did land, too late
+  EXPECT_EQ(outcomes, std::vector<cs::RpcOutcome>{cs::RpcOutcome::kSilent});
+}
+
+TEST(Rpc, UnknownMessageIsCountedAndARequestRefused) {
+  cs::World world;
+  cs::Host& client_host = world.add_host("client");
+  cs::Host& server_host = world.add_host("server");
+  const cs::Address self{"server", "svc"};
+  server_host.register_service("svc", [&](const cs::Message& m) {
+    cs::rpc_unknown(server_host, world.net(), m, self, "test");
+  });
+  std::size_t to_client = 0;
+  world.net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.to.host == "client") ++to_client;
+  });
+  cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
+  std::vector<std::pair<cs::RpcOutcome, std::string>> ended;
+  rpc.call(self, "x.bogus", {}, 10.0,
+           [&](cs::RpcOutcome outcome, const cs::Payload& reply) {
+             ended.emplace_back(outcome, reply.get("why"));
+           });
+  rpc.notify(self, "x.stray", {});
+  rpc.notify(self, "x.stray", {});
+  world.sim().run();
+  ASSERT_EQ(ended.size(), 1u);
+  EXPECT_EQ(ended[0].first, cs::RpcOutcome::kRefused);
+  EXPECT_EQ(ended[0].second, "unknown operation: x.bogus");
+  EXPECT_EQ(to_client, 1u);  // the refusal; the notifies got nothing back
+  const auto& metrics = world.sim().metrics();
+  EXPECT_EQ(metrics.counter_value("unknown_message{daemon=test,type=x.bogus}"),
+            1u);
+  EXPECT_EQ(metrics.counter_value("unknown_message{daemon=test,type=x.stray}"),
+            2u);
+}
+
+TEST(Rpc, UnknownMessageAlreadyAnsweredIsOnlyCounted) {
+  cs::World world;
+  cs::Host& client_host = world.add_host("client");
+  cs::Host& server_host = world.add_host("server");
+  const cs::Address self{"server", "svc"};
+  // The Shadow's shape: ack every request first, then dispatch.
+  server_host.register_service("svc", [&](const cs::Message& m) {
+    cs::rpc_reply(world.net(), m, self, {});
+    cs::rpc_unknown(server_host, world.net(), m, self, "test",
+                    /*acked=*/true);
+  });
+  std::size_t to_client = 0;
+  world.net().set_delivery_tap([&](const cs::Message& m) {
+    if (m.to.host == "client") ++to_client;
+  });
+  cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
+  cs::RpcOutcome result = cs::RpcOutcome::kSilent;
+  rpc.call(self, "x.bogus", {}, 10.0,
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
+             result = outcome;
+           });
+  world.sim().run();
+  EXPECT_EQ(result, cs::RpcOutcome::kAnswered);
+  EXPECT_EQ(to_client, 1u);
+  EXPECT_EQ(world.sim().metrics().counter_value(
+                "unknown_message{daemon=test,type=x.bogus}"),
+            1u);
 }
 
 TEST(Rpc, DuplicateReplyDeliversCallbackOnce) {
@@ -806,9 +941,9 @@ TEST(Rpc, DuplicateReplyDeliversCallbackOnce) {
   cs::RpcClient rpc(client_host, world.net(), "cli.rpc");
   int calls = 0;
   rpc.call(cs::Address{"server", "echo"}, "echo", {}, 30.0,
-           [&](bool ok, const cs::Payload&) {
+           [&](cs::RpcOutcome outcome, const cs::Payload&) {
              ++calls;
-             EXPECT_TRUE(ok);
+             EXPECT_EQ(outcome, cs::RpcOutcome::kAnswered);
            });
   world.sim().run();
   // The first reply settles the call and erases the pending entry; the
@@ -913,7 +1048,9 @@ struct LoopOwner {
               sent.push_back({host.now(), peer, std::move(keys)});
               rpc.call(cs::Address{peer, "probe"}, "probe", {}, 10.0,
                        [answered = std::move(answered)](
-                           bool ok, const cs::Payload&) { answered(ok); });
+                           cs::RpcOutcome outcome, const cs::Payload&) {
+                         answered(outcome != cs::RpcOutcome::kSilent);
+                       });
             }) {}
 
   cs::RpcClient rpc;

@@ -91,7 +91,8 @@ DET_LOCAL = re.compile(r"det-local\(([A-Za-z_]\w*)\)")
 FWD_DECL = re.compile(r"^\s*class\s+[A-Za-z_]\w*\s*;")
 # A line that is a declared message boundary: endpoint naming or kernel
 # messaging API. Calls THROUGH these are the legal island cut.
-BOUNDARY = re.compile(r"sim::Address|sim::Network|sim::Rpc|rpc_reply|"
+BOUNDARY = re.compile(r"sim::Address|sim::Network|sim::Rpc|"
+                      r"rpc_(?:reply|refuse|unknown)|"
                       r"\.notify\s*\(|\.call\s*\(|register_service")
 
 

@@ -30,8 +30,9 @@ Rules:
                          continuation (a nested call/post whose callback
                          replies). Sequential approximation, same spirit as
                          the lint's unbalanced-span rule: a `return` is
-                         flagged unless a reply token (sim::rpc_reply or a
-                         same-file helper that transitively replies)
+                         flagged unless a reply token (sim::rpc_reply,
+                         sim::rpc_refuse, sim::rpc_unknown, or a same-file
+                         helper that transitively calls one of them)
                          precedes it in the handler text, the arm falls
                          through to a replying tail, or the return is a
                          `host_.crash_point(...)` guard (a simulated crash
@@ -92,7 +93,7 @@ SEND_CALL = re.compile(r"(?:\.|->)\s*(call|notify)\s*\(")
 ARM = re.compile(r'\b(?:message|m)\s*\.\s*type\s*([=!]=)\s*"([a-z_]+\.'
                  r'[a-z_.]+)"')
 CRASH_POINT = re.compile(r'crash_point\s*\(\s*"([\w.]+)"\s*\)')
-REPLY_FREE = re.compile(r"\brpc_reply\s*\(")
+REPLY_FREE = re.compile(r"\brpc_(?:reply|refuse|unknown)\s*\(")
 RETURN_STMT = re.compile(r"\breturn\b")
 FUNC_DEF = re.compile(r"\b([A-Za-z_]\w*)::(~?[A-Za-z_]\w*)\s*\(")
 ENUM_TABLE_NAME = "kEnumeratedCrashPoints"
@@ -237,7 +238,7 @@ def find_functions(mask):
 
 
 def replying_helpers(code, functions):
-    """Names of functions whose body (transitively) calls sim::rpc_reply."""
+    """Names of functions whose body (transitively) answers a request."""
     bodies = {}
     for fn in functions:
         bodies[fn.name] = "\n".join(code[fn.start:fn.end + 1])
@@ -495,7 +496,7 @@ def check_reply_paths(analysis):
 def _reply_token(replying):
     names = sorted(re.escape(n) for n in replying)
     if names:
-        return re.compile(r"\brpc_reply\s*\(|\b(?:" + "|".join(names)
+        return re.compile(REPLY_FREE.pattern + r"|\b(?:" + "|".join(names)
                           + r")\s*\(")
     return REPLY_FREE
 

@@ -197,7 +197,7 @@ Observation run_scenario(std::vector<std::string>& problems) {
   cs::Payload unreg;
   unreg.set("name", "pool.wisc.edu");
   grrp.call(giis.address(), "grrp.unregister", std::move(unreg), 30.0,
-            [](bool, const cs::Payload&) {});
+            [](cs::RpcOutcome, const cs::Payload&) {});
   // A node's exit notice, which only a glided-in Startd would send; the
   // manager has no live glide-in by this contact and drops it.
   cs::RpcClient node(*site1.cluster, testbed.world().net(), "profile.glidein");
